@@ -10,11 +10,17 @@ scenes and why each was chosen). The program is imported from this
 checkout's `src/` and nowhere else; without it the command fails.
 
 --trace 0 repeats passes over the workload's inputs for about --seconds
-seconds (at least three passes) with tracing off and reports the end-to-end
-metrics, each window timed by its median pass. --trace 1 makes one pass,
-whatever --seconds says, in which every window runs untraced and then
-traced; it writes the spans next to the results and reports per-layer
-metrics. Either way every output is checked; a failed check makes
+seconds (at least two passes) with tracing off and reports the end-to-end
+metrics, each window timed by its median pass. Times are reported at the
+nominal machine speed of calibrate.py: each window (and each set-up round)
+is scaled by calibrate.REFERENCE_MS over the fixed reference work's time
+sampled beside it, so that the host's drift in speed over minutes does not
+read as a change of the program. The unscaled figures are printed on a
+comment line and kept in the results file.
+
+--trace 1 makes one pass, whatever --seconds says, in which every window
+runs untraced and then traced; it writes the spans next to the results and
+reports per-layer metrics. Either way every output is checked; a failed check makes
 `correct` false and the exit code 1.
 
 Results, with the workload context and environment, go to
@@ -44,11 +50,13 @@ from pathlib import Path
 
 import numpy
 
+import calibrate
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench-out"
 SETUP_ROUNDS = 3
-MIN_PASSES = 3
+MIN_PASSES = 2
 IMPORT_PROBE = (
     "import time; t = time.perf_counter(); import mcftrack; "
     "print(time.perf_counter() - t)"
@@ -116,15 +124,20 @@ def environment() -> dict:
 
 
 def setup(workloads, wl, seed: int, tiny: bool):
-    """Build the inputs SETUP_ROUNDS times; returns (inputs, round times in s)."""
-    rounds = []
+    """Build the inputs SETUP_ROUNDS times.
+
+    Returns (inputs, round times in s, reference time beside each round in ms).
+    """
+    rounds, references = [], []
     inputs = None
     for _ in range(SETUP_ROUNDS):
+        before = calibrate.sample_ms()
         imported = import_probe_s()
         t0 = time.perf_counter()
         inputs = workloads.make_inputs(wl, seed, tiny)
         rounds.append(imported + time.perf_counter() - t0)
-    return inputs, rounds
+        references.append((before + calibrate.sample_ms()) / 2)
+    return inputs, rounds, references
 
 
 def percentile(values, q: float) -> float:
@@ -137,19 +150,20 @@ def determinism_problems(first, other, label: str) -> list[str]:
     return []
 
 
-def timed_run(workloads, wl, inputs, seconds: float, setup_rounds) -> tuple[dict, dict]:
+def timed_run(workloads, wl, inputs, seconds: float, setup_rounds, setup_refs) -> tuple[dict, dict]:
     """Repeat passes over the inputs for about `seconds`, at least MIN_PASSES.
 
-    Every pass solves the same windows, so each window's latency is its
-    median over the passes and the loop time is that of the median pass:
-    a burst of load from other tenants of the machine, or a lull, moves
-    fewer than half of the passes.
+    Each window's time is scaled to nominal speed by the reference sample
+    taken just before it. Every pass solves the same windows, so each
+    window's latency is its median over the passes and the loop time is that
+    of the median pass: a burst of load from other tenants of the machine,
+    or a lull, moves fewer than half of the passes.
     """
     passes = []
     begin = time.perf_counter()
     while True:
         t0 = time.perf_counter()
-        passes.append(workloads.run_pass(wl, inputs))
+        passes.append(workloads.run_pass(wl, inputs, calibrate.sample_ms))
         took = time.perf_counter() - t0
         if len(passes) >= MIN_PASSES and time.perf_counter() - begin + took > seconds:
             break
@@ -157,18 +171,29 @@ def timed_run(workloads, wl, inputs, seconds: float, setup_rounds) -> tuple[dict
     problems = list(first.problems)
     for i, later in enumerate(passes[1:], start=2):
         problems += later.problems + determinism_problems(first, later, f"pass {i}")
-    if len({p.solved for p in passes}) == 1:
-        window_ms = list(numpy.median([p.window_s for p in passes], axis=0) * 1e3)
-    else:  # passes diverged (reported above); pool what was timed
-        window_ms = [s * 1e3 for p in passes for s in p.window_s]
-    loop_s = statistics.median(p.loop_s for p in passes)
+    setup_scales = [calibrate.REFERENCE_MS / r for r in setup_refs]
+
+    def window_stats(per_pass):
+        """(windows per s, p50 ms, p90 ms) from each pass's window times in s."""
+        if len({len(w) for w in per_pass}) == 1:
+            window_ms = list(numpy.median(per_pass, axis=0) * 1e3)
+        else:  # passes diverged (reported above); pool what was timed
+            window_ms = [s * 1e3 for w in per_pass for s in w]
+        loop_s = statistics.median(float(numpy.sum(w)) for w in per_pass)
+        return (first.solved / loop_s if loop_s > 0 else 0.0,
+                percentile(window_ms, 50), percentile(window_ms, 90))
+
+    raw = [numpy.asarray(p.window_s) for p in passes]
+    per_s, p50, p90 = window_stats(
+        [w * calibrate.REFERENCE_MS / numpy.asarray(p.reference_ms) for w, p in zip(raw, passes)])
+    raw_per_s, raw_p50, raw_p90 = window_stats(raw)
     attempted = sum(p.scheduled for p in passes)
     failed = sum(p.failed for p in passes)
     metrics = {
-        "windows_per_s": first.solved / loop_s if loop_s > 0 else 0.0,
-        "window_p50_ms": percentile(window_ms, 50),
-        "window_p90_ms": percentile(window_ms, 90),
-        "setup_s": statistics.median(setup_rounds),
+        "windows_per_s": per_s,
+        "window_p50_ms": p50,
+        "window_p90_ms": p90,
+        "setup_s": statistics.median(t * k for t, k in zip(setup_rounds, setup_scales)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "failed_share": failed / attempted if attempted else 1.0,
         "proven_share": first.proven / first.solved if first.solved else 0.0,
@@ -181,6 +206,15 @@ def timed_run(workloads, wl, inputs, seconds: float, setup_rounds) -> tuple[dict
         "windows_per_pass": first.solved,
         "pass_loop_s": [p.loop_s for p in passes],
         "setup_rounds_s": setup_rounds,
+        "reference_nominal_ms": calibrate.REFERENCE_MS,
+        "pass_reference_ms": [statistics.median(p.reference_ms) for p in passes if p.reference_ms],
+        "setup_reference_ms": setup_refs,
+        "unscaled": {
+            "windows_per_s": raw_per_s,
+            "window_p50_ms": raw_p50,
+            "window_p90_ms": raw_p90,
+            "setup_s": statistics.median(setup_rounds),
+        },
         "mot_counts": dict(first.mot),
     }
     report = _report(passes, problems, attempted, failed, detail)
@@ -241,14 +275,15 @@ def main(argv=None) -> int:
     if args.seed is None:
         args.seed = workloads.SEED_DEFAULT
     wl = workloads.WORKLOADS[args.workload]
-    inputs, setup_rounds = setup(workloads, wl, args.seed, args.tiny)
+    calibrate.sample_ms()  # warm the reference work before its first sample
+    inputs, setup_rounds, setup_refs = setup(workloads, wl, args.seed, args.tiny)
     OUT.mkdir(exist_ok=True)
     stem = f"{wl.name}-seed{args.seed}-trace{args.trace}" + ("-tiny" if args.tiny else "")
     if args.trace:
         metrics, report = traced_run(workloads, tracing, wl, inputs, stem)
         shown = metrics
     else:
-        metrics, report = timed_run(workloads, wl, inputs, args.seconds, setup_rounds)
+        metrics, report = timed_run(workloads, wl, inputs, args.seconds, setup_rounds, setup_refs)
         shown = {k: v for k, v in metrics.items() if k not in NOT_IN_RESULT_LINE}
     record = {
         "context": wl.context(args.seed, args.tiny),
@@ -260,6 +295,11 @@ def main(argv=None) -> int:
     (OUT / f"{stem}.json").write_text(json.dumps(record, indent=1) + "\n")
 
     print(f"# {wl.name} seed {args.seed} trace {args.trace}: {wl.why}")
+    if report.get("pass_reference_ms"):
+        refs = report["pass_reference_ms"]
+        print(f"# times at nominal speed: reference work {statistics.median(refs):.3f} ms "
+              f"a round here, {calibrate.REFERENCE_MS} ms nominal; unscaled: "
+              + ", ".join(f"{k} {v:.6g}" for k, v in report["unscaled"].items()))
     for name, (value, unit) in metrics.items():
         print(f"{name} {value:.6g} {unit}")
     for line in report["problems"][:10] + report["errors"][:10]:

@@ -127,7 +127,7 @@ WORKLOADS = {
             scene=dict(targets=5, frames=120, clutter_rate=0.5, feature_dim=12,
                        lane_gap=80.0, **COMMON_SCENE),
             config=dict(window=5, **COMMON_CONFIG),  # the contested first window
-            scenes=10,
+            scenes=15,
             births_stride=12,
             births_per_scene=10,
             tiny_frames=24,
@@ -192,6 +192,7 @@ class Outcome:
     """What one pass over a workload's inputs did."""
 
     window_s: list[float] = field(default_factory=list)  # per solved window
+    reference_ms: list[float] = field(default_factory=list)  # sampled before each solved window
     loop_s: float = 0.0  # wall time of the timed calls
     scheduled: int = 0
     failed: int = 0  # windows lost to exceptions or failing a check
@@ -226,14 +227,24 @@ class Outcome:
 
 
 class _Lane:
-    """One copy of the work: untraced, or traced under its tracer."""
+    """One copy of the work: untraced, or traced under its tracer.
 
-    def __init__(self, tracer) -> None:
+    With a `reference` (a callable returning milliseconds), the lane samples
+    it just before each window that solves, so that every window time has a
+    measure of the machine's speed taken beside it.
+    """
+
+    def __init__(self, tracer, reference: Callable[[], float] | None = None) -> None:
         self.out = Outcome()
         self.tracer = tracer
+        self.reference = reference
 
-    def call(self, window: str, root: str | None, fn: Callable, *args, **kwargs):
-        """Time one call; returns (result, seconds). Raises what fn raises."""
+    def call(self, window: str, root: str | None, solves: bool, fn: Callable, *args, **kwargs):
+        """Time one call; returns its result. Raises what fn raises.
+
+        A call that `solves` a window adds its time to window_s.
+        """
+        ref = self.reference() if solves and self.reference is not None else None
         if self.tracer is None:
             t0 = time.perf_counter()
             result = fn(*args, **kwargs)
@@ -247,12 +258,16 @@ class _Lane:
                 result = fn(*args, **kwargs)
                 took = time.perf_counter() - t0
         self.out.loop_s += took
-        return result, took
+        if solves:
+            self.out.window_s.append(took)
+            if ref is not None:
+                self.out.reference_ms.append(ref)
+        return result
 
 
-def run_pass(wl: Workload, inputs: list) -> Outcome:
-    """One untraced pass over the inputs."""
-    return _run(wl, inputs, [_Lane(None)])[0]
+def run_pass(wl: Workload, inputs: list, reference: Callable[[], float] | None = None) -> Outcome:
+    """One untraced pass over the inputs, sampling `reference` before each window."""
+    return _run(wl, inputs, [_Lane(None, reference)])[0]
 
 
 def run_paired(wl: Workload, inputs: list, tracer) -> tuple[Outcome, Outcome]:
@@ -287,12 +302,10 @@ def _tracker_scene(cfg: TrackerConfig, idx: int, scene: Scene, lanes: list[_Lane
             lane, tracker = lanes[i], trackers[i]
             try:
                 if frame <= scene.frames:
-                    recs, took = lane.call(f"{idx}:{frame}", "step", tracker.step,
-                                           frame, scene.dets[frame])
-                    if frame >= cfg.window:
-                        lane.out.window_s.append(took)
+                    recs = lane.call(f"{idx}:{frame}", "step", frame >= cfg.window,
+                                     tracker.step, frame, scene.dets[frame])
                 else:
-                    recs, _ = lane.call(f"{idx}:flush", None, tracker.flush)
+                    recs = lane.call(f"{idx}:flush", None, False, tracker.flush)
             except Exception as exc:  # a raise ends the stream: the rest of it is lost
                 solved = len(tracker.diagnostics)
                 lane.out.record_exception(f"scene {idx} window {solved + 1}", exc,
@@ -327,13 +340,12 @@ def _births(cfg: TrackerConfig, instances: list, lanes: list[_Lane]) -> None:
     for idx, inst in enumerate(instances):
         for lane, done in zip(lanes, results):
             try:
-                res, took = lane.call(str(idx), "column_generation", mcftrack.column_generation,
-                                      inst.network, inst.vectors, iter_max=cfg.iter_max)
+                res = lane.call(str(idx), "column_generation", True,
+                                mcftrack.column_generation, inst.network, inst.vectors,
+                                iter_max=cfg.iter_max)
             except Exception as exc:
                 lane.out.record_exception(f"instance {idx}", exc, 1)
-                done.append(None)
-                continue
-            lane.out.window_s.append(took)
+                res = None
             done.append(res)
     for lane, done in zip(lanes, results):
         out = lane.out
