@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--features", help="feature sidecar (.npy); "
                          "defaults to <det>.npy when present")
     p_track.add_argument("--log", help="per-window diagnostics log path")
-    p_track.add_argument("--threads", type=int, help="bound internal parallelism")
 
     p_eval = sub.add_parser("eval", help="CLEAR MOT metrics")
     p_eval.add_argument("--gt", required=True, help="ground-truth track file")
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--network", required=True, help="instance file")
     p_solve.add_argument("--oracle", action="store_true",
                          help="cross-check against exhaustive search")
-    p_solve.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -83,9 +81,6 @@ def _cmd_track(args: argparse.Namespace) -> int:
         config = TrackerConfig()
     if args.window is not None:
         config.window = args.window
-        config.__post_init__()
-    if args.threads is not None:
-        config.threads = args.threads
         config.__post_init__()
 
     features = None
@@ -118,7 +113,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     network, vectors = mio.load_instance(_require_file(args.network))
-    result = column_generation(network, vectors, threads=args.threads)
+    result = column_generation(network, vectors)
     print(f"status {result.status}")
     print(f"v_lp {result.v_lp:.9g}")
     print(f"v_int {result.v_int:.9g}")

@@ -25,7 +25,6 @@ networks keep the certified gap instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +33,7 @@ import numpy as np
 from .costs import CostVector
 from .graph import EdgeKind, FlowNetwork
 from .lp import LPProblem, LPSolution, solve_lp
+from .oracle import OracleLimitError, enumerate_paths
 
 CERT_TOL = 1e-7
 INT_TOL = 1e-9
@@ -134,14 +134,13 @@ def shortest_path(
 def price(
     network: FlowNetwork,
     commodity: int,
-    cost_vector: CostVector | np.ndarray,
+    values: np.ndarray,
     pi: np.ndarray | None,
 ) -> tuple[PathColumn, float]:
     """Price one commodity: shortest pi-shifted path and its value zeta_k.
 
     The returned column carries the unshifted path cost.
     """
-    values = cost_vector.values if isinstance(cost_vector, CostVector) else cost_vector
     edges, zeta = shortest_path(network, commodity, values, pi)
     cost = float(sum(values[e] for e in edges))
     return PathColumn(commodity=commodity, edges=edges, cost=cost), zeta
@@ -307,47 +306,21 @@ def _group_selection(
     return grouped, flows
 
 
-class _PathBudgetExceeded(Exception):
-    pass
-
-
-def _enumerate_all_columns(
+def _enrichment_columns(
     network: FlowNetwork, values: Sequence[np.ndarray], budget: int
 ) -> list[PathColumn] | None:
     """Every source-sink path of every commodity, or None over budget.
 
-    Used only by the enrichment fallback; aborts as soon as the running
-    path count crosses the budget, so large networks cost almost nothing.
+    Used only by the enrichment fallback; each commodity's enumeration stops
+    as soon as the running path count crosses the budget.
     """
-    heads = network.head
     cols: list[PathColumn] = []
-    count = 0
-
     for k in range(network.num_commodities):
-        sink = network.sink(k)
-        vals = values[k]
-        stack: list[int] = []
-
-        def visit(node: int) -> None:
-            nonlocal count
-            if node == sink:
-                count += 1
-                if count > budget:
-                    raise _PathBudgetExceeded
-                path = tuple(stack)
-                cols.append(
-                    PathColumn(k, path, float(sum(vals[e] for e in path)))
-                )
-                return
-            for e in network.out_edges(node, k):
-                stack.append(e)
-                visit(int(heads[e]))
-                stack.pop()
-
         try:
-            visit(network.source(k))
-        except _PathBudgetExceeded:
+            paths = enumerate_paths(network, k, limit=budget - len(cols))
+        except OracleLimitError:
             return None
+        cols.extend(PathColumn(k, p, float(sum(values[k][e] for e in p))) for p in paths)
     return cols
 
 
@@ -355,7 +328,6 @@ def column_generation(
     network: FlowNetwork,
     cost_vectors: Sequence[CostVector],
     iter_max: int = ITER_MAX_DEFAULT,
-    threads: int = 1,
 ) -> CGResult:
     """Run the full loop; see module docstring for the protocol.
 
@@ -366,14 +338,12 @@ def column_generation(
         raise ValueError(f"iter_max must be >= 1, got {iter_max}")
     if len(cost_vectors) != nc:
         raise ValueError(f"{len(cost_vectors)} cost vectors for {nc} commodities")
-    values: list[np.ndarray] = []
     for k, cv in enumerate(cost_vectors):
-        vals = cv.values if isinstance(cv, CostVector) else np.asarray(cv, dtype=np.float64)
-        if isinstance(cv, CostVector) and cv.commodity != k:
+        if cv.commodity != k:
             raise ValueError(f"cost vector at position {k} labeled {cv.commodity}")
-        if vals.shape[0] != network.num_edges:
+        if cv.values.shape[0] != network.num_edges:
             raise ValueError("cost vector length does not match edge count")
-        values.append(vals)
+    values = [cv.values for cv in cost_vectors]
 
     pool: list[PathColumn] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
@@ -404,61 +374,49 @@ def column_generation(
     last: LPSolution | None = None
     zetas = np.zeros(nc)
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for _ in range(iter_max):
-            iterations += 1
-            sol = solve_lp(_master_problem(network, pool), warm_basis=basis)
-            if sol.status != "optimal":
-                raise ColgenError(f"master LP ended with status {sol.status!r}")
-            last = sol
-            basis = sol.basis
-            lam = sol.x
-            if np.abs(lam - np.round(lam)).max() <= INT_TOL:
-                cand = _decode_selection(pool, lam)
-                cand_val = float(sum(c.cost * u for c, u in cand))
-                if cand_val < v_incumbent:
-                    incumbent, v_incumbent = cand, cand_val
+    for _ in range(iter_max):
+        iterations += 1
+        sol = solve_lp(_master_problem(network, pool), warm_basis=basis)
+        if sol.status != "optimal":
+            raise ColgenError(f"master LP ended with status {sol.status!r}")
+        last = sol
+        basis = sol.basis
+        lam = sol.x
+        if np.abs(lam - np.round(lam)).max() <= INT_TOL:
+            cand = _decode_selection(pool, lam)
+            cand_val = float(sum(c.cost * u for c, u in cand))
+            if cand_val < v_incumbent:
+                incumbent, v_incumbent = cand, cand_val
 
-            if executor is None:
-                priced = [price(network, k, values[k], sol.pi) for k in range(nc)]
-            else:
-                priced = list(
-                    executor.map(
-                        lambda k: price(network, k, values[k], sol.pi), range(nc)
-                    )
+        priced = [price(network, k, values[k], sol.pi) for k in range(nc)]
+        zetas = np.array([z for _, z in priced])
+        best_bound = max(
+            best_bound,
+            lagrangian_lower_bound(sol.objective, zetas, sol.sigma, demands),
+        )
+        if optimality_check(zetas, sol.sigma):
+            v_lp = sol.objective
+            converged = True
+            break
+        added = 0
+        for k in range(nc):
+            col, zeta = priced[k]
+            if zeta >= sol.sigma[k] - CERT_TOL:
+                continue
+            if add_column(col):
+                added += 1
+            elif zeta - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
+                raise ColgenError(
+                    f"pricing repeated a pooled column for commodity {k} "
+                    f"with violation {zeta - sol.sigma[k]:.3e}; duals inconsistent"
                 )
-            zetas = np.array([z for _, z in priced])
-            best_bound = max(
-                best_bound,
-                lagrangian_lower_bound(sol.objective, zetas, sol.sigma, demands),
-            )
-            if optimality_check(zetas, sol.sigma):
-                v_lp = sol.objective
-                converged = True
-                break
-            added = 0
-            for k in range(nc):
-                col, zeta = priced[k]
-                if zeta >= sol.sigma[k] - CERT_TOL:
-                    continue
-                if add_column(col):
-                    added += 1
-                elif zeta - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
-                    raise ColgenError(
-                        f"pricing repeated a pooled column for commodity {k} "
-                        f"with violation {zeta - sol.sigma[k]:.3e}; duals inconsistent"
-                    )
-            if added == 0:
-                # Only within-noise duplicates: fall back to the bound.
-                v_lp = best_bound
-                converged = True
-                break
-        else:
+        if added == 0:
+            # Only within-noise duplicates: fall back to the bound.
             v_lp = best_bound
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+            converged = True
+            break
+    else:
+        v_lp = best_bound
 
     if incumbent is not None and v_incumbent - v_lp <= INT_TOL:
         v_int, selection = v_incumbent, incumbent
@@ -472,7 +430,7 @@ def column_generation(
             # The pool may simply be missing the right columns; on a small
             # network the whole path set fits in the budget, making the
             # second extraction exact. Over budget, the certificate stands.
-            extra = _enumerate_all_columns(network, values, ENRICH_PATH_BUDGET)
+            extra = _enrichment_columns(network, values, ENRICH_PATH_BUDGET)
             if extra is not None:
                 for col in extra:
                     add_column(col)

@@ -20,7 +20,6 @@ n_k = 2N+2k+1, giving 2N + 2(K+1) nodes total.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -142,7 +141,6 @@ class FlowNetwork:
     det_b: np.ndarray
     num_shared: int
     _trans_out: list[list[int]] = field(repr=False, default_factory=list)
-    _topo: list[int] | None = field(repr=False, default=None)
 
     # -- shape ---------------------------------------------------------------
 
@@ -194,10 +192,6 @@ class FlowNetwork:
     def bypass_edge(self, k: int) -> int:
         return self.block_start(k) + 2 * self.num_detections
 
-    def edges_of(self, k: int) -> range:
-        """Edge ids usable by commodity k's paths (shared ids are 0..num_shared-1)."""
-        return range(self.block_start(k), self.block_start(k + 1))
-
     # -- traversal -----------------------------------------------------------
 
     def out_edges(self, node: int, k: int) -> Iterator[int]:
@@ -216,32 +210,18 @@ class FlowNetwork:
         # sinks and other commodities' endpoints have no edges for k
 
     def topological_order(self) -> list[int]:
-        """Deterministic topological order over all nodes (smallest id first).
+        """All sources, then u_0, v_0, ..., u_{N-1}, v_{N-1}, then all sinks.
 
-        Raises ValueError on a cycle, which indicates internal corruption:
-        transitions are validated to run strictly forward in frame index.
+        Every edge runs forward in this order: network_from_parts rejects
+        detections that are not frame-sorted and transitions that do not
+        advance in frame, so a transition (v_i, u_j) always has i < j.
         """
-        if self._topo is not None:
-            return self._topo
-        indeg = [0] * self.num_nodes
-        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for t, h in zip(self.tail.tolist(), self.head.tolist()):
-            indeg[h] += 1
-            succ[t].append(h)
-        ready = [node for node, d in enumerate(indeg) if d == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            for h in succ[node]:
-                indeg[h] -= 1
-                if indeg[h] == 0:
-                    heapq.heappush(ready, h)
-        if len(order) != self.num_nodes:
-            raise ValueError("cycle in flow network; graph construction is corrupt")
-        self._topo = order
-        return order
+        nc = self.num_commodities
+        return (
+            [self.source(k) for k in range(nc)]
+            + list(range(2 * self.num_detections))
+            + [self.sink(k) for k in range(nc)]
+        )
 
     def path_detections(self, edges: Sequence[int]) -> list[int]:
         """Detection indices claimed along a path, in path order."""

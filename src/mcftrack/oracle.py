@@ -1,7 +1,8 @@
 """Exhaustive reference solvers for small window instances.
 
-Independent of the column-generation stack: paths are enumerated by DFS over
-the network structure and the joint assignment is found by brute-force
+Independent of the column-generation stack, which borrows enumerate_paths
+only for its enrichment fallback: paths are enumerated by DFS over the
+network structure and the joint assignment is found by brute-force
 search over per-commodity path choices with shared-edge disjointness
 enforced by bitmask. Intended for instances of a few detections; both
 entry points abort with OracleLimitError beyond an explicit size guard

@@ -61,7 +61,6 @@ class TrackerConfig:
     gamma: float = 2.0
     aggressiveness: float = 0.1
     iter_max: int = 200
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -72,8 +71,6 @@ class TrackerConfig:
             raise ConfigError(f"spawn_min_length must be >= 1, got {self.spawn_min_length}")
         if self.iter_max < 1:
             raise ConfigError(f"iter_max must be >= 1, got {self.iter_max}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         try:
             self.cost_config()
             self.gating_config()
@@ -341,9 +338,7 @@ class OnlineTracker:
             for k in range(network.num_commodities)
         ]
         begin = time.perf_counter()
-        result = column_generation(
-            network, vectors, iter_max=self.config.iter_max, threads=self.config.threads
-        )
+        result = column_generation(network, vectors, iter_max=self.config.iter_max)
         elapsed_ms = (time.perf_counter() - begin) * 1000.0
         self.diagnostics.append(
             WindowDiagnostics(

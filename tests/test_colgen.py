@@ -12,6 +12,7 @@ from helpers import (
 from mcftrack.colgen import (
     CGResult,
     PathColumn,
+    _enrichment_columns,
     column_generation,
     extract_integer,
     lagrangian_lower_bound,
@@ -22,7 +23,7 @@ from mcftrack.colgen import (
 from mcftrack.costs import CostVector
 from mcftrack.graph import network_from_parts
 from mcftrack.lp import LPProblem, solve_lp
-from mcftrack.oracle import brute_force_ilp
+from mcftrack.oracle import brute_force_ilp, enumerate_paths
 
 
 def single_det_network():
@@ -69,6 +70,34 @@ def test_shortest_path_tie_breaks_lexicographically():
     edges, val = shortest_path(net, 0, costs)
     assert val == 0.0
     assert edges == (net.start_edge(0, 0), 0, net.term_edge(0, 0))
+
+    # equal-cost paths through two frame-1 detections meet at the head of
+    # their transitions into one frame-2 detection: the path via det 0 wins
+    dets = [make_det(0, 1, (0, 0, 10, 10)), make_det(1, 1, (12, 0, 10, 10)),
+            make_det(2, 2, (6, 0, 10, 10))]
+    net = network_from_parts(dets, [(0, 2), (1, 2)], [1])
+    costs = np.zeros(net.num_edges)
+    costs[:3] = -1.0  # observations
+    costs[net.term_edge(0, 0)] = costs[net.term_edge(0, 1)] = 5.0
+    costs[net.start_edge(0, 2)] = 5.0
+    costs[net.bypass_edge(0)] = 1.0
+    edges, val = shortest_path(net, 0, costs)
+    assert val == -2.0
+    via_0 = net.num_detections + net.transitions.index((0, 2))
+    assert edges == (net.start_edge(0, 0), 0, via_0, 2, net.term_edge(0, 2))
+
+
+def test_enrichment_columns_at_budget_boundary():
+    dets = [make_det(0, 1, (0, 0, 10, 10)), make_det(1, 2, (2, 0, 10, 10))]
+    net = network_from_parts(dets, [(0, 1)], [1, 1])
+    rng = np.random.default_rng(0)
+    values = [rng.normal(size=net.num_edges) for _ in range(net.num_commodities)]
+    paths = [(k, p) for k in range(net.num_commodities) for p in enumerate_paths(net, k)]
+    cols = _enrichment_columns(net, values, len(paths))
+    assert [(c.commodity, c.edges) for c in cols] == paths
+    for c in cols:
+        assert c.cost == pytest.approx(sum(values[c.commodity][e] for e in c.edges))
+    assert _enrichment_columns(net, values, len(paths) - 1) is None
 
 
 def test_optimality_check():

@@ -200,6 +200,8 @@ def test_config_from_text():
         TrackerConfig.from_text("window=abc\n")
     with pytest.raises(ConfigError):
         TrackerConfig.from_text("window=0\n")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        TrackerConfig.from_text("threads=2\n")
 
 
 def test_diagnostics_lines_are_well_formed():
