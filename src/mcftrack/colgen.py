@@ -3,6 +3,11 @@
 Each commodity's flow is a convex-integer combination of source-sink paths.
 The restricted master problem (RMLP) couples path columns through unit
 capacities on shared edges and per-commodity convexity rows at demand d_k.
+It carries a coupling row only for the shared edges that some pooled column
+uses; the row set grows as columns arrive. An untouched edge's slack sits at
+its capacity 1 > 0 in every basic solution, so it is always basic and
+complementary slackness makes its dual 0: reporting pi = 0 there is exact,
+and the RMLP optimum is that of the master with every row.
 Pricing solves a DAG shortest path per commodity under costs shifted by the
 coupling duals pi on shared edges; the loop stops when every priced value
 zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
@@ -26,13 +31,13 @@ networks keep the certified gap instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .costs import CostVector
 from .graph import EdgeKind, FlowNetwork
-from .lp import LPProblem, LPSolution, solve_lp
+from .lp import LPInternalError, LPProblem, LPSolution, solve_lp
 from .oracle import OracleLimitError, enumerate_paths
 
 CERT_TOL = 1e-7
@@ -164,29 +169,70 @@ def lagrangian_lower_bound(
     return float(v_rmlp + np.asarray(demands) @ gaps)
 
 
+def _touched_rows(network: FlowNetwork, cols: Iterable[PathColumn]) -> np.ndarray:
+    """Sorted shared edge ids that at least one of the columns uses."""
+    ns = network.num_shared
+    return np.array(sorted({e for col in cols for e in col.edges if e < ns}), dtype=np.intp)
+
+
 def _master_problem(
     network: FlowNetwork,
     pool: Sequence[PathColumn],
+    rows: np.ndarray,
     b_ub: np.ndarray | None = None,
     demands: np.ndarray | None = None,
     allowed: Sequence[int] | None = None,
 ) -> LPProblem:
+    """Restricted master over the pooled columns in `allowed` (default: all).
+
+    Coupling row i is the capacity of shared edge rows[i]; `rows` is sorted
+    and must hold every shared edge the columns use. Shared edges outside
+    `rows` carry no row: no column can load them, so their slack stays
+    basic and their dual is 0. b_ub is indexed like `rows` (default: ones).
+    """
     ns = network.num_shared
-    nc = network.num_commodities
-    idxs = list(range(len(pool))) if allowed is None else list(allowed)
-    a_ub = np.zeros((ns, len(idxs)))
-    a_eq = np.zeros((nc, len(idxs)))
-    obj = np.zeros(len(idxs))
+    idxs = range(len(pool)) if allowed is None else allowed
+    n = len(idxs)
+    a_eq = np.zeros((network.num_commodities, n))
+    obj = np.zeros(n)
+    hit_edges: list[int] = []
+    hit_cols: list[int] = []
     for j, idx in enumerate(idxs):
         col = pool[idx]
         obj[j] = col.cost
+        a_eq[col.commodity, j] = 1.0
         for e in col.edges:
             if e < ns:
-                a_ub[e, j] = 1.0
-        a_eq[col.commodity, j] = 1.0
-    b = np.ones(ns) if b_ub is None else b_ub
+                hit_edges.append(e)
+                hit_cols.append(j)
+    a_ub = np.zeros((len(rows), n))
+    a_ub[np.searchsorted(rows, hit_edges), np.asarray(hit_cols, dtype=np.intp)] = 1.0
+    b = np.ones(len(rows)) if b_ub is None else b_ub
     d = network.demands.astype(np.float64) if demands is None else demands
     return LPProblem(obj=obj, a_ub=a_ub, b_ub=b, a_eq=a_eq, b_eq=d)
+
+
+def _grow_basis(
+    basis: tuple[int, ...] | None, rows: np.ndarray, grown: np.ndarray
+) -> tuple[int, ...] | None:
+    """Carry a master basis over from coupling rows `rows` to `grown`.
+
+    `grown` is sorted and contains `rows`; the rows it adds must be used
+    only by columns that are nonbasic in `basis` (columns appended since).
+    Each old slack follows its row to the row's new position, structural
+    columns shift by the number of added rows, and each added row enters
+    with its slack basic. The slacks of the added rows sit at b > 0, and the
+    basis matrix is block triangular, so the result stays feasible and
+    nonsingular.
+    """
+    if basis is None:
+        return None
+    mi, added = len(rows), len(grown) - len(rows)
+    slack_at = np.searchsorted(grown, rows)
+    fresh = np.ones(len(grown), dtype=bool)
+    fresh[slack_at] = False
+    carried = [int(slack_at[j]) if j < mi else j + added for j in basis]
+    return tuple(carried) + tuple(int(r) for r in np.flatnonzero(fresh))
 
 
 def _is_bypass(network: FlowNetwork, col: PathColumn) -> bool:
@@ -221,7 +267,8 @@ def extract_integer(
         fixed: list[tuple[int, int]],
     ) -> None:
         nonlocal best_val, best_sel
-        sol = solve_lp(_master_problem(network, pool, b_ub, d_eq, allowed))
+        rows = _touched_rows(network, (pool[i] for i in allowed))
+        sol = solve_lp(_master_problem(network, pool, rows, b_ub[rows], d_eq, allowed))
         if sol.status == "infeasible":
             return
         if sol.status != "optimal":
@@ -344,15 +391,18 @@ def column_generation(
         if cv.values.shape[0] != network.num_edges:
             raise ValueError("cost vector length does not match edge count")
     values = [cv.values for cv in cost_vectors]
+    ns = network.num_shared
 
     pool: list[PathColumn] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
+    touched: set[int] = set()  # shared edges some pooled column uses
 
     def add_column(col: PathColumn) -> bool:
         if col.key in seen:
             return False
         seen.add(col.key)
         pool.append(col)
+        touched.update(e for e in col.edges if e < ns)
         return True
 
     for k in range(nc):
@@ -368,6 +418,8 @@ def column_generation(
     v_incumbent = float("inf")
     best_bound = -float("inf")
     basis: tuple[int, ...] | None = None
+    rows = np.zeros(0, dtype=np.intp)
+    pi = np.zeros(ns)
     converged = False
     v_lp = float("nan")
     iterations = 0
@@ -376,11 +428,25 @@ def column_generation(
 
     for _ in range(iter_max):
         iterations += 1
-        sol = solve_lp(_master_problem(network, pool), warm_basis=basis)
+        if len(touched) > len(rows):
+            grown = np.array(sorted(touched), dtype=np.intp)
+            basis = _grow_basis(basis, rows, grown)
+            rows = grown
+        prob = _master_problem(network, pool, rows)
+        try:
+            sol = solve_lp(prob, warm_basis=basis)
+        except LPInternalError:
+            if basis is None:
+                raise
+            # Long degenerate runs from a warm basis can drift the explicit
+            # inverse; a cold start takes another pivot path.
+            sol = solve_lp(prob)
         if sol.status != "optimal":
             raise ColgenError(f"master LP ended with status {sol.status!r}")
         last = sol
         basis = sol.basis
+        pi = np.zeros(ns)
+        pi[rows] = sol.pi
         lam = sol.x
         if np.abs(lam - np.round(lam)).max() <= INT_TOL:
             cand = _decode_selection(pool, lam)
@@ -388,7 +454,7 @@ def column_generation(
             if cand_val < v_incumbent:
                 incumbent, v_incumbent = cand, cand_val
 
-        priced = [price(network, k, values[k], sol.pi) for k in range(nc)]
+        priced = [price(network, k, values[k], pi) for k in range(nc)]
         zetas = np.array([z for _, z in priced])
         best_bound = max(
             best_bound,
@@ -455,7 +521,7 @@ def column_generation(
         columns=pool,
         selection=grouped,
         flows=flows,
-        pi=None if last is None else last.pi,
+        pi=None if last is None else pi,
         sigma=None if last is None else last.sigma,
         zetas=zetas,
     )

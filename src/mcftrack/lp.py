@@ -13,7 +13,9 @@ Right-hand sides must be nonnegative (true for coupling rows with b = 1 and
 for demands; branch-restricted subproblems preserve this). The basis is kept
 as explicit column indices over the layout [slacks | structural columns], so
 appending structural columns never invalidates a previous basis: warm starts
-re-enter phase 2 directly from the old optimal basis.
+re-enter phase 2 directly from the old optimal basis. A caller that also adds
+inequality rows must map the old basis onto the new layout itself and enter
+each new row with its slack basic.
 
 Numerics: explicit basis-inverse updates with periodic refactorization,
 Dantzig pricing with a Bland's-rule fallback after a run of degenerate

@@ -13,6 +13,9 @@ from mcftrack.colgen import (
     CGResult,
     PathColumn,
     _enrichment_columns,
+    _grow_basis,
+    _master_problem,
+    _touched_rows,
     column_generation,
     extract_integer,
     lagrangian_lower_bound,
@@ -22,8 +25,26 @@ from mcftrack.colgen import (
 )
 from mcftrack.costs import CostVector
 from mcftrack.graph import network_from_parts
-from mcftrack.lp import LPProblem, solve_lp
+from mcftrack import colgen
+from mcftrack.lp import LPInternalError, LPProblem, solve_lp
 from mcftrack.oracle import brute_force_ilp, enumerate_paths
+
+
+def full_row_master(net, cols, b_ub=None, demands=None):
+    """Master LP over cols with one coupling row per shared edge, built by hand."""
+    ns = net.num_shared
+    a_ub = np.zeros((ns, len(cols)))
+    a_eq = np.zeros((net.num_commodities, len(cols)))
+    for j, col in enumerate(cols):
+        for e in col.edges:
+            if e < ns:
+                a_ub[e, j] = 1.0
+        a_eq[col.commodity, j] = 1.0
+    return LPProblem(
+        obj=np.array([c.cost for c in cols]),
+        a_ub=a_ub, b_ub=np.ones(ns) if b_ub is None else b_ub,
+        a_eq=a_eq, b_eq=net.demands.astype(float) if demands is None else demands,
+    )
 
 
 def single_det_network():
@@ -160,22 +181,133 @@ def test_extract_integer_closes_fractional_gap():
         PathColumn(1, (net.start_edge(1, 0), 0, 2, 1, net.term_edge(1, 1)), 1.0),
         PathColumn(1, (net.bypass_edge(1),), 3.0),
     ]
-    ns = net.num_shared
-    a_ub = np.zeros((ns, len(pool)))
-    a_eq = np.zeros((2, len(pool)))
-    for j, col in enumerate(pool):
-        for e in col.edges:
-            if e < ns:
-                a_ub[e, j] = 1.0
-        a_eq[col.commodity, j] = 1.0
-    relax = solve_lp(LPProblem(
-        obj=np.array([c.cost for c in pool]),
-        a_ub=a_ub, b_ub=np.ones(ns),
-        a_eq=a_eq, b_eq=np.ones(2),
-    ))
+    relax = solve_lp(full_row_master(net, pool))
     assert relax.objective == pytest.approx(2.5)
     val, _ = extract_integer(net, pool)
     assert val == pytest.approx(3.0)
+
+
+def test_extract_integer_branches_on_rows_after_an_untouched_one():
+    # Three tracks on an odd cycle A-B, B-C, A-C behind a detection no
+    # column visits: the LP takes each cycle path at one half, and branching
+    # on the first path must cut capacity on A and B, not on the rows
+    # after them, or the A-only path of track 3 rides along for free.
+    dets = [make_det(i, f, (20.0 * i, 0, 2, 2)) for i, f in enumerate((1, 1, 2, 3))]
+    net = network_from_parts(dets, [(1, 2), (1, 3), (2, 3)], [1, 1, 1, 1])
+    obs_a, obs_b, obs_c, t_ab, t_ac, t_bc = 1, 2, 3, 4, 5, 6
+
+    def path(k, first, mids, last, cost):
+        return PathColumn(k, (net.start_edge(k, first), *mids, net.term_edge(k, last)), cost)
+
+    pool = [
+        path(1, 1, (obs_a, t_ab, obs_b), 2, -1.2),
+        path(2, 2, (obs_b, t_bc, obs_c), 3, -1.0),
+        path(3, 1, (obs_a, t_ac, obs_c), 3, -1.0),
+        path(3, 1, (obs_a,), 1, -0.3),
+    ] + [PathColumn(k, (net.bypass_edge(k),), 0.0) for k in range(4)]
+    assert list(_touched_rows(net, pool)) == [1, 2, 3, 4, 5, 6]
+    assert solve_lp(full_row_master(net, pool)).objective == pytest.approx(-1.6)
+    val, sel = extract_integer(net, pool)
+    assert val == pytest.approx(-1.3)
+    assert sorted(pool.index(c) for c, _ in sel if c.cost < 0) == [1, 3]
+
+
+def test_master_over_touched_rows_is_exact():
+    untouched_total = 0
+    for seed in range(40):
+        net, costs = random_instance(seed)
+        res = column_generation(net, wrap_cost_vectors(net, costs))
+        pool, ns = res.columns, net.num_shared
+        rows = _touched_rows(net, pool)
+        assert list(rows) == sorted({e for c in pool for e in c.edges if e < ns})
+        full = solve_lp(full_row_master(net, pool))
+        pruned = solve_lp(_master_problem(net, pool, rows))
+        assert pruned.objective == pytest.approx(full.objective, abs=1e-9), seed
+        assert res.pi.shape == (ns,)
+        untouched = np.setdiff1d(np.arange(ns), rows)
+        assert (res.pi[untouched] == 0.0).all(), seed
+        untouched_total += untouched.size
+
+        # One branch-and-bound node: a column fixed at one unit, so its edges
+        # have no capacity left and its commodity one unit less demand.
+        fix = next(i for i, c in enumerate(pool) if any(e < ns for e in c.edges))
+        b_ub = np.ones(ns)
+        b_ub[[e for e in pool[fix].edges if e < ns]] -= 1.0
+        dem = net.demands.astype(float)
+        dem[pool[fix].commodity] -= 1.0
+        allowed = [i for i in range(len(pool)) if i != fix]
+        rows = _touched_rows(net, (pool[i] for i in allowed))
+        node = solve_lp(_master_problem(net, pool, rows, b_ub[rows], dem, allowed))
+        ref = solve_lp(full_row_master(net, [pool[i] for i in allowed], b_ub, dem))
+        assert node.status == ref.status, seed
+        if ref.status == "optimal":
+            assert node.objective == pytest.approx(ref.objective, abs=1e-9), seed
+    assert untouched_total > 0
+
+
+def test_grow_basis_warm_starts_grown_master():
+    grown_cases = 0
+    for seed in range(40):
+        net, costs = random_instance(seed)
+        pool = column_generation(net, wrap_cost_vectors(net, costs)).columns
+        ns = net.num_shared
+        bypass = [c for c in pool if not any(e < ns for e in c.edges)]
+        paths = [c for c in pool if any(e < ns for e in c.edges)]
+        first = bypass + paths[: len(paths) // 2]
+        grown = first + paths[len(paths) // 2 :]
+        rows, more = _touched_rows(net, first), _touched_rows(net, grown)
+        if more.size == rows.size:
+            continue
+        grown_cases += 1
+        sol = solve_lp(_master_problem(net, first, rows))
+        assert sol.status == "optimal", seed
+        basis = _grow_basis(sol.basis, rows, more)
+
+        prob = _master_problem(net, grown, more)
+        mi, me, n = more.size, net.num_commodities, len(grown)
+        m = mi + me
+        full = np.zeros((m, mi + n))
+        full[:mi, :mi] = np.eye(mi)
+        full[:mi, mi:] = prob.a_ub
+        full[mi:, mi:] = prob.a_eq
+        rhs = np.concatenate([prob.b_ub, prob.b_eq])
+        assert len(basis) == m and len(set(basis)) == m, seed
+        b_mat = full[:, list(basis)]
+        assert np.linalg.matrix_rank(b_mat) == m, seed
+        assert np.linalg.solve(b_mat, rhs).min() >= -1e-9, seed
+
+        warm = solve_lp(prob, warm_basis=basis)
+        cold = solve_lp(prob)
+        assert warm.status == cold.status == "optimal", seed
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9), seed
+    assert grown_cases >= 10
+
+
+def test_failed_warm_master_solve_retries_cold(monkeypatch):
+    net, costs = random_instance(5)
+    vectors = wrap_cost_vectors(net, costs)
+    ref = column_generation(net, vectors)
+    assert ref.iterations >= 2 and ref.status == "proven-optimal"
+    calls = []
+
+    def warm_fails_once(prob, warm_basis=None):
+        calls.append(warm_basis is not None)
+        if warm_basis is not None and calls.count(True) == 1:
+            raise LPInternalError("injected")
+        return solve_lp(prob, warm_basis=warm_basis)
+
+    monkeypatch.setattr(colgen, "solve_lp", warm_fails_once)
+    res = column_generation(net, vectors)
+    assert calls[:3] == [False, True, False]
+    assert res.v_lp == pytest.approx(ref.v_lp, abs=1e-9)
+    assert res.v_int == pytest.approx(ref.v_int, abs=1e-9)
+
+    def cold_fails(prob, warm_basis=None):
+        raise LPInternalError("injected")
+
+    monkeypatch.setattr(colgen, "solve_lp", cold_fails)
+    with pytest.raises(LPInternalError):
+        column_generation(net, vectors)
 
 
 def test_single_commodity_converges_in_one_iteration():
