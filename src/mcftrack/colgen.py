@@ -20,23 +20,25 @@ therefore a true lower bound on the integer optimum. epsilon <= 1e-9 proves
 the returned integer solution optimal.
 
 The integer solution is the retained integral RMLP incumbent when it already
-certifies, otherwise a depth-first branch-and-bound restricted to the
-generated pool (fix-one-unit / exclude-column dichotomy, LP bounding). No
-pricing happens inside branches. When the gap stays open and the network is
-small enough to enumerate every source-sink path within a fixed budget, the
-pool is enriched with the full path set and extraction reruns once; larger
-networks keep the certified gap instead.
+certifies, otherwise the exact integer optimum over the generated pool from
+one MILP solve (price-and-branch: no pricing happens after the LP phase, so
+v_lp stays the bound and v_int the cost of a checked selection). When the
+gap stays open and the network is small enough to enumerate every
+source-sink path within a fixed budget, the pool is enriched with the full
+path set and extraction reruns once; larger networks keep the certified gap
+instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.optimize import LinearConstraint, milp
 
 from .costs import CostVector
-from .graph import EdgeKind, FlowNetwork
+from .graph import FlowNetwork
 from .lp import LPInternalError, LPProblem, LPSolution, solve_lp
 from .oracle import OracleLimitError, enumerate_paths
 
@@ -169,47 +171,34 @@ def lagrangian_lower_bound(
     return float(v_rmlp + np.asarray(demands) @ gaps)
 
 
-def _touched_rows(network: FlowNetwork, cols: Iterable[PathColumn]) -> np.ndarray:
-    """Sorted shared edge ids that at least one of the columns uses."""
-    ns = network.num_shared
-    return np.array(sorted({e for col in cols for e in col.edges if e < ns}), dtype=np.intp)
-
-
 def _master_problem(
-    network: FlowNetwork,
-    pool: Sequence[PathColumn],
-    rows: np.ndarray,
-    b_ub: np.ndarray | None = None,
-    demands: np.ndarray | None = None,
-    allowed: Sequence[int] | None = None,
-) -> LPProblem:
-    """Restricted master over the pooled columns in `allowed` (default: all).
+    network: FlowNetwork, pool: Sequence[PathColumn]
+) -> tuple[LPProblem, np.ndarray]:
+    """Restricted master over the pooled columns, and its coupling rows.
 
-    Coupling row i is the capacity of shared edge rows[i]; `rows` is sorted
-    and must hold every shared edge the columns use. Shared edges outside
-    `rows` carry no row: no column can load them, so their slack stays
-    basic and their dual is 0. b_ub is indexed like `rows` (default: ones).
+    Coupling row i is the capacity of shared edge rows[i], where `rows` holds
+    the sorted shared edges that some pooled column uses. Other shared edges
+    carry no row: no column can load them, so their slack stays basic and
+    their dual is 0.
     """
     ns = network.num_shared
-    idxs = range(len(pool)) if allowed is None else allowed
-    n = len(idxs)
+    n = len(pool)
     a_eq = np.zeros((network.num_commodities, n))
     obj = np.zeros(n)
     hit_edges: list[int] = []
     hit_cols: list[int] = []
-    for j, idx in enumerate(idxs):
-        col = pool[idx]
+    for j, col in enumerate(pool):
         obj[j] = col.cost
         a_eq[col.commodity, j] = 1.0
         for e in col.edges:
             if e < ns:
                 hit_edges.append(e)
                 hit_cols.append(j)
+    rows, row_of = np.unique(np.asarray(hit_edges, dtype=np.intp), return_inverse=True)
     a_ub = np.zeros((len(rows), n))
-    a_ub[np.searchsorted(rows, hit_edges), np.asarray(hit_cols, dtype=np.intp)] = 1.0
-    b = np.ones(len(rows)) if b_ub is None else b_ub
-    d = network.demands.astype(np.float64) if demands is None else demands
-    return LPProblem(obj=obj, a_ub=a_ub, b_ub=b, a_eq=a_eq, b_eq=d)
+    a_ub[row_of, np.asarray(hit_cols, dtype=np.intp)] = 1.0
+    d = network.demands.astype(np.float64)
+    return LPProblem(obj=obj, a_ub=a_ub, b_ub=np.ones(len(rows)), a_eq=a_eq, b_eq=d), rows
 
 
 def _grow_basis(
@@ -223,10 +212,10 @@ def _grow_basis(
     columns shift by the number of added rows, and each added row enters
     with its slack basic. The slacks of the added rows sit at b > 0, and the
     basis matrix is block triangular, so the result stays feasible and
-    nonsingular.
+    nonsingular. With no row added the basis maps to itself.
     """
-    if basis is None:
-        return None
+    if basis is None or len(grown) == len(rows):
+        return basis
     mi, added = len(rows), len(grown) - len(rows)
     slack_at = np.searchsorted(grown, rows)
     fresh = np.ones(len(grown), dtype=bool)
@@ -235,88 +224,43 @@ def _grow_basis(
     return tuple(carried) + tuple(int(r) for r in np.flatnonzero(fresh))
 
 
-def _is_bypass(network: FlowNetwork, col: PathColumn) -> bool:
-    return len(col.edges) == 1 and network.kind[col.edges[0]] == EdgeKind.BYPASS
-
-
 def extract_integer(
-    network: FlowNetwork,
-    pool: Sequence[PathColumn],
-    demands: np.ndarray | None = None,
+    network: FlowNetwork, pool: Sequence[PathColumn]
 ) -> tuple[float, list[tuple[PathColumn, int]]]:
-    """Exact integer optimum over the pooled columns by branch and bound.
+    """Exact integer optimum over the pooled columns, by one MILP solve.
 
-    Depth-first, branching on the most fractional column with a
-    fix-one-unit / exclude dichotomy (bypass columns stay fixable, so the
-    dichotomy partitions the integer feasible set), LP bounding at every
-    node. Raises ColgenError if the pool admits no integer solution, which
-    is unreachable when every commodity's bypass column is pooled.
+    HiGHS (scipy.optimize.milp) solves the pooled master with every column
+    integral at zero relative gap. The rounded units are re-checked exactly
+    against the coupling and convexity rows, and the returned value is the
+    cost of that checked selection. Among equal-value optima the selection
+    is whichever HiGHS returns, which may differ from the one a depth-first
+    branch and bound would reach first. Raises ColgenError when the check
+    fails, the solver does not finish, or the pool admits no integer
+    solution (unreachable when every commodity's bypass column is pooled).
     """
-    dem = network.demands.astype(np.float64) if demands is None else np.asarray(
-        demands, dtype=np.float64
+    prob, _ = _master_problem(network, pool)
+    res = milp(
+        prob.obj,
+        integrality=np.ones(len(pool)),
+        constraints=[
+            LinearConstraint(prob.a_ub, -np.inf, prob.b_ub),
+            LinearConstraint(prob.a_eq, prob.b_eq, prob.b_eq),
+        ],
+        options={"mip_rel_gap": 0.0},
     )
-    ns = network.num_shared
-    best_val = float("inf")
-    best_sel: list[tuple[int, int]] | None = None
-
-    def recurse(
-        b_ub: np.ndarray,
-        d_eq: np.ndarray,
-        allowed: list[int],
-        fixed_cost: float,
-        fixed: list[tuple[int, int]],
-    ) -> None:
-        nonlocal best_val, best_sel
-        rows = _touched_rows(network, (pool[i] for i in allowed))
-        sol = solve_lp(_master_problem(network, pool, rows, b_ub[rows], d_eq, allowed))
-        if sol.status == "infeasible":
-            return
-        if sol.status != "optimal":
-            raise ColgenError(f"bounding LP ended with status {sol.status!r}")
-        if fixed_cost + sol.objective >= best_val - INT_TOL:
-            return
-        lam = sol.x
-        frac = np.abs(lam - np.round(lam))
-        if frac.size == 0 or frac.max() <= INT_TOL:
-            units = np.round(lam).astype(int)
-            total = fixed_cost + float(
-                sum(pool[idx].cost * u for idx, u in zip(allowed, units))
-            )
-            if total < best_val - INT_TOL:
-                best_val = total
-                best_sel = fixed + [
-                    (idx, int(u)) for idx, u in zip(allowed, units) if u > 0
-                ]
-            return
-        pick = allowed[int(np.argmax(frac))]
-        col = pool[pick]
-        # Branch 1: commit one unit of the column.
-        ok = d_eq[col.commodity] >= 1.0
-        b_next = b_ub.copy()
-        for e in col.edges:
-            if e < ns:
-                b_next[e] -= 1.0
-                if b_next[e] < 0.0:
-                    ok = False
-        if ok:
-            d_next = d_eq.copy()
-            d_next[col.commodity] -= 1.0
-            keep = (
-                allowed
-                if _is_bypass(network, col)
-                else [i for i in allowed if i != pick]
-            )
-            recurse(b_next, d_next, keep, fixed_cost + col.cost, fixed + [(pick, 1)])
-        # Branch 2: forbid the column entirely.
-        recurse(b_ub, d_eq, [i for i in allowed if i != pick], fixed_cost, fixed)
-
-    recurse(np.ones(ns), dem.copy(), list(range(len(pool))), 0.0, [])
-    if best_sel is None:
+    if res.status == 2:
         raise ColgenError("column pool admits no integer solution")
-    merged: dict[int, int] = {}
-    for idx, units in best_sel:
-        merged[idx] = merged.get(idx, 0) + units
-    return best_val, [(pool[idx], units) for idx, units in sorted(merged.items())]
+    if res.status != 0:
+        raise ColgenError(f"integer master ended with status {res.status}: {res.message}")
+    units = np.round(res.x)
+    if (
+        (units < 0).any()
+        or (prob.a_ub @ units > prob.b_ub).any()
+        or (prob.a_eq @ units != prob.b_eq).any()
+    ):
+        raise ColgenError("integer master solution violates the pool's rows")
+    selection = [(pool[j], int(u)) for j, u in enumerate(units) if u > 0]
+    return float(sum(col.cost * u for col, u in selection)), selection
 
 
 def _decode_selection(
@@ -395,14 +339,12 @@ def column_generation(
 
     pool: list[PathColumn] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    touched: set[int] = set()  # shared edges some pooled column uses
 
     def add_column(col: PathColumn) -> bool:
         if col.key in seen:
             return False
         seen.add(col.key)
         pool.append(col)
-        touched.update(e for e in col.edges if e < ns)
         return True
 
     for k in range(nc):
@@ -428,11 +370,9 @@ def column_generation(
 
     for _ in range(iter_max):
         iterations += 1
-        if len(touched) > len(rows):
-            grown = np.array(sorted(touched), dtype=np.intp)
-            basis = _grow_basis(basis, rows, grown)
-            rows = grown
-        prob = _master_problem(network, pool, rows)
+        prob, grown = _master_problem(network, pool)
+        basis = _grow_basis(basis, rows, grown)
+        rows = grown
         try:
             sol = solve_lp(prob, warm_basis=basis)
         except LPInternalError:
@@ -487,11 +427,11 @@ def column_generation(
     if incumbent is not None and v_incumbent - v_lp <= INT_TOL:
         v_int, selection = v_incumbent, incumbent
     else:
-        bb_val, bb_sel = extract_integer(network, pool)
-        if incumbent is not None and v_incumbent <= bb_val:
+        mip_val, mip_sel = extract_integer(network, pool)
+        if incumbent is not None and v_incumbent <= mip_val:
             v_int, selection = v_incumbent, incumbent
         else:
-            v_int, selection = bb_val, bb_sel
+            v_int, selection = mip_val, mip_sel
         if v_int - v_lp > INT_TOL:
             # The pool may simply be missing the right columns; on a small
             # network the whole path set fits in the budget, making the

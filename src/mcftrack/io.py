@@ -74,6 +74,8 @@ def _parse_row(origin: str, lineno: int, line: str) -> tuple[int, int, Box, floa
         nums = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"{origin}:{lineno}: non-numeric field: {exc}") from None
+    if not np.isfinite(nums[:7]).all():
+        raise ParseError(f"{origin}:{lineno}: non-finite number in columns 1-7")
     frame_f, id_f, x, y, w, h, score = nums[:7]
     if frame_f != int(frame_f) or id_f != int(id_f):
         raise ParseError(f"{origin}:{lineno}: frame and id must be integers")
@@ -447,10 +449,13 @@ def load_instance(source: Source) -> tuple[FlowNetwork, list[CostVector]]:
         if len(parts) != 6:
             raise ParseError(f"{origin}:{lineno}: detection rows need 6 fields")
         try:
-            frame = int(float(parts[0]))
-            x, y, w, h, score = (float(p) for p in parts[1:])
+            nums = [float(p) for p in parts]
         except ValueError:
             raise ParseError(f"{origin}:{lineno}: non-numeric detection field") from None
+        if not np.isfinite(nums).all():
+            raise ParseError(f"{origin}:{lineno}: non-finite detection field")
+        frame = int(nums[0])
+        x, y, w, h, score = nums[1:]
         try:
             detections.append(Detection(idx, frame, (x, y, w, h), score, placeholder))
         except ValueError as exc:
@@ -479,6 +484,8 @@ def load_instance(source: Source) -> tuple[FlowNetwork, list[CostVector]]:
             values = np.array([float(v) for v in body.split(",")], dtype=np.float64)
         except ValueError:
             raise ParseError(f"{origin}:{lineno}: bad cost row") from None
+        if not np.isfinite(values).all():
+            raise ParseError(f"{origin}:{lineno}: non-finite cost")
         if not (0 <= k < num_comm):
             raise ParseError(f"{origin}:{lineno}: commodity {k} out of range")
         if cost_vectors[k] is not None:

@@ -110,7 +110,10 @@ class TrackerConfig:
             if key not in valid:
                 raise ConfigError(f"{origin}: unknown config key {key!r}")
             try:
-                kwargs[key] = int(value) if valid[key] == "int" else float(value)
+                num = int(value) if valid[key] == "int" else float(value)
+                if isinstance(num, float) and not np.isfinite(num):
+                    raise ValueError(value)
+                kwargs[key] = num
             except ValueError:
                 raise ConfigError(f"{origin}: bad value for {key!r}: {value!r}") from None
         return cls(**kwargs)

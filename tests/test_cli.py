@@ -94,6 +94,14 @@ def test_missing_files_exit_2(tmp_path, capsys):
     assert "gone.txt" in capsys.readouterr().err
 
 
+def test_non_finite_frame_exits_2(tmp_path, capsys):
+    det = tmp_path / "dets.txt"
+    det.write_text("1,-1,10,20,5,60,0.8,-1,-1,-1\ninf,-1,10,20,5,60,0.8,-1,-1,-1\n")
+    code = main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt")])
+    assert code == 2
+    assert "dets.txt:2:" in capsys.readouterr().err
+
+
 def test_bad_config_exits_3(scene, capsys):
     tmp_path, det, _, _ = scene
     bad = tmp_path / "bad.config"

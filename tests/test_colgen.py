@@ -1,5 +1,7 @@
 """Column generation: pricing, certificates, integer extraction, full loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from helpers import (
 )
 from mcftrack.colgen import (
     CGResult,
+    ColgenError,
     PathColumn,
     _enrichment_columns,
     _grow_basis,
     _master_problem,
-    _touched_rows,
     column_generation,
     extract_integer,
     lagrangian_lower_bound,
@@ -30,7 +32,7 @@ from mcftrack.lp import LPInternalError, LPProblem, solve_lp
 from mcftrack.oracle import brute_force_ilp, enumerate_paths
 
 
-def full_row_master(net, cols, b_ub=None, demands=None):
+def full_row_master(net, cols):
     """Master LP over cols with one coupling row per shared edge, built by hand."""
     ns = net.num_shared
     a_ub = np.zeros((ns, len(cols)))
@@ -42,8 +44,7 @@ def full_row_master(net, cols, b_ub=None, demands=None):
         a_eq[col.commodity, j] = 1.0
     return LPProblem(
         obj=np.array([c.cost for c in cols]),
-        a_ub=a_ub, b_ub=np.ones(ns) if b_ub is None else b_ub,
-        a_eq=a_eq, b_eq=net.demands.astype(float) if demands is None else demands,
+        a_ub=a_ub, b_ub=np.ones(ns), a_eq=a_eq, b_eq=net.demands.astype(float),
     )
 
 
@@ -187,11 +188,11 @@ def test_extract_integer_closes_fractional_gap():
     assert val == pytest.approx(3.0)
 
 
-def test_extract_integer_branches_on_rows_after_an_untouched_one():
+def test_extract_integer_odd_cycle_behind_an_untouched_row():
     # Three tracks on an odd cycle A-B, B-C, A-C behind a detection no
-    # column visits: the LP takes each cycle path at one half, and branching
-    # on the first path must cut capacity on A and B, not on the rows
-    # after them, or the A-only path of track 3 rides along for free.
+    # column visits: the LP takes each cycle path at one half, and the
+    # integer optimum must still hold the A-only path of track 3 to the
+    # capacity on A, whose row sits after the untouched detection's edge.
     dets = [make_det(i, f, (20.0 * i, 0, 2, 2)) for i, f in enumerate((1, 1, 2, 3))]
     net = network_from_parts(dets, [(1, 2), (1, 3), (2, 3)], [1, 1, 1, 1])
     obs_a, obs_b, obs_c, t_ab, t_ac, t_bc = 1, 2, 3, 4, 5, 6
@@ -205,11 +206,50 @@ def test_extract_integer_branches_on_rows_after_an_untouched_one():
         path(3, 1, (obs_a, t_ac, obs_c), 3, -1.0),
         path(3, 1, (obs_a,), 1, -0.3),
     ] + [PathColumn(k, (net.bypass_edge(k),), 0.0) for k in range(4)]
-    assert list(_touched_rows(net, pool)) == [1, 2, 3, 4, 5, 6]
+    assert list(_master_problem(net, pool)[1]) == [1, 2, 3, 4, 5, 6]
     assert solve_lp(full_row_master(net, pool)).objective == pytest.approx(-1.6)
     val, sel = extract_integer(net, pool)
     assert val == pytest.approx(-1.3)
     assert sorted(pool.index(c) for c, _ in sel if c.cost < 0) == [1, 3]
+
+
+def test_extract_integer_matches_brute_force_over_every_path():
+    # Half-unit costs make equal-value optima common; the value must still be
+    # the exact optimum and the selection a feasible, reproducible one.
+    for seed in range(50):
+        net, costs = random_instance(seed)
+        costs = [np.round(2.0 * c) / 2.0 for c in costs]
+        pool = [PathColumn(k, p, float(sum(costs[k][e] for e in p)))
+                for k in range(net.num_commodities) for p in enumerate_paths(net, k)]
+        val, sel = extract_integer(net, pool)
+        ref, _ = brute_force_ilp(net, costs)
+        assert val == pytest.approx(ref, abs=1e-9), seed
+        check_flow_constraints(
+            net, [[(c, u) for c, u in sel if c.commodity == k] for k in range(net.num_commodities)]
+        )
+        assert sum(c.cost * u for c, u in sel) == pytest.approx(val, abs=1e-12), seed
+        assert extract_integer(net, pool) == (val, sel), seed
+
+
+def test_extract_integer_rejects_pool_without_integer_solution():
+    # two tracks whose only pooled path is the same one: no bypass to fall back on
+    net = network_from_parts([make_det(0, 1, (0, 0, 2, 2))], [], [1, 1, 1])
+    pool = [PathColumn(0, (net.bypass_edge(0),), 0.0)] + [
+        PathColumn(k, (net.start_edge(k, 0), 0, net.term_edge(k, 0)), -1.0) for k in (1, 2)
+    ]
+    with pytest.raises(ColgenError, match="no integer solution"):
+        extract_integer(net, pool)
+
+
+def test_extract_integer_rejects_unfinished_or_infeasible_solver_results(monkeypatch):
+    net = single_det_network()
+    pool = [PathColumn(0, (1, 0, 2), -2.0), PathColumn(0, (3,), 5.0)]
+    for status, x, match in ((1, None, "status 1"), (0, [1.0, 1.0], "violates"),
+                             (0, [2.0, -1.0], "violates")):
+        result = SimpleNamespace(status=status, x=np.array(x), message="stub")
+        monkeypatch.setattr(colgen, "milp", lambda *args, **kwargs: result)
+        with pytest.raises(ColgenError, match=match):
+            extract_integer(net, pool)
 
 
 def test_master_over_touched_rows_is_exact():
@@ -218,30 +258,15 @@ def test_master_over_touched_rows_is_exact():
         net, costs = random_instance(seed)
         res = column_generation(net, wrap_cost_vectors(net, costs))
         pool, ns = res.columns, net.num_shared
-        rows = _touched_rows(net, pool)
+        prob, rows = _master_problem(net, pool)
         assert list(rows) == sorted({e for c in pool for e in c.edges if e < ns})
         full = solve_lp(full_row_master(net, pool))
-        pruned = solve_lp(_master_problem(net, pool, rows))
+        pruned = solve_lp(prob)
         assert pruned.objective == pytest.approx(full.objective, abs=1e-9), seed
         assert res.pi.shape == (ns,)
         untouched = np.setdiff1d(np.arange(ns), rows)
         assert (res.pi[untouched] == 0.0).all(), seed
         untouched_total += untouched.size
-
-        # One branch-and-bound node: a column fixed at one unit, so its edges
-        # have no capacity left and its commodity one unit less demand.
-        fix = next(i for i, c in enumerate(pool) if any(e < ns for e in c.edges))
-        b_ub = np.ones(ns)
-        b_ub[[e for e in pool[fix].edges if e < ns]] -= 1.0
-        dem = net.demands.astype(float)
-        dem[pool[fix].commodity] -= 1.0
-        allowed = [i for i in range(len(pool)) if i != fix]
-        rows = _touched_rows(net, (pool[i] for i in allowed))
-        node = solve_lp(_master_problem(net, pool, rows, b_ub[rows], dem, allowed))
-        ref = solve_lp(full_row_master(net, [pool[i] for i in allowed], b_ub, dem))
-        assert node.status == ref.status, seed
-        if ref.status == "optimal":
-            assert node.objective == pytest.approx(ref.objective, abs=1e-9), seed
     assert untouched_total > 0
 
 
@@ -255,15 +280,15 @@ def test_grow_basis_warm_starts_grown_master():
         paths = [c for c in pool if any(e < ns for e in c.edges)]
         first = bypass + paths[: len(paths) // 2]
         grown = first + paths[len(paths) // 2 :]
-        rows, more = _touched_rows(net, first), _touched_rows(net, grown)
+        first_prob, rows = _master_problem(net, first)
+        prob, more = _master_problem(net, grown)
         if more.size == rows.size:
             continue
         grown_cases += 1
-        sol = solve_lp(_master_problem(net, first, rows))
+        sol = solve_lp(first_prob)
         assert sol.status == "optimal", seed
         basis = _grow_basis(sol.basis, rows, more)
 
-        prob = _master_problem(net, grown, more)
         mi, me, n = more.size, net.num_commodities, len(grown)
         m = mi + me
         full = np.zeros((m, mi + n))

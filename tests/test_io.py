@@ -56,6 +56,12 @@ def test_parse_errors_carry_line_numbers():
         read_detections(io.StringIO("0,-1,10,20,5,60,0.8,-1,-1,-1\n"))
     with pytest.raises(ParseError, match="integers"):
         read_detections(io.StringIO("1.5,-1,10,20,5,60,0.8,-1,-1,-1\n"))
+    for row in ("inf,-1,10,20,5,60,0.8,-1,-1,-1", "1,-1,nan,20,5,60,0.8,-1,-1,-1",
+                "1,-1,10,20,5,60,nan,-1,-1,-1", "1,-1,10,20,inf,60,0.8,-1,-1,-1"):
+        with pytest.raises(ParseError, match=":2:.*non-finite"):
+            read_detections(io.StringIO("1,-1,10,20,5,60,0.8,-1,-1,-1\n" + row + "\n"))
+    with pytest.raises(ParseError, match=":1:.*non-finite"):
+        read_tracks(io.StringIO("1,1,nan,20,5,60,1,-1,-1,-1\n"))
 
 
 def test_track_round_trip_and_canonical_order(tmp_path):
@@ -243,3 +249,12 @@ def test_instance_file_structure_errors():
         load_instance(io.StringIO("stray\n" + text))
     with pytest.raises(ParseError, match="duplicate section"):
         load_instance(io.StringIO(text + "[meta]\n"))
+    lines = text.splitlines()
+    det, cost = lines.index("[detections]") + 1, lines.index("[costs]") + 1
+    head, tail = lines[det].split(",", 1)[1], lines[det].rsplit(",", 1)[0]
+    cost_head, cost_tail = lines[cost].split(",", 1)[1], lines[cost].rsplit(",", 1)[0]
+    for at, row in ((det, "inf," + head), (det, tail + ",nan"),
+                    (cost, "0:nan," + cost_head), (cost, cost_tail + ",-inf")):
+        edited = lines[:at] + [row] + lines[at + 1:]
+        with pytest.raises(ParseError, match=f":{at + 1}:.*non-finite"):
+            load_instance(io.StringIO("\n".join(edited) + "\n"))

@@ -202,6 +202,9 @@ def test_config_from_text():
         TrackerConfig.from_text("window=0\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         TrackerConfig.from_text("threads=2\n")
+    for text in ("bypass_cost_tracked=nan\n", "gamma=nan\n", "eta=inf\n", "window=inf\n"):
+        with pytest.raises(ConfigError, match="bad value"):
+            TrackerConfig.from_text(text)
 
 
 def test_diagnostics_lines_are_well_formed():
