@@ -379,7 +379,8 @@ def column_generation(
             if basis is None:
                 raise
             # Long degenerate runs from a warm basis can drift the explicit
-            # inverse; a cold start takes another pivot path.
+            # inverse; a cold start from the slack-and-bypass basis takes
+            # another pivot path.
             sol = solve_lp(prob)
         if sol.status != "optimal":
             raise ColgenError(f"master LP ended with status {sol.status!r}")

@@ -63,6 +63,33 @@ def parse_kv(text: str, origin: str = "<config>") -> dict[str, str]:
     return out
 
 
+def typed_fields(
+    cls: type, kv: dict[str, str], origin: str, kind: str, error: type[Exception]
+) -> dict[str, object]:
+    """Keyword arguments for dataclass `cls` from parse_kv output.
+
+    Values take the type of their field (int, float or str). An unknown key,
+    a value that does not parse or a non-finite float raises `error`.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs: dict[str, object] = {}
+    for key, value in kv.items():
+        if key not in types:
+            raise error(f"{origin}: unknown {kind} key {key!r}")
+        try:
+            if types[key] == "int":
+                kwargs[key] = int(value)
+            elif types[key] == "float":
+                kwargs[key] = float(value)
+                if not np.isfinite(kwargs[key]):
+                    raise ValueError(value)
+            else:
+                kwargs[key] = value
+        except ValueError:
+            raise error(f"{origin}: bad value for {key!r}: {value!r}") from None
+    return kwargs
+
+
 # -- detection and track files ------------------------------------------------
 
 
@@ -106,13 +133,13 @@ def read_detections(
     synthesized. Detection det_ids number the file lines from 0.
     """
     text, origin = _read_text(source)
-    rows: list[tuple[int, Box, float]] = []
+    rows: list[tuple[int, int, Box, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         frame, _, box, score = _parse_row(origin, lineno, line)
-        rows.append((frame, box, score))
+        rows.append((lineno, frame, box, score))
     if features is not None:
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != len(rows):
@@ -121,12 +148,14 @@ def read_detections(
                 f"need ({len(rows)}, dim)"
             )
     out: dict[int, list[Detection]] = {}
-    for idx, (frame, box, score) in enumerate(rows):
-        feat = (
-            extract_feature(features[idx])
-            if features is not None
-            else _fallback_feature(seed, idx, feature_dim)
-        )
+    for idx, (lineno, frame, box, score) in enumerate(rows):
+        if features is None:
+            feat = _fallback_feature(seed, idx, feature_dim)
+        else:
+            try:
+                feat = extract_feature(feats[idx])
+            except ValueError as exc:
+                raise ParseError(f"{origin}:{lineno}: feature row {idx}: {exc}") from None
         out.setdefault(frame, []).append(
             Detection(det_id=idx, frame=frame, box=box, score=score, feature=feat)
         )
@@ -288,22 +317,7 @@ class Scenario:
 def parse_scenario(source: Source) -> Scenario:
     text, origin = _read_text(source)
     kv = parse_kv(text, origin)
-    valid = {f.name: f.type for f in fields(Scenario)}
-    kwargs: dict[str, object] = {}
-    for key, value in kv.items():
-        if key not in valid:
-            raise ScenarioError(f"{origin}: unknown scenario key {key!r}")
-        target_type = valid[key]
-        try:
-            if target_type == "int":
-                kwargs[key] = int(value)
-            elif target_type == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        except ValueError:
-            raise ScenarioError(f"{origin}: bad value for {key!r}: {value!r}") from None
-    return Scenario(**kwargs)
+    return Scenario(**typed_fields(Scenario, kv, origin, "scenario", ScenarioError))
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense two-phase revised simplex for restricted master problems.
+"""Dense revised simplex for restricted master problems.
 
 Solves   min c^T x   s.t.   A x <= b  (coupling rows),
                             E x  = d  (convexity rows),
@@ -10,9 +10,13 @@ for the convexity rows, so that at optimality
     c^T x* = -b^T pi* + d^T sigma*   (b is all ones in the master problem).
 
 Right-hand sides must be nonnegative (true for coupling rows with b = 1 and
-for demands). The basis is kept as explicit column indices over the layout
-[slacks | structural columns], so appending structural columns never
-invalidates a previous basis: warm starts re-enter phase 2 directly from the
+for demands), and every equality row needs a column whose only nonzero is a
+positive entry in it (the bypass column in the master). A cold start then
+begins at a known feasible basis with no phase 1: every slack plus, for each
+equality row, its lowest-index such column; that basis is diagonal, so
+x_B = (b_ub, b_eq / coef). The basis is kept as explicit column indices over
+the layout [slacks | structural columns], so appending structural columns
+never invalidates a previous basis: warm starts pivot on directly from the
 old optimal basis. A caller that also adds inequality rows must map the old
 basis onto the new layout itself and enter each new row with its slack
 basic.
@@ -78,10 +82,9 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Primal/dual solution. pi/sigma/basis are only meaningful at 'optimal'.
+    """Primal/dual solution; status is 'optimal' or 'iteration-limit'.
 
-    infeasible_row is the index of an equality row whose phase-1 artificial
-    stayed positive (a Farkas-style witness) when status is 'infeasible'.
+    x, pi, sigma and basis are None unless status is 'optimal'.
     """
 
     status: str
@@ -91,11 +94,28 @@ class LPSolution:
     sigma: np.ndarray | None
     basis: tuple[int, ...] | None
     iterations: int
-    infeasible_row: int | None = None
+
+
+def _crash_basis(problem: LPProblem) -> tuple[list[int], np.ndarray]:
+    """The cold-start basis of the module docstring and its (diagonal) inverse."""
+    mi = problem.a_ub.shape[0]
+    a_eq = problem.a_eq
+    solo = ~problem.a_ub.any(axis=0) & (np.count_nonzero(a_eq, axis=0) == 1)
+    basis = list(range(mi))
+    diag = [1.0] * mi
+    for r in range(a_eq.shape[0]):
+        cols = np.flatnonzero(solo & (a_eq[r] > 0))
+        if cols.size == 0:
+            raise ValueError(
+                f"equality row {r} has no column whose only nonzero is a positive entry in it"
+            )
+        basis.append(mi + int(cols[0]))
+        diag.append(1.0 / a_eq[r, cols[0]])
+    return basis, np.diag(diag)
 
 
 def _iterate(M, c, rhs, basis, b_inv, max_iter):
-    """Phase 2 core loop. Mutates basis/b_inv; returns (code, iters)."""
+    """Simplex core loop from a feasible basis. Mutates basis/b_inv; returns (code, iters)."""
     m = M.shape[0]
     xb = b_inv @ rhs
     bland = False
@@ -157,36 +177,6 @@ def _iterate(M, c, rhs, basis, b_inv, max_iter):
     return _ITERLIMIT, iters
 
 
-def _drive_out_artificials(M1, rhs, basis, b_inv, n_real):
-    """Pivot zero-level artificials out of the basis where possible.
-
-    Returns equality-row indices (positions in the basis) that are linearly
-    dependent: their artificial cannot be replaced by any real column.
-    """
-    dependent: list[int] = []
-    in_basis = set(basis)
-    for pos in range(len(basis)):
-        if basis[pos] < n_real:
-            continue
-        pivot_row = b_inv[pos] @ M1[:, :n_real]
-        chosen = -1
-        for col in np.flatnonzero(np.abs(pivot_row) > PIVOT_TOL):
-            if int(col) not in in_basis:
-                chosen = int(col)
-                break
-        if chosen < 0:
-            dependent.append(pos)
-            continue
-        direction = b_inv @ M1[:, chosen]
-        piv_row = b_inv[pos] / direction[pos]
-        b_inv -= np.outer(direction, piv_row)
-        b_inv[pos] = piv_row
-        in_basis.discard(basis[pos])
-        in_basis.add(chosen)
-        basis[pos] = chosen
-    return dependent
-
-
 def solve_lp(
     problem: LPProblem,
     warm_basis: Sequence[int] | None = None,
@@ -196,7 +186,9 @@ def solve_lp(
 
     warm_basis is a basis returned by a previous call on the same row
     structure; extra structural columns may have been appended since. A
-    stale or infeasible warm basis falls back to a cold start silently.
+    stale or infeasible warm basis falls back to a cold start silently. A
+    cold start raises ValueError naming an equality row without a column
+    whose only nonzero is a positive entry in it.
     """
     mi = problem.a_ub.shape[0]
     me = problem.a_eq.shape[0]
@@ -208,7 +200,6 @@ def solve_lp(
     M[mi:, mi:] = problem.a_eq
     rhs = np.concatenate([problem.b_ub, problem.b_eq])
     c = np.concatenate([np.zeros(mi), problem.obj])
-    total_iters = 0
 
     basis: list[int] | None = None
     b_inv: np.ndarray | None = None
@@ -223,61 +214,15 @@ def solve_lp(
                 basis, b_inv = cand, inv
 
     if basis is None:
-        # Phase 1: slacks cover the inequality rows, artificials the equalities.
-        art = np.zeros((m, me))
-        art[mi:, :] = np.eye(me)
-        M1 = np.hstack([M, art])
-        c1 = np.zeros(mi + n + me)
-        c1[mi + n :] = 1.0
-        basis = list(range(mi)) + list(range(mi + n, mi + n + me))
-        b_inv = np.eye(m)
-        code, iters = _iterate(M1, c1, rhs, basis, b_inv, max_iter)
-        total_iters += iters
-        if code == _UNBOUNDED:
-            raise LPInternalError("phase 1 unbounded; objective is bounded below by 0")
-        if code == _ITERLIMIT:
-            return LPSolution("iteration-limit", float("nan"), None, None, None, None, total_iters)
-        xb = b_inv @ rhs
-        if float(c1[basis] @ xb) > OPT_TOL:
-            bad_row = 0
-            for pos, col in enumerate(basis):
-                if col >= mi + n and xb[pos] > OPT_TOL:
-                    bad_row = basis[pos] - (mi + n)
-                    break
-            return LPSolution(
-                "infeasible", float("nan"), None, None, None, None, total_iters,
-                infeasible_row=int(bad_row),
-            )
-        dependent = _drive_out_artificials(M1, rhs, basis, b_inv, mi + n)
-        if dependent:
-            # Consistent redundant equality rows: re-solve without them and
-            # report zero duals on the removed rows.
-            drop = sorted(basis[pos] - (mi + n) for pos in dependent)
-            keep = [r for r in range(me) if r not in drop]
-            reduced = LPProblem(
-                obj=problem.obj,
-                a_ub=problem.a_ub,
-                b_ub=problem.b_ub,
-                a_eq=problem.a_eq[keep],
-                b_eq=problem.b_eq[keep],
-            )
-            sol = solve_lp(reduced, max_iter=max_iter)
-            if sol.status != "optimal" or sol.sigma is None:
-                return sol
-            sigma = np.zeros(me)
-            sigma[keep] = sol.sigma
-            return LPSolution(
-                sol.status, sol.objective, sol.x, sol.pi, sigma, None, sol.iterations,
-            )
+        basis, b_inv = _crash_basis(problem)
 
     code, iters = _iterate(M, c, rhs, basis, b_inv, max_iter)
-    total_iters += iters
     if code == _UNBOUNDED:
         raise LPInternalError(
             "unbounded master LP; every column must lie in a convexity row"
         )
     if code == _ITERLIMIT:
-        return LPSolution("iteration-limit", float("nan"), None, None, None, None, total_iters)
+        return LPSolution("iteration-limit", float("nan"), None, None, None, None, iters)
 
     try:
         b_inv = np.linalg.inv(M[:, basis])
@@ -309,5 +254,5 @@ def solve_lp(
         pi=pi,
         sigma=sigma,
         basis=tuple(basis),
-        iterations=total_iters,
+        iterations=iters,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,19 +104,7 @@ class TrackerConfig:
             kv = mio.parse_kv(text, origin)
         except mio.ParseError as exc:
             raise ConfigError(str(exc)) from None
-        valid = {f.name: f.type for f in fields(cls)}
-        kwargs: dict[str, object] = {}
-        for key, value in kv.items():
-            if key not in valid:
-                raise ConfigError(f"{origin}: unknown config key {key!r}")
-            try:
-                num = int(value) if valid[key] == "int" else float(value)
-                if isinstance(num, float) and not np.isfinite(num):
-                    raise ValueError(value)
-                kwargs[key] = num
-            except ValueError:
-                raise ConfigError(f"{origin}: bad value for {key!r}: {value!r}") from None
-        return cls(**kwargs)
+        return cls(**mio.typed_fields(cls, kv, origin, "config", ConfigError))
 
 
 @dataclass

@@ -114,11 +114,13 @@ def test_bad_config_exits_3(scene, capsys):
 
 def test_bad_scenario_exits_3(tmp_path, capsys):
     sc = tmp_path / "bad.scenario"
-    sc.write_text("no_such_knob=1\n")
-    code = main(["synth", "--scenario", str(sc), "--out-det",
-                 str(tmp_path / "d.txt"), "--out-gt", str(tmp_path / "g.txt")])
-    assert code == 3
-    assert "no_such_knob" in capsys.readouterr().err
+    for text, named in (("no_such_knob=1\n", "no_such_knob"), ("lane_gap=inf\n", "lane_gap")):
+        sc.write_text(text)
+        code = main(["synth", "--scenario", str(sc), "--out-det",
+                     str(tmp_path / "d.txt"), "--out-gt", str(tmp_path / "g.txt")])
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.scenario"]
 
 
 def test_eval_identical_files_mota_one(scene, capsys):

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from mcftrack.cli import main
 from mcftrack.colgen import column_generation
 from mcftrack.io import (
     ParseError,
@@ -113,10 +114,20 @@ def test_feature_table_matches_line_order():
         assert row == pytest.approx(det.feature)
 
 
-def test_feature_mismatch_rejected():
+def test_feature_mismatch_rejected(tmp_path, capsys):
     text = "1,-1,10,20,5,60,0.8,-1,-1,-1\n"
     with pytest.raises(ParseError, match="feature table"):
         read_detections(io.StringIO(text), features=np.eye(3))
+    det = tmp_path / "dets.txt"
+    det.write_text(text + "\n2,-1,12,20,5,60,0.8,-1,-1,-1\n")
+    for bad in (np.nan, 0.0):
+        feats = np.ones((2, 3))
+        feats[1] = bad
+        with pytest.raises(ParseError, match=r"dets\.txt:3: feature row 1: .*nonzero and finite"):
+            read_detections(det, features=feats)
+    np.save(sidecar_path(det), feats)
+    assert main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt")]) == 2
+    assert "dets.txt:3: feature row 1" in capsys.readouterr().err
 
 
 def test_synth_deterministic():
@@ -172,8 +183,10 @@ def test_scenario_parsing_and_validation():
     assert (sc.targets, sc.frames, sc.motion) == (3, 15, "crossing")
     with pytest.raises(ScenarioError, match="unknown scenario key"):
         parse_scenario(io.StringIO("tragets=3\n"))
-    with pytest.raises(ScenarioError, match="bad value"):
-        parse_scenario(io.StringIO("targets=three\n"))
+    for text in ("targets=three\n", "pos_noise=inf\n", "clutter_rate=nan\n",
+                 "feature_noise=nan\n"):
+        with pytest.raises(ScenarioError, match="bad value"):
+            parse_scenario(io.StringIO(text))
     with pytest.raises(ScenarioError):
         parse_scenario(io.StringIO("targets=0\n"))
     with pytest.raises(ScenarioError, match="linear or crossing"):

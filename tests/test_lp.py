@@ -45,12 +45,11 @@ def test_single_zero_cost_column():
     assert sol.sigma == pytest.approx([0.0])
 
 
-def test_infeasible_reports_witness_row():
-    # second equality row has no support
+def test_cold_start_names_row_without_solo_column():
+    # second equality row has no support, so no crash basis exists
     prob = lp([1.0], a_eq=[[1.0], [0.0]], b_eq=[1.0, 2.0])
-    sol = solve_lp(prob)
-    assert sol.status == "infeasible"
-    assert sol.infeasible_row == 1
+    with pytest.raises(ValueError, match="equality row 1 "):
+        solve_lp(prob)
 
 
 def test_negative_rhs_rejected():
@@ -67,30 +66,38 @@ def test_iteration_limit_status():
     assert full.status == "optimal"
 
 
+def reversed_columns(prob):
+    """The same LP with its columns in reverse order."""
+    return LPProblem(obj=prob.obj[::-1], a_ub=prob.a_ub[:, ::-1], b_ub=prob.b_ub,
+                     a_eq=prob.a_eq[:, ::-1], b_eq=prob.b_eq)
+
+
 def test_duals_match_vertex_oracle():
     for seed in range(120):
-        prob = random_lp(seed)
-        sol = solve_lp(prob)
-        assert sol.status == "optimal", seed
-        ref = vertex_lp_oracle(prob)
+        base = random_lp(seed)
+        ref = vertex_lp_oracle(base)
         assert ref is not None
-        assert sol.objective == pytest.approx(ref, abs=1e-6), seed
+        # reversed, the guaranteed solo columns come last and the crash basis
+        # may pick another solo column of the same row
+        for prob in (base, reversed_columns(base)):
+            check_optimal_duals(prob, ref, seed)
 
-        # strong duality: c'x == -1'pi + d'sigma
-        dual_val = -float(np.sum(sol.pi)) * 1.0
-        dual_val = -float(sol.pi @ np.asarray(prob.b_ub)) + float(
-            sol.sigma @ np.asarray(prob.b_eq))
-        assert abs(sol.objective - dual_val) <= 1e-7 * (1 + abs(sol.objective))
 
-        # dual feasibility over every column: -pi'r + sigma_k <= c
-        a_ub = np.asarray(prob.a_ub)
-        a_eq = np.asarray(prob.a_eq)
-        obj = np.asarray(prob.obj)
-        red = obj + (sol.pi @ a_ub if a_ub.size else 0.0) - sol.sigma @ a_eq
-        assert red.min() >= -1e-7, seed
+def check_optimal_duals(prob, ref, seed):
+    sol = solve_lp(prob)
+    assert sol.status == "optimal", seed
+    assert sol.objective == pytest.approx(ref, abs=1e-6), seed
 
-        # pi sign convention
-        assert (sol.pi >= -1e-12).all()
+    # strong duality: c'x == -b'pi + d'sigma
+    dual_val = -float(sol.pi @ prob.b_ub) + float(sol.sigma @ prob.b_eq)
+    assert abs(sol.objective - dual_val) <= 1e-7 * (1 + abs(sol.objective)), seed
+
+    # dual feasibility over every column: -pi'r + sigma_k <= c
+    red = prob.obj + (sol.pi @ prob.a_ub if prob.a_ub.size else 0.0) - sol.sigma @ prob.a_eq
+    assert red.min() >= -1e-7, seed
+
+    # pi sign convention
+    assert (sol.pi >= -1e-12).all(), seed
 
 
 def test_complementary_slackness():
