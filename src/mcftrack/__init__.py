@@ -10,6 +10,7 @@ from .colgen import (
     CGResult,
     ColgenError,
     PathColumn,
+    PricingTables,
     column_generation,
     extract_integer,
     lagrangian_lower_bound,
@@ -88,6 +89,7 @@ __all__ = [
     "OracleLimitError",
     "ParseError",
     "PathColumn",
+    "PricingTables",
     "Scenario",
     "ScenarioError",
     "SimilarityModel",

@@ -8,8 +8,10 @@ uses; the row set grows as columns arrive. An untouched edge's slack sits at
 its capacity 1 > 0 in every basic solution, so it is always basic and
 complementary slackness makes its dual 0: reporting pi = 0 there is exact,
 and the RMLP optimum is that of the master with every row.
-Pricing solves a DAG shortest path per commodity under costs shifted by the
-coupling duals pi on shared edges; the loop stops when every priced value
+Pricing finds every commodity's shortest path under costs shifted by the
+coupling duals pi on shared edges, in one numpy sweep over the frame layers
+of the window (detections of one frame form a contiguous range, and every
+transition leaves an earlier one); the loop stops when every priced value
 zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
 an iteration cap, or when pricing can only repeat pooled columns.
 
@@ -17,7 +19,8 @@ The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
 RMLP value or, when stopping early, the Lagrangian bound
 v_rmlp + sum_k d_k * min(0, zeta_k - sigma_k), which is dual-feasible and
 therefore a true lower bound on the integer optimum. epsilon <= 1e-9 proves
-the returned integer solution optimal.
+the returned integer solution optimal. A bound above v_int by at most 1e-9
+is rounding and reported as v_int, so epsilon >= 0; a larger excess raises.
 
 The integer solution is the retained integral RMLP incumbent when it already
 certifies, otherwise the exact integer optimum over the generated pool from
@@ -89,68 +92,191 @@ class CGResult:
     zetas: np.ndarray | None
 
 
-def _path_edges(pred: list[int], tails: np.ndarray, node: int, source: int) -> tuple[int, ...]:
-    edges: list[int] = []
-    while node != source:
-        e = pred[node]
-        edges.append(e)
-        node = int(tails[e])
-    edges.reverse()
-    return tuple(edges)
+@dataclass
+class _Layer:
+    """Detections [lo, hi) of one frame and their slice of the candidates.
 
-
-def shortest_path(
-    network: FlowNetwork, commodity: int, costs: np.ndarray, pi: np.ndarray | None = None
-) -> tuple[tuple[int, ...], float]:
-    """Min-cost source-sink path for one commodity under pi-shifted costs.
-
-    Exact-value ties resolve to the lexicographically smallest edge-id
-    sequence. Returns (edge ids, shifted path cost); the bypass edge makes
-    the sink always reachable.
+    `buf` is the layer's slice of the candidate buffer and `seg` its segment
+    starts, relative to the layer. Transition columns `pos` are refilled on
+    every round, from tail detections `tails` and the transitions [ta, tb)
+    of the head-sorted order.
     """
-    ns = network.num_shared
-    weights = np.asarray(costs, dtype=np.float64).copy()
-    if pi is not None:
-        weights[:ns] += pi
-    inf = float("inf")
-    dist = [inf] * network.num_nodes
-    pred: list[int] = [-1] * network.num_nodes
-    src = network.source(commodity)
-    dist[src] = 0.0
-    tails = network.tail
-    heads = network.head
-    for node in network.topological_order():
-        base = dist[node]
-        if base == inf:
-            continue
-        for e in network.out_edges(node, commodity):
-            cand = base + weights[e]
-            h = int(heads[e])
-            if cand < dist[h]:
-                dist[h] = cand
-                pred[h] = e
-            elif cand == dist[h] and pred[h] >= 0:
-                old = _path_edges(pred, tails, h, src)
-                new = _path_edges(pred, tails, node, src) + (e,)
-                if new < old:
-                    pred[h] = e
-    sink = network.sink(commodity)
-    return _path_edges(pred, tails, sink, src), dist[sink]
+
+    lo: int
+    hi: int
+    buf: np.ndarray
+    seg: np.ndarray
+    pos: np.ndarray
+    tails: np.ndarray
+    ta: int
+    tb: int
+
+
+@dataclass
+class PricingTables:
+    """One window's edge costs gathered by kind, and its frame layers.
+
+    shared is (nc x num_shared), term (nc x N), bypass (nc). The candidate
+    buffer `buf` holds, per head u_j in detection order, a segment of its
+    incoming transitions by edge id followed by its start edge; `seg` are
+    the segment starts (then the end), `seg_of` each column's head and
+    `edge` each column's edge id (-1 for a start). Start columns hold
+    0.0 + start cost, as does bypass: the first step of a sum from the
+    source. trans_edges lists the transition edge ids by head, then edge id.
+    """
+
+    network: FlowNetwork
+    values: list[np.ndarray]
+    shared: np.ndarray
+    term: np.ndarray
+    bypass: np.ndarray
+    buf: np.ndarray
+    seg: np.ndarray
+    seg_of: np.ndarray
+    edge: np.ndarray
+    trans_edges: np.ndarray
+    layers: list[_Layer]
+
+    @classmethod
+    def build(cls, network: FlowNetwork, values: Sequence[np.ndarray]) -> PricingTables:
+        """Tables for per-commodity dense cost arrays (ordered by commodity).
+
+        Detections are frame-sorted and transitions advance in frame
+        (network_from_parts enforces both), so each frame is a contiguous
+        detection range whose incoming transitions all leave earlier ones.
+        """
+        nc, n, ns = network.num_commodities, network.num_detections, network.num_shared
+        shared = np.empty((nc, ns))
+        start = np.empty((nc, n))
+        term = np.empty((nc, n))
+        bypass = np.empty(nc)
+        for k, vals in enumerate(values):
+            b = network.block_start(k)
+            shared[k] = vals[:ns]
+            start[k] = vals[b : b + n]
+            term[k] = vals[b + n : b + 2 * n]
+            bypass[k] = vals[b + 2 * n]
+        start += 0.0
+        bypass += 0.0
+        if not all(np.isfinite(a).all() for a in (shared, start, term, bypass)):
+            raise ValueError("pricing needs finite costs on every edge")
+
+        order = np.argsort(network.det_b[n:ns], kind="stable")  # by head, then edge id
+        t_tail, t_head, t_edge = network.det_a[n + order], network.det_b[n + order], n + order
+        into = np.bincount(t_head, minlength=n)
+        before = np.r_[0, np.cumsum(into)]  # transitions into earlier heads
+        seg = np.arange(n + 1) + before
+        pos = np.arange(t_head.size) + t_head
+        edge = np.full(seg[-1], -1, dtype=np.intp)
+        edge[pos] = t_edge
+        buf = np.empty((nc, seg[-1]))
+        buf[:, seg[1:] - 1] = start
+
+        frames = np.array([d.frame for d in network.detections], dtype=np.int64)
+        cuts = np.flatnonzero(np.diff(frames)) + 1
+        layers = []
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]) if n else ():
+            c0, c1, a, b = seg[lo], seg[hi], before[lo], before[hi]
+            layers.append(_Layer(
+                lo=int(lo), hi=int(hi), buf=buf[:, c0:c1], seg=seg[lo:hi] - c0,
+                pos=pos[a:b] - c0, tails=t_tail[a:b], ta=int(a), tb=int(b),
+            ))
+        seg_of = np.repeat(np.arange(n), into + 1)
+        return cls(network, list(values), shared, term, bypass, buf, seg, seg_of, edge,
+                   t_edge, layers)
+
+
+def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[int]:
+    """Edge ids of commodity k's chosen path from its source to v_i.
+
+    pred[j] is the transition edge into u_j, or -1 for the start edge.
+    """
+    edges = [i]
+    e = pred[i]
+    while e >= 0:
+        i = network.transitions[e - network.num_detections][0]
+        edges += (e, i)
+        e = pred[i]
+    edges.append(network.start_edge(k, i))
+    edges.reverse()
+    return edges
 
 
 def price(
-    network: FlowNetwork,
-    commodity: int,
-    values: np.ndarray,
-    pi: np.ndarray | None,
-) -> tuple[PathColumn, float]:
-    """Price one commodity: shortest pi-shifted path and its value zeta_k.
+    tables: PricingTables, pi: np.ndarray | None
+) -> tuple[list[PathColumn], np.ndarray]:
+    """Price every commodity: shortest pi-shifted path and its value zeta_k.
 
-    The returned column carries the unshifted path cost.
+    One sweep over the frame layers relaxes all commodities at once: a
+    head's distance is the segment minimum over its candidates, each
+    tail distance plus the shifted edge cost, as a per-node DAG sweep would
+    compute it. Exact-value ties resolve to the lexicographically smallest
+    edge-id sequence; only truly tied (commodity, node) entries compare
+    paths. Returns one column per commodity, carrying its unshifted path
+    cost, and the zetas; the bypass makes every sink reachable.
     """
-    edges, zeta = shortest_path(network, commodity, values, pi)
-    cost = float(sum(values[e] for e in edges))
-    return PathColumn(commodity=commodity, edges=edges, cost=cost), zeta
+    net = tables.network
+    n = net.num_detections
+    w = tables.shared if pi is None else tables.shared + pi
+    w_trans = w[:, tables.trans_edges]
+    nc = w.shape[0]
+    reach = np.empty((nc, n))  # at the u nodes
+    dist = np.empty((nc, n))  # at the v nodes
+    for lay in tables.layers:
+        lo, hi = lay.lo, lay.hi
+        if lay.pos.size:
+            lay.buf[:, lay.pos] = dist[:, lay.tails] + w_trans[:, lay.ta : lay.tb]
+        np.minimum.reduceat(lay.buf, lay.seg, axis=1, out=reach[:, lo:hi])
+        np.add(reach[:, lo:hi], w[:, lo:hi], out=dist[:, lo:hi])
+
+    via = np.full(nc, -1)  # detection each commodity terminates from, -1: bypass
+    zetas = tables.bypass.copy()
+    if n:
+        # The edge into each u node (-1: start). A start loses every tie: a
+        # path through a transition begins at the start edge of a lower
+        # detection. So a head takes its one minimizing transition, else
+        # the start; where several transitions tie, paths are compared, in
+        # detection order so that every tail's path is settled first.
+        hit_edge = np.where(tables.buf == reach[:, tables.seg_of], tables.edge, -1)
+        pred = np.maximum.reduceat(hit_edge, tables.seg[:-1], axis=1)
+        hits = hit_edge >= 0
+        if np.count_nonzero(hits) > np.count_nonzero(pred >= 0):
+            tied = np.add.reduceat(hits, tables.seg[:-1], axis=1, dtype=np.intp) > 1
+            for k in np.flatnonzero(tied.any(axis=1)):
+                pred_k = pred[k].tolist()
+                for h in np.flatnonzero(tied[k]).tolist():
+                    c0, c1 = tables.seg[h], tables.seg[h + 1]
+                    pred_k[h] = min(
+                        tables.edge[c0:c1][hits[k, c0:c1]].tolist(),
+                        key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
+                    )
+                pred[k] = pred_k
+
+        cand = dist + tables.term
+        via = cand.argmin(axis=1)
+        ends = cand[np.arange(nc), via]
+        # on an exact tie a detection path precedes the bypass edge
+        wins = ends <= zetas
+        zetas[wins] = ends[wins]
+        via[~wins] = -1
+        tied = wins & ((cand == ends[:, None]).sum(axis=1) > 1)
+        for k in np.flatnonzero(tied):
+            pred_k = pred[k].tolist()
+            via[k] = min(
+                np.flatnonzero(cand[k] == ends[k]).tolist(),
+                key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)],
+            )
+
+    columns = []
+    for k in range(nc):
+        i = int(via[k])
+        if i < 0:
+            edges: tuple[int, ...] = (net.bypass_edge(k),)
+        else:
+            edges = tuple(_path_to_v(net, pred[k].tolist(), k, i)) + (net.term_edge(k, i),)
+        vals = tables.values[k]
+        columns.append(PathColumn(k, edges, float(sum(vals[e] for e in edges))))
+    return columns, zetas
 
 
 def optimality_check(
@@ -347,8 +473,8 @@ def column_generation(
         pool.append(col)
         return True
 
-    for k in range(nc):
-        col, _ = price(network, k, values[k], None)
+    tables = PricingTables.build(network, values)
+    for k, col in enumerate(price(tables, None)[0]):
         add_column(col)
         bypass = network.bypass_edge(k)
         add_column(
@@ -395,8 +521,7 @@ def column_generation(
             if cand_val < v_incumbent:
                 incumbent, v_incumbent = cand, cand_val
 
-        priced = [price(network, k, values[k], pi) for k in range(nc)]
-        zetas = np.array([z for _, z in priced])
+        priced, zetas = price(tables, pi)
         best_bound = max(
             best_bound,
             lagrangian_lower_bound(sol.objective, zetas, sol.sigma, demands),
@@ -406,8 +531,7 @@ def column_generation(
             converged = True
             break
         added = 0
-        for k in range(nc):
-            col, zeta = priced[k]
+        for k, (col, zeta) in enumerate(zip(priced, zetas)):
             if zeta >= sol.sigma[k] - CERT_TOL:
                 continue
             if add_column(col):
@@ -445,6 +569,11 @@ def column_generation(
                 if rich_val < v_int:
                     v_int, selection = rich_val, rich_sel
 
+    if v_lp > v_int:
+        if v_lp - v_int > INT_TOL:
+            raise ColgenError(f"lower bound v_lp={v_lp!r} exceeds integer value v_int={v_int!r}")
+        # The selection meets the bound up to rounding: it is the optimum.
+        v_lp = v_int
     epsilon = v_int - v_lp
     if epsilon <= INT_TOL:
         status = "proven-optimal"

@@ -209,20 +209,6 @@ class FlowNetwork:
             yield self.bypass_edge(k)
         # sinks and other commodities' endpoints have no edges for k
 
-    def topological_order(self) -> list[int]:
-        """All sources, then u_0, v_0, ..., u_{N-1}, v_{N-1}, then all sinks.
-
-        Every edge runs forward in this order: network_from_parts rejects
-        detections that are not frame-sorted and transitions that do not
-        advance in frame, so a transition (v_i, u_j) always has i < j.
-        """
-        nc = self.num_commodities
-        return (
-            [self.source(k) for k in range(nc)]
-            + list(range(2 * self.num_detections))
-            + [self.sink(k) for k in range(nc)]
-        )
-
     def path_detections(self, edges: Sequence[int]) -> list[int]:
         """Detection indices claimed along a path, in path order."""
         return [

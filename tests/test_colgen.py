@@ -15,6 +15,7 @@ from mcftrack.colgen import (
     CGResult,
     ColgenError,
     PathColumn,
+    PricingTables,
     _enrichment_columns,
     _grow_basis,
     _master_problem,
@@ -23,7 +24,6 @@ from mcftrack.colgen import (
     lagrangian_lower_bound,
     optimality_check,
     price,
-    shortest_path,
 )
 from mcftrack.costs import CostVector
 from mcftrack.graph import network_from_parts
@@ -48,6 +48,12 @@ def full_row_master(net, cols):
     )
 
 
+def price_one(net, costs, pi=None):
+    """Column and zeta of the only commodity of `net`."""
+    cols, zetas = price(PricingTables.build(net, [costs]), pi)
+    return cols[0], zetas[0]
+
+
 def single_det_network():
     return network_from_parts([make_det(0, 1, (0, 0, 10, 10))], [], [1])
 
@@ -59,7 +65,7 @@ def single_det_costs(bypass: float) -> np.ndarray:
 
 def test_price_bypass_wins():
     net = single_det_network()
-    col, zeta = price(net, 0, single_det_costs(5.0), None)
+    col, zeta = price_one(net, single_det_costs(5.0))
     assert zeta == pytest.approx(5.0)
     assert col.edges == (3,)
     assert col.cost == pytest.approx(5.0)
@@ -67,7 +73,7 @@ def test_price_bypass_wins():
 
 def test_price_detection_path_wins():
     net = single_det_network()
-    col, zeta = price(net, 0, single_det_costs(20.0), None)
+    col, zeta = price_one(net, single_det_costs(20.0))
     assert zeta == pytest.approx(8.5)
     assert col.edges == (1, 0, 2)
     assert col.cost == pytest.approx(8.5)
@@ -76,11 +82,11 @@ def test_price_detection_path_wins():
 def test_price_dual_shift_additive():
     net = single_det_network()
     pi = np.array([2.0])
-    col, zeta = price(net, 0, single_det_costs(20.0), pi)
+    col, zeta = price_one(net, single_det_costs(20.0), pi)
     assert zeta == pytest.approx(10.5)
     assert col.cost == pytest.approx(8.5)  # column keeps the unshifted cost
     # bypass untouched by duals on shared edges
-    _, zeta_b = price(net, 0, single_det_costs(5.0), pi)
+    _, zeta_b = price_one(net, single_det_costs(5.0), pi)
     assert zeta_b == pytest.approx(5.0)
 
 
@@ -89,7 +95,8 @@ def test_shortest_path_tie_breaks_lexicographically():
     net = network_from_parts([make_det(0, 1, (0, 0, 2, 2)), make_det(1, 1, (5, 0, 7, 2))], [], [1])
     costs = np.zeros(net.num_edges)
     costs[net.bypass_edge(0)] = 1.0
-    edges, val = shortest_path(net, 0, costs)
+    col, val = price_one(net, costs)
+    edges = col.edges
     assert val == 0.0
     assert edges == (net.start_edge(0, 0), 0, net.term_edge(0, 0))
 
@@ -103,10 +110,71 @@ def test_shortest_path_tie_breaks_lexicographically():
     costs[net.term_edge(0, 0)] = costs[net.term_edge(0, 1)] = 5.0
     costs[net.start_edge(0, 2)] = 5.0
     costs[net.bypass_edge(0)] = 1.0
-    edges, val = shortest_path(net, 0, costs)
+    col, val = price_one(net, costs)
+    edges = col.edges
     assert val == -2.0
     via_0 = net.num_detections + net.transitions.index((0, 2))
     assert edges == (net.start_edge(0, 0), 0, via_0, 2, net.term_edge(0, 2))
+
+
+def first_cheapest_path(paths, weights):
+    """First of `paths` (lexicographic order) with the least left-to-right sum."""
+    best, best_val = None, float("inf")
+    for p in paths:
+        val = 0.0
+        for e in p:
+            val += weights[e]
+        if val < best_val:
+            best, best_val = p, val
+    return best, best_val
+
+
+def test_price_matches_enumerated_paths():
+    # Half-unit and unit grids make exact ties common; enumerate_paths lists
+    # paths lexicographically, so its first cheapest path is the tie winner.
+    rng = np.random.default_rng(7)
+    for seed in range(150):
+        net, raw = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
+        ns = net.num_shared
+        paths = [enumerate_paths(net, k) for k in range(net.num_commodities)]
+        for costs in (raw, [np.round(2.0 * c) / 2.0 for c in raw], [np.round(c) for c in raw]):
+            tables = PricingTables.build(net, costs)
+            for pi in (None, -np.round(4.0 * rng.random(ns)) / 2.0, -rng.random(ns)):
+                cols, zetas = price(tables, pi)
+                for k, (col, zeta) in enumerate(zip(cols, zetas)):
+                    weights = costs[k].copy()
+                    if pi is not None:
+                        weights[:ns] += pi
+                    best, best_val = first_cheapest_path(paths[k], weights)
+                    assert col.commodity == k
+                    assert col.edges == best, (seed, k)
+                    assert float(zeta).hex() == float(best_val).hex(), (seed, k)
+                    assert col.cost == float(sum(costs[k][e] for e in best)), (seed, k)
+
+
+def test_price_without_detections_takes_every_bypass():
+    net = network_from_parts([], [], [2, 1])
+    costs = [np.array([1.5, 7.0]), np.array([3.0, 0.25])]
+    cols, zetas = price(PricingTables.build(net, costs), None)
+    assert [c.edges for c in cols] == [(0,), (1,)]
+    assert [c.cost for c in cols] == [1.5, 0.25]
+    assert list(zetas) == [1.5, 0.25]
+
+
+def test_price_across_an_empty_frame():
+    # frame 2 holds no detection; the gap-2 transition (0, 1) spans it
+    net = network_from_parts([make_det(0, 1, (0, 0, 10, 10)), make_det(1, 3, (4, 0, 10, 10))],
+                             [(0, 1)], [1])
+    costs = np.array([-1.0, -1.0, 0.5, 0.25, 0.25, 0.25, 0.25, 1.0])
+    start0, start1, term0, term1 = (net.start_edge(0, 0), net.start_edge(0, 1),
+                                    net.term_edge(0, 0), net.term_edge(0, 1))
+    col, zeta = price_one(net, costs)
+    assert col.edges == (start0, 0, 2, 1, term1)
+    assert zeta == -1.0
+    # a dual of 1 on the transition ties both single-detection paths
+    col, zeta = price_one(net, costs, np.array([0.0, 0.0, 1.0]))
+    assert col.edges == (start0, 0, term0)
+    assert zeta == -0.5 and col.cost == -0.5
 
 
 def test_enrichment_columns_at_budget_boundary():
@@ -357,6 +425,8 @@ def test_cost_vector_validation():
         column_generation(net, [CostVector(0, np.zeros(3))])
     with pytest.raises(ValueError):
         column_generation(net, [good], iter_max=0)
+    with pytest.raises(ValueError, match="finite"):
+        column_generation(net, [CostVector(0, np.array([-1.0, np.inf, 10.0, 5.0]))])
 
 
 def test_matches_brute_force_on_random_instances():
@@ -373,6 +443,24 @@ def test_matches_brute_force_on_random_instances():
         if res.status == "proven-optimal":
             assert res.epsilon <= 1e-9, seed
     assert not mismatches, mismatches
+
+
+def test_epsilon_is_never_negative():
+    # Before the bound was clamped to the selection's value, seeds 57 and 73
+    # reported epsilon at -3.6e-15 and -1.8e-15.
+    for seed in range(200):
+        net, costs = random_instance(seed)
+        res = column_generation(net, wrap_cost_vectors(net, costs))
+        assert res.epsilon >= 0.0, seed
+        assert res.epsilon == res.v_int - res.v_lp, seed
+
+
+def test_integer_value_below_the_bound_is_refused(monkeypatch):
+    net, costs = random_instance(6)  # its LP optimum is fractional: extraction runs
+    real = colgen.extract_integer
+    monkeypatch.setattr(colgen, "extract_integer", lambda n, pool: (-100.0, real(n, pool)[1]))
+    with pytest.raises(ColgenError, match="exceeds integer value"):
+        column_generation(net, wrap_cost_vectors(net, costs))
 
 
 def test_certificate_zero_iff_proven():

@@ -1,4 +1,4 @@
-"""Network construction: gating, id layout, topological order, rebuild determinism."""
+"""Network construction: gating, id layout, frame ranges, rebuild determinism."""
 
 import numpy as np
 import pytest
@@ -138,15 +138,25 @@ def test_duplicate_det_id_rejected():
         build_network([a, b], [], None, GatingConfig())
 
 
-def test_topological_order_chain():
+def frame_ranges(net):
+    """Per detection, the index of its frame's range; asserts the ranges are contiguous."""
+    frames = np.array([d.frame for d in net.detections])
+    rank = np.r_[0, np.cumsum(np.diff(frames) != 0)]
+    assert rank[-1] + 1 == len(set(frames)), "a frame's detections are split"
+    return rank
+
+
+def test_frame_ranges_chain():
     dets = [make_det(0, 1, (0, 0, 10, 10))]
     net = build_network(dets, [], [1], GatingConfig())
-    order = net.topological_order()
-    pos = {n: i for i, n in enumerate(order)}
-    assert pos[net.source(0)] < pos[net.u_node(0)] < pos[net.v_node(0)] < pos[net.sink(0)]
+    assert list(frame_ranges(net)) == [0]
+    assert net.head[net.start_edge(0, 0)] == net.u_node(0)
+    assert (net.tail[0], net.head[0]) == (net.u_node(0), net.v_node(0))
+    assert net.tail[net.term_edge(0, 0)] == net.v_node(0)
 
 
-def test_topological_order_all_edges_forward():
+def test_frame_ranges_all_edges_forward():
+    layered = 0
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 8))
@@ -159,11 +169,11 @@ def test_topological_order_all_edges_forward():
                 for i, d in enumerate(dets)]
         net = build_network(dets, [object()] * int(rng.integers(0, 3)),
                             None, GatingConfig())
-        order = net.topological_order()
-        assert sorted(order) == list(range(net.num_nodes))
-        pos = {node: i for i, node in enumerate(order)}
-        for e in range(net.num_edges):
-            assert pos[net.tail[e]] < pos[net.head[e]]
+        rank = frame_ranges(net)
+        for i, j in net.transitions:
+            assert rank[i] < rank[j]
+        layered += len(net.transitions) > 0
+    assert layered > 0
 
 
 def test_every_commodity_has_a_path():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_det, random_instance
-from mcftrack.colgen import shortest_path
+from mcftrack.colgen import PricingTables, price
 from mcftrack.graph import network_from_parts
 from mcftrack.oracle import OracleLimitError, brute_force_ilp, enumerate_paths
 
@@ -78,7 +78,7 @@ def test_single_commodity_equals_shortest_path():
         net, costs = random_instance(seed, max_tracked=0, d0_max=1)
         assert net.num_commodities == 1
         val, _ = brute_force_ilp(net, costs)
-        _, sp = shortest_path(net, 0, costs[0])
+        sp = price(PricingTables.build(net, costs), None)[1][0]
         assert val == pytest.approx(sp, abs=1e-12), seed
 
 
