@@ -5,8 +5,8 @@ synth (generate a synthetic scene), solve (solve one serialized window
 instance, optionally cross-checked against the exhaustive oracle).
 
 Exit codes: 0 success, 2 input parse errors or missing input files (the
-message names the path), 3 configuration or scenario errors, 1 other
-runtime refusals such as an oracle size guard.
+message names the path), 3 configuration or scenario errors, 1 solver
+failures and other runtime refusals such as an oracle size guard.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .colgen import column_generation
+from .colgen import ColgenError, column_generation
+from .lp import LPInternalError
 from .metrics import clear_mot
 from .oracle import OracleLimitError, brute_force_ilp
 from .tracker import ConfigError, TrackerConfig, run
@@ -152,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     except (mio.ScenarioError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OracleLimitError, ValueError) as exc:
+    except (OracleLimitError, ColgenError, LPInternalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,15 @@ coupling duals pi on shared edges, in one numpy sweep over the frame layers
 of the window (detections of one frame form a contiguous range, and every
 transition leaves an earlier one); the loop stops when every priced value
 zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
-an iteration cap, or when pricing can only repeat pooled columns.
+an iteration cap, or when pricing can only repeat pooled columns. The dummy
+commodity carries up to d0 units, so when its shortest path is the only one
+that prices negative, the round re-prices the dummy alone up to d0 - 1 more
+times, each time with the observation edges of the detections its paths
+claimed this round shifted to +inf. Every further path that still prices
+negative joins the pool, so one round can add up to d0 detection-disjoint
+dummy paths (successive disjoint shortest paths, as k-shortest-paths
+trackers route on this graph). The bound and the certificate read only the
+unblocked sweep.
 
 The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
 RMLP value or, when stopping early, the Lagrangian bound
@@ -34,7 +42,7 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -184,6 +192,19 @@ class PricingTables:
         seg_of = np.repeat(np.arange(n), into + 1)
         return cls(network, list(values), shared, term, bypass, buf, seg, seg_of, edge,
                    t_edge, layers)
+
+    def dummy(self) -> PricingTables:
+        """A view of the dummy commodity's row alone, sharing every array.
+
+        The dummy is commodity 0, so `price` labels the view's one column
+        correctly. Pricing the view refills the dummy's transition entries
+        of `buf`, which every pricing round overwrites anyway.
+        """
+        return replace(
+            self, values=self.values[:1], shared=self.shared[:1], term=self.term[:1],
+            bypass=self.bypass[:1], buf=self.buf[:1],
+            layers=[replace(lay, buf=lay.buf[:1]) for lay in self.layers],
+        )
 
 
 def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[int]:
@@ -474,12 +495,44 @@ def column_generation(
         return True
 
     tables = PricingTables.build(network, values)
-    for k, col in enumerate(price(tables, None)[0]):
+    dummy = tables.dummy()
+    n = network.num_detections
+
+    def add_dummy_paths(
+        col: PathColumn, zetas: np.ndarray, pi: np.ndarray | None, cutoffs: np.ndarray
+    ) -> int:
+        """Pool up to d0 - 1 more dummy paths after the round's first, `col`.
+
+        Only when the dummy alone has a zeta below its cutoff: while a
+        tracked commodity still prices negatively, the duals on the
+        detections it contests keep moving, and extra dummy paths through
+        them mostly go unused. Each re-sweep shifts the observation edges of
+        the detections this round's dummy paths claimed to +inf, so the
+        paths are detection-disjoint and each zeta is a shifted cost under
+        `pi` itself. Stops at a zeta not below the dummy's cutoff (the
+        bypass among them) or at a pooled column. Returns the paths pooled.
+        """
+        negative = zetas < cutoffs
+        if not negative[0] or negative[1:].any():
+            return 0
+        blocked = np.zeros(ns) if pi is None else pi.copy()
+        added = 0
+        for _ in range(int(network.demands[0]) - 1):
+            blocked[[e for e in col.edges if e < n]] = np.inf
+            (col,), (zeta,) = price(dummy, blocked)
+            if zeta >= cutoffs[0] or not add_column(col):
+                break
+            added += 1
+        return added
+
+    priced, zetas = price(tables, None)
+    for k, col in enumerate(priced):
         add_column(col)
         bypass = network.bypass_edge(k)
         add_column(
             PathColumn(commodity=k, edges=(bypass,), cost=float(values[k][bypass]))
         )
+    add_dummy_paths(priced[0], zetas, None, tables.bypass)
 
     demands = network.demands
     incumbent: list[tuple[PathColumn, int]] | None = None
@@ -492,7 +545,6 @@ def column_generation(
     v_lp = float("nan")
     iterations = 0
     last: LPSolution | None = None
-    zetas = np.zeros(nc)
 
     for _ in range(iter_max):
         iterations += 1
@@ -541,6 +593,7 @@ def column_generation(
                     f"pricing repeated a pooled column for commodity {k} "
                     f"with violation {zeta - sol.sigma[k]:.3e}; duals inconsistent"
                 )
+        added += add_dummy_paths(priced[0], zetas, pi, sol.sigma - CERT_TOL)
         if added == 0:
             # Only within-noise duplicates: fall back to the bound.
             v_lp = best_bound

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcftrack import cli, tracker
 from mcftrack.cli import main
+from mcftrack.colgen import ColgenError
 from mcftrack.io import read_tracks
+from mcftrack.lp import LPInternalError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -157,3 +160,23 @@ def test_solve_rejects_malformed_instance(tmp_path, capsys):
     code = main(["solve", "--network", str(bad)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, module, error", [
+    ("solve", cli, ColgenError("master LP ended with status 'iteration-limit'")),
+    ("track", tracker, LPInternalError("feasibility lost; basis update diverged")),
+])
+def test_solver_failure_exits_1(scene, monkeypatch, capsys, command, module, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, "column_generation", fail)
+    tmp, det, _, config = scene
+    capsys.readouterr()
+    if command == "solve":
+        code = main(["solve", "--network", str(FIXTURES / "tiny.instance")])
+    else:
+        code = main(["track", "--det", str(det), "--out", str(tmp / "hyp.txt"),
+                     "--config", str(config)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"

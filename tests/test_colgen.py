@@ -1,5 +1,6 @@
 """Column generation: pricing, certificates, integer extraction, full loop."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from helpers import (
     wrap_cost_vectors,
 )
 from mcftrack.colgen import (
+    CERT_TOL,
     CGResult,
     ColgenError,
     PathColumn,
@@ -25,11 +27,22 @@ from mcftrack.colgen import (
     optimality_check,
     price,
 )
-from mcftrack.costs import CostVector
-from mcftrack.graph import network_from_parts
+from mcftrack.costs import CostVector, assemble_cost_vector
+from mcftrack.graph import build_network, network_from_parts
 from mcftrack import colgen
+from mcftrack.io import Scenario, load_instance, synth_generate
 from mcftrack.lp import LPInternalError, LPProblem, solve_lp
 from mcftrack.oracle import brute_force_ilp, enumerate_paths
+from mcftrack.tracker import TrackerConfig
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# The births bench scene and config: dummy-only windows of 5 frames, d0 8.
+BIRTHS_SCENE = Scenario(targets=5, frames=120, clutter_rate=0.5, feature_dim=12,
+                        lane_gap=80.0, miss_prob=0.05, feature_noise=0.1,
+                        pos_noise=1.0, target_score_std=0.0)
+BIRTHS_CONFIG = TrackerConfig(window=5, d0=8, bypass_cost_tracked=12.0,
+                              bypass_cost_dummy=19.5)
 
 
 def full_row_master(net, cols):
@@ -52,6 +65,18 @@ def price_one(net, costs, pi=None):
     """Column and zeta of the only commodity of `net`."""
     cols, zetas = price(PricingTables.build(net, [costs]), pi)
     return cols[0], zetas[0]
+
+
+def births_windows(starts, seed=3):
+    """Dummy-only windows of the births scene, one per start frame."""
+    dets, _ = synth_generate(BIRTHS_SCENE, seed=seed)
+    cfg = BIRTHS_CONFIG
+    windows = []
+    for lo in starts:
+        window = [d for f in range(lo, lo + cfg.window) for d in dets[f]]
+        net = build_network(window, [], [cfg.d0], cfg.gating_config())
+        windows.append((net, [assemble_cost_vector(net, 0, [], cfg.cost_config())]))
+    return windows
 
 
 def single_det_network():
@@ -495,3 +520,132 @@ def test_flows_mirror_selection():
             for e in col.edges:
                 rebuilt[e] += units
         assert np.array_equal(rebuilt, res.flows[k])
+
+
+def priced_rounds(monkeypatch, net, vectors):
+    """Run column generation, splitting its pricing into rounds.
+
+    A round is one pricing call over every commodity plus the one-row dummy
+    re-sweeps after it, which block detections with an infinite pi. Each
+    round records the coupling duals pi it priced at and the convexity duals
+    sigma of the master solve before it (both None in the initial round),
+    the columns and zetas of its full call, the pi of each re-sweep and the
+    columns it pooled (the pool's growth up to the next master build).
+    """
+    events = []
+    real_price, real_master, real_lp = colgen.price, colgen._master_problem, colgen.solve_lp
+
+    def spy_price(tables, pi):
+        cols, zetas = real_price(tables, pi)
+        events.append(("price", len(tables.bypass), None if pi is None else pi.copy(), cols,
+                       zetas))
+        return cols, zetas
+
+    def spy_master(network, pool):
+        events.append(("pool", len(pool)))
+        return real_master(network, pool)
+
+    def spy_lp(prob, warm_basis=None):
+        sol = real_lp(prob, warm_basis=warm_basis)
+        events.append(("lp", sol.sigma))
+        return sol
+
+    monkeypatch.setattr(colgen, "price", spy_price)
+    monkeypatch.setattr(colgen, "_master_problem", spy_master)
+    monkeypatch.setattr(colgen, "solve_lp", spy_lp)
+    res = column_generation(net, vectors)
+    monkeypatch.undo()
+
+    rounds, sigma, pooled = [], None, 0
+    for event in events:
+        if event[0] == "lp":
+            sigma = event[1]
+        elif event[0] == "pool":
+            pooled = event[1]
+            if rounds and rounds[-1]["end"] is None:
+                rounds[-1]["end"] = pooled
+        elif event[2] is None or np.isfinite(event[2]).all():
+            assert event[1] == net.num_commodities
+            rounds.append(dict(pi=event[2], sigma=sigma, first=event[3], zetas=event[4],
+                               sweeps=[], start=pooled, end=None))
+        else:
+            assert event[1] == 1, "a re-sweep prices the dummy alone"
+            rounds[-1]["sweeps"].append(event[2])
+    for rnd in rounds:
+        end = len(res.columns) if rnd["end"] is None else rnd["end"]
+        rnd["added"] = res.columns[rnd["start"] : end]
+    return res, rounds
+
+
+def check_dummy_rounds(net, vectors, res, rounds):
+    """Assert the extra dummy columns' contract; returns how many there were."""
+    ns, values = net.num_shared, [cv.values for cv in vectors]
+    d0 = int(net.demands[0])
+    bypass = {(k, (net.bypass_edge(k),)) for k in range(net.num_commodities)}
+    bypass_costs = np.array([values[k][net.bypass_edge(k)] for k in range(net.num_commodities)])
+    extras = 0
+    for r, rnd in enumerate(rounds):
+        cutoffs = bypass_costs if r == 0 else rnd["sigma"] - CERT_TOL
+        negative = rnd["zetas"] < cutoffs
+        # re-sweeps run exactly when the dummy is the one commodity pricing negatively
+        assert bool(rnd["sweeps"]) == (d0 > 1 and negative[0] and not negative[1:].any())
+        # the initial round also pools every commodity's bypass column
+        added = [c for c in rnd["added"] if r > 0 or c.key not in bypass]
+        for k in range(1, net.num_commodities):
+            assert sum(c.commodity == k for c in added) <= 1
+        assert len(rnd["sweeps"]) <= max(d0 - 1, 0)
+        first = rnd["first"][0]
+        dummy = [c for c in added if c.commodity == 0]
+        extras += sum(c.key != first.key for c in dummy)
+        claimed = set(net.path_detections(first.edges))
+        for col in dummy:
+            if col.key == first.key:
+                continue
+            dets = set(net.path_detections(col.edges))
+            assert dets and not dets & claimed, "extra dummy path shares a detection"
+            claimed |= dets
+        for col in dummy:
+            if r == 0:
+                assert col.cost < bypass_costs[0]
+            else:
+                shifted = col.cost + sum(rnd["pi"][e] for e in col.edges if e < ns)
+                assert shifted - rnd["sigma"][0] < -CERT_TOL
+        for blocked in rnd["sweeps"]:
+            base = np.zeros(ns) if rnd["pi"] is None else rnd["pi"]
+            off = np.flatnonzero(blocked != base)
+            assert np.isinf(blocked[off]).all() and (off < net.num_detections).all()
+    return extras
+
+
+def test_extra_dummy_columns_are_disjoint_and_price_negative(monkeypatch):
+    extras = 0
+    # A re-sweep path that prices non-negatively but is neither the bypass
+    # nor pooled is rare: 7 of these 300 instances have one.
+    for seed in range(300):
+        net, costs = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
+        vectors = wrap_cost_vectors(net, costs)
+        res, rounds = priced_rounds(monkeypatch, net, vectors)
+        extras += check_dummy_rounds(net, vectors, res, rounds)
+    (net, vectors), = births_windows([1])
+    res, rounds = priced_rounds(monkeypatch, net, vectors)
+    births_extras = check_dummy_rounds(net, vectors, res, rounds)
+    assert res.status == "proven-optimal"
+    assert extras > 0 and births_extras > 0
+
+
+def test_m_window1_is_proven_within_80_iterations():
+    # With one dummy path per round this window hits the 200-iteration
+    # limit with epsilon 3.51, after about 20 s.
+    net, vectors = load_instance(FIXTURES / "m_window1.instance")
+    res = column_generation(net, vectors)
+    assert res.status == "proven-optimal"
+    assert res.epsilon == 0.0
+    assert res.iterations <= 80
+
+
+def test_births_windows_take_few_iterations():
+    # With one dummy path per round these windows take 308 iterations.
+    results = [column_generation(net, vectors, iter_max=BIRTHS_CONFIG.iter_max)
+               for net, vectors in births_windows(range(1, 110, 12))]
+    assert all(r.status == "proven-optimal" for r in results)
+    assert sum(r.iterations for r in results) <= 120
