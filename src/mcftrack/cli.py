@@ -12,6 +12,7 @@ failures and other runtime refusals such as an oracle size guard.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -81,8 +82,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     else:
         config = TrackerConfig()
     if args.window is not None:
-        config.window = args.window
-        config.__post_init__()
+        config = dataclasses.replace(config, window=args.window)
 
     features = None
     feat_path = Path(args.features) if args.features else mio.sidecar_path(det_path)

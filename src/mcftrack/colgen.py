@@ -406,7 +406,7 @@ def extract_integer(
         or (prob.a_eq @ units != prob.b_eq).any()
     ):
         raise ColgenError("integer master solution violates the pool's rows")
-    selection = [(pool[j], int(u)) for j, u in enumerate(units) if u > 0]
+    selection = _decode_selection(pool, units)
     return float(sum(col.cost * u for col, u in selection)), selection
 
 

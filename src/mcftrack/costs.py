@@ -153,8 +153,8 @@ def assemble_cost_vector(
                 [start_cost(traj, d, config) for d in dets], dtype=np.float64
             )
         values[:n] = obs
-        for eid, (i, j) in enumerate(network.transitions, start=n):
-            values[eid] = -gram[i, j]
+        ns = network.num_shared
+        values[n:ns] = -gram[network.det_a[n:ns], network.det_b[n:ns]]
         start_mask = network.kind == EdgeKind.START
         values[start_mask] = starts[network.det_a[start_mask]]
 

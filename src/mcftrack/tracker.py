@@ -9,7 +9,8 @@ miss, and dummy-commodity paths that start at t+1 with enough detections
 spawn new trajectories. Output therefore lags input by W - 1 frames; later
 frames of the window stay provisional and are re-solved as the window
 slides. After the last frame, flush() freezes the final solution and
-commits its remaining frames instead of re-solving shrinking windows.
+commits its remaining frames instead of re-solving shrinking windows,
+through the same per-frame routine as a step but without learning or misses.
 
 Trajectories keep a feature history (last 10 associated features, mean
 renormalized as the matching template), a constant-velocity estimate from
@@ -71,6 +72,8 @@ class TrackerConfig:
             raise ConfigError(f"spawn_min_length must be >= 1, got {self.spawn_min_length}")
         if self.iter_max < 1:
             raise ConfigError(f"iter_max must be >= 1, got {self.iter_max}")
+        if not self.aggressiveness > 0:
+            raise ConfigError(f"aggressiveness must be positive, got {self.aggressiveness}")
         try:
             self.cost_config()
             self.gating_config()
@@ -80,11 +83,6 @@ class TrackerConfig:
     @property
     def miss_limit(self) -> int:
         return self.terminate_after_misses if self.terminate_after_misses > 0 else self.window
-
-    @property
-    def spawn_min_effective(self) -> int:
-        # A window of W frames cannot hold a longer path start at its edge.
-        return min(self.spawn_min_length, self.window)
 
     def cost_config(self) -> CostConfig:
         return CostConfig(
@@ -196,11 +194,6 @@ class _FrozenSolve:
     spawned: dict[tuple[int, tuple[int, ...]], Trajectory]
     window_lo: int
     window_hi: int
-    committed_hi: int  # highest frame whose consequences are already committed
-
-    @property
-    def span(self) -> int:
-        return self.window_hi - self.window_lo + 1
 
 
 class OnlineTracker:
@@ -239,7 +232,24 @@ class OnlineTracker:
         self._next_frame = frame + 1
         if frame < self.config.window:
             return []
-        return self._solve_and_commit()
+        commit_frame = self._committed_through + 1
+        frozen = self._solve_window(commit_frame, self._committed_through + self.config.window)
+        associations = self._associations(frozen, commit_frame)
+        # Triplets see the templates as they were before this frame's commits.
+        triplet_sets = build_triplets(
+            frozen.active, {i: det.feature for i, det in associations.items()}
+        )
+        records = self._commit(frozen, commit_frame, associations)
+        for i, traj in enumerate(frozen.active):
+            if i not in associations:
+                traj.misses += 1
+                if traj.misses >= self.config.miss_limit:
+                    traj.active = False
+        for i, triplets in triplet_sets.items():
+            update_model(frozen.active[i].model, triplets)
+        del self._buffer[commit_frame]
+        self._committed_through = commit_frame
+        return records
 
     def flush(self) -> list[CommitRecord]:
         """Freeze the last solved window and commit its remaining frames.
@@ -253,52 +263,11 @@ class OnlineTracker:
         last_seen = self._next_frame - 1
         if last_seen == 0:
             return []
-        if self._last_solve is None:
-            # Short stream: one solve over the partial window, commit all of it.
-            self._solve_window(1, last_seen)
-            assert self._last_solve is not None
-        frozen = self._last_solve
+        # A stream shorter than one window gets one solve over all of it.
+        frozen = self._last_solve or self._solve_window(1, last_seen)
         records: list[CommitRecord] = []
-        remaining = range(frozen.committed_hi + 1, frozen.window_hi + 1)
-        if not remaining:
-            return []
-        spawn_min = min(self.config.spawn_min_length, frozen.span)
-        net = frozen.network
-        for k, traj in enumerate(frozen.active, start=1):
-            if not traj.active:
-                continue  # termination decisions are final
-            for col, _ in frozen.result.selection[k]:
-                for pos in net.path_detections(col.edges):
-                    det = net.detections[pos]
-                    if det.frame in remaining:
-                        traj.commit(det.frame, det.box, det.feature)
-                        records.append(CommitRecord(det.frame, traj.track_id, det.box))
-        for col, _ in frozen.result.selection[0]:
-            positions = net.path_detections(col.edges)
-            if not positions:
-                continue
-            existing = frozen.spawned.get(col.key)
-            if existing is not None:
-                for pos in positions:
-                    det = net.detections[pos]
-                    if det.frame in remaining:
-                        existing.commit(det.frame, det.box, det.feature)
-                        records.append(
-                            CommitRecord(det.frame, existing.track_id, det.box)
-                        )
-                continue
-            first = net.detections[positions[0]]
-            if first.frame not in remaining:
-                continue
-            if len(positions) < spawn_min:
-                continue
-            traj = self._spawn(first)
-            records.append(CommitRecord(first.frame, traj.track_id, first.box))
-            for pos in positions[1:]:
-                det = net.detections[pos]
-                traj.commit(det.frame, det.box, det.feature)
-                records.append(CommitRecord(det.frame, traj.track_id, det.box))
-        records.sort(key=lambda r: (r.frame, r.track_id))
+        for f in range(self._committed_through + 1, frozen.window_hi + 1):
+            records += self._commit(frozen, f, self._associations(frozen, f))
         return records
 
     def tracks(self) -> dict[int, dict[int, Box]]:
@@ -315,8 +284,8 @@ class OnlineTracker:
         self.trajectories.append(traj)
         return traj
 
-    def _solve_window(self, lo: int, hi: int) -> None:
-        """Solve frames [lo, hi]; stores the frozen solve, commits nothing."""
+    def _solve_window(self, lo: int, hi: int) -> _FrozenSolve:
+        """Solve frames [lo, hi]; stores and returns the frozen solve, commits nothing."""
         window_dets = [d for f in range(lo, hi + 1) for d in self._buffer.get(f, [])]
         active = [t for t in self.trajectories if t.active]
         demands = [self.config.d0] + [1] * len(active)
@@ -341,73 +310,68 @@ class OnlineTracker:
                 solve_ms=elapsed_ms,
             )
         )
-        self._last_solve = _FrozenSolve(
+        self._last_solve = frozen = _FrozenSolve(
             network=network,
             result=result,
             active=active,
             spawned={},
             window_lo=lo,
             window_hi=hi,
-            committed_hi=lo - 1,
         )
+        return frozen
 
-    def _solve_and_commit(self) -> list[CommitRecord]:
-        commit_frame = self._committed_through + 1
-        self._solve_window(commit_frame, self._committed_through + self.config.window)
-        frozen = self._last_solve
-        assert frozen is not None
-        net, result, active = frozen.network, frozen.result, frozen.active
+    def _associations(self, frozen: _FrozenSolve, frame: int) -> dict[int, Detection]:
+        """Detection that each still-active trajectory's selected path takes in frame.
 
+        Keys index frozen.active; termination decisions are final.
+        """
+        net = frozen.network
         associations: dict[int, Detection] = {}
-        for k, traj in enumerate(active, start=1):
-            det = None
-            for col, _ in result.selection[k]:
-                positions = net.path_detections(col.edges)
-                if positions and net.detections[positions[0]].frame == commit_frame:
-                    det = net.detections[positions[0]]
-            if det is not None:
-                associations[k - 1] = det
-
-        # Triplets see the templates as they were before this frame's commits.
-        triplet_sets = build_triplets(
-            active, {i: det.feature for i, det in associations.items()}
-        )
-
-        records: list[CommitRecord] = []
-        for i, traj in enumerate(active):
-            det = associations.get(i)
-            if det is None:
-                traj.misses += 1
-                if traj.misses >= self.config.miss_limit:
-                    traj.active = False
-            else:
-                traj.commit(commit_frame, det.box, det.feature)
-                records.append(CommitRecord(commit_frame, traj.track_id, det.box))
-        for i, triplets in triplet_sets.items():
-            update_model(active[i].model, triplets)
-
-        spawn_cols = []
-        for col, _ in result.selection[0]:
-            positions = net.path_detections(col.edges)
-            if not positions:
+        for k, traj in enumerate(frozen.active, start=1):
+            if not traj.active:
                 continue
-            first = net.detections[positions[0]]
-            if (
-                first.frame == commit_frame
-                and len(positions) >= self.config.spawn_min_effective
-            ):
-                spawn_cols.append((positions[0], col, first))
-        for _, col, first in sorted(spawn_cols, key=lambda s: s[0]):
-            traj = self._spawn(first)
-            frozen.spawned[col.key] = traj
-            records.append(CommitRecord(commit_frame, traj.track_id, first.box))
+            for col, _ in frozen.result.selection[k]:
+                for pos in net.path_detections(col.edges):
+                    if net.detections[pos].frame == frame:
+                        associations[k - 1] = net.detections[pos]
+        return associations
 
-        del self._buffer[commit_frame]
-        self._committed_through = commit_frame
-        frozen.committed_hi = commit_frame
-        records.sort(key=lambda r: (r.frame, r.track_id))
+    def _commit(
+        self, frozen: _FrozenSolve, frame: int, associations: Mapping[int, Detection]
+    ) -> list[CommitRecord]:
+        """Commit one frame of the frozen solve.
+
+        Extends the associated trajectories and the trajectories already
+        spawned from dummy paths, then spawns, in detection order, the dummy
+        paths that start in frame with enough detections. A window of W
+        frames cannot hold a longer path than W, so the spawn threshold is
+        capped at the window's span.
+        """
+        net = frozen.network
+        records = []
+        for i, det in associations.items():
+            frozen.active[i].commit(frame, det.box, det.feature)
+            records.append(CommitRecord(frame, frozen.active[i].track_id, det.box))
+        spawn_min = min(self.config.spawn_min_length, frozen.window_hi - frozen.window_lo + 1)
+        spawns = []
+        for col, _ in frozen.result.selection[0]:
+            positions = net.path_detections(col.edges)
+            for pos in positions:
+                det = net.detections[pos]
+                if det.frame != frame:
+                    continue
+                traj = frozen.spawned.get(col.key)
+                if traj is not None:
+                    traj.commit(frame, det.box, det.feature)
+                    records.append(CommitRecord(frame, traj.track_id, det.box))
+                elif pos == positions[0] and len(positions) >= spawn_min:
+                    spawns.append((pos, col.key))
+        for pos, key in sorted(spawns):
+            det = net.detections[pos]
+            frozen.spawned[key] = traj = self._spawn(det)
+            records.append(CommitRecord(frame, traj.track_id, det.box))
+        records.sort(key=lambda r: r.track_id)
         return records
-
 
 def run(
     detections: Mapping[int, Sequence[Detection]],

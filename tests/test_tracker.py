@@ -178,6 +178,30 @@ def test_flush_covers_streams_shorter_than_window():
         tracker.step(3, [])
 
 
+def test_flush_extends_last_step_spawn_and_spawns_late_path():
+    # Target A is seen only in frames 8-10, target B only in frames 9-10.
+    dets, gt = synth_generate(noiseless(targets=2, frames=10), seed=0)
+    first_seen = {1: 8, 2: 9}
+    kept = {
+        f: [d for d in ds for tid, start in first_seen.items()
+            if f >= start and d.box == gt[tid][f]]
+        for f, ds in dets.items()
+    }
+    assert sum(map(len, kept.values())) == 5
+    tracker = OnlineTracker(cfg())
+    for frame in range(1, 10):
+        assert tracker.step(frame, kept.get(frame, [])) == []
+    step10 = tracker.step(10, kept[10])
+    assert [(r.frame, r.box) for r in step10] == [(8, gt[1][8])]
+    tail = tracker.flush()
+    assert [r.frame for r in tail] == [9, 9, 10, 10]
+    tracks = tracker.tracks()
+    assert sorted(map(sorted, tracks.values())) == [[8, 9, 10], [9, 10]]
+    for boxes in tracks.values():
+        tid = 1 if 8 in boxes else 2
+        assert boxes == {f: gt[tid][f] for f in boxes}
+
+
 def test_frame_order_enforced():
     tracker = OnlineTracker(cfg())
     tracker.step(1, [])
@@ -204,6 +228,9 @@ def test_config_from_text():
         TrackerConfig.from_text("threads=2\n")
     for text in ("bypass_cost_tracked=nan\n", "gamma=nan\n", "eta=inf\n", "window=inf\n"):
         with pytest.raises(ConfigError, match="bad value"):
+            TrackerConfig.from_text(text)
+    for text in ("aggressiveness=0\n", "aggressiveness=-0.5\n"):
+        with pytest.raises(ConfigError, match="aggressiveness must be positive"):
             TrackerConfig.from_text(text)
 
 
