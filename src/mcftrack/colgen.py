@@ -38,10 +38,19 @@ gap stays open and the network is small enough to enumerate every
 source-sink path within a fixed budget, the pool is enriched with the full
 path set and extraction reruns once; larger networks keep the certified gap
 instead.
+
+A window whose only commodity is the dummy (every stream start, every window
+with no tracked target) skips all of this. It is a single-commodity
+min-cost flow of d0 units with unit capacity on the shared edges, whose LP
+is integral, so successive shortest paths solve it exactly: no master LP,
+no pricing round and no MILP. It reports proven-optimal with epsilon 0,
+duals read off the final node potentials, and the number of shortest-path
+searches as its iterations.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -66,6 +75,10 @@ ENRICH_PATH_BUDGET = 2048
 # but only beyond an order of magnitude of the certificate tolerance; smaller
 # violations are float jitter between the LP's reduced costs and our recompute.
 DUPLICATE_GUARD_TOL = 1e-6
+
+# A dummy-only flow's ends of a detection's unit: no transition into it
+# (from the source) or out of it (to the sink).
+_START = _TERM = -1
 
 
 class ColgenError(RuntimeError):
@@ -223,22 +236,16 @@ def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[in
     return edges
 
 
-def price(
-    tables: PricingTables, pi: np.ndarray | None
-) -> tuple[list[PathColumn], np.ndarray]:
-    """Price every commodity: shortest pi-shifted path and its value zeta_k.
+def _sweep(tables: PricingTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every commodity's shortest distances from its source to each u and v node.
 
-    One sweep over the frame layers relaxes all commodities at once: a
-    head's distance is the segment minimum over its candidates, each
-    tail distance plus the shifted edge cost, as a per-node DAG sweep would
-    compute it. Exact-value ties resolve to the lexicographically smallest
-    edge-id sequence; only truly tied (commodity, node) entries compare
-    paths. Returns one column per commodity, carrying its unshifted path
-    cost, and the zetas; the bypass makes every sink reachable.
+    `w` holds the shared-edge costs, one row per commodity. A head's
+    distance is the segment minimum over its candidates (each tail distance
+    plus the transition cost, and the start edge), as a per-node DAG sweep
+    would compute it; the transition candidates are written into
+    `tables.buf`.
     """
-    net = tables.network
-    n = net.num_detections
-    w = tables.shared if pi is None else tables.shared + pi
+    n = tables.network.num_detections
     w_trans = w[:, tables.trans_edges]
     nc = w.shape[0]
     reach = np.empty((nc, n))  # at the u nodes
@@ -249,6 +256,25 @@ def price(
             lay.buf[:, lay.pos] = dist[:, lay.tails] + w_trans[:, lay.ta : lay.tb]
         np.minimum.reduceat(lay.buf, lay.seg, axis=1, out=reach[:, lo:hi])
         np.add(reach[:, lo:hi], w[:, lo:hi], out=dist[:, lo:hi])
+    return reach, dist
+
+
+def price(
+    tables: PricingTables, pi: np.ndarray | None
+) -> tuple[list[PathColumn], np.ndarray]:
+    """Price every commodity: shortest pi-shifted path and its value zeta_k.
+
+    One sweep over the frame layers relaxes all commodities at once under
+    the pi-shifted shared costs. Exact-value ties resolve to the
+    lexicographically smallest edge-id sequence; only truly tied
+    (commodity, node) entries compare paths. Returns one column per
+    commodity, carrying its unshifted path cost, and the zetas; the bypass
+    makes every sink reachable.
+    """
+    net = tables.network
+    n = net.num_detections
+    nc = tables.shared.shape[0]
+    reach, dist = _sweep(tables, tables.shared if pi is None else tables.shared + pi)
 
     via = np.full(nc, -1)  # detection each commodity terminates from, -1: bypass
     zetas = tables.bypass.copy()
@@ -318,6 +344,58 @@ def lagrangian_lower_bound(
     return float(v_rmlp + np.asarray(demands) @ gaps)
 
 
+class _Pool:
+    """Pooled columns and what the master LP reads of each, kept as they arrive.
+
+    Per column it records the cost, the commodity, and the shared edges the
+    column uses (as parallel hit lists), so building the master walks no
+    column's edges again. Indexing and iteration give the columns.
+    """
+
+    def __init__(self, network: FlowNetwork, columns: Sequence[PathColumn] = ()) -> None:
+        self.network = network
+        self.columns: list[PathColumn] = []
+        self.costs: list[float] = []
+        self.owners: list[int] = []
+        self.hit_edges: list[int] = []
+        self.hit_cols: list[int] = []
+        for col in columns:
+            self.append(col)
+
+    def append(self, col: PathColumn) -> None:
+        j = len(self.columns)
+        ns = self.network.num_shared
+        self.columns.append(col)
+        self.costs.append(col.cost)
+        self.owners.append(col.commodity)
+        for e in col.edges:
+            if e < ns:
+                self.hit_edges.append(e)
+                self.hit_cols.append(j)
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, j: int) -> PathColumn:
+        return self.columns[j]
+
+    def __iter__(self):
+        return iter(self.columns)
+
+    def master(self) -> tuple[LPProblem, np.ndarray]:
+        """The restricted master over the pooled columns; see `_master_problem`."""
+        net = self.network
+        n = len(self.columns)
+        a_eq = np.zeros((net.num_commodities, n))
+        a_eq[np.asarray(self.owners, dtype=np.intp), np.arange(n)] = 1.0
+        obj = np.asarray(self.costs, dtype=np.float64)
+        rows, row_of = np.unique(np.asarray(self.hit_edges, dtype=np.intp), return_inverse=True)
+        a_ub = np.zeros((len(rows), n))
+        a_ub[row_of, np.asarray(self.hit_cols, dtype=np.intp)] = 1.0
+        d = net.demands.astype(np.float64)
+        return LPProblem(obj=obj, a_ub=a_ub, b_ub=np.ones(len(rows)), a_eq=a_eq, b_eq=d), rows
+
+
 def _master_problem(
     network: FlowNetwork, pool: Sequence[PathColumn]
 ) -> tuple[LPProblem, np.ndarray]:
@@ -326,26 +404,12 @@ def _master_problem(
     Coupling row i is the capacity of shared edge rows[i], where `rows` holds
     the sorted shared edges that some pooled column uses. Other shared edges
     carry no row: no column can load them, so their slack stays basic and
-    their dual is 0.
+    their dual is 0. A `_Pool` builds from its record; any other sequence
+    is recorded first.
     """
-    ns = network.num_shared
-    n = len(pool)
-    a_eq = np.zeros((network.num_commodities, n))
-    obj = np.zeros(n)
-    hit_edges: list[int] = []
-    hit_cols: list[int] = []
-    for j, col in enumerate(pool):
-        obj[j] = col.cost
-        a_eq[col.commodity, j] = 1.0
-        for e in col.edges:
-            if e < ns:
-                hit_edges.append(e)
-                hit_cols.append(j)
-    rows, row_of = np.unique(np.asarray(hit_edges, dtype=np.intp), return_inverse=True)
-    a_ub = np.zeros((len(rows), n))
-    a_ub[row_of, np.asarray(hit_cols, dtype=np.intp)] = 1.0
-    d = network.demands.astype(np.float64)
-    return LPProblem(obj=obj, a_ub=a_ub, b_ub=np.ones(len(rows)), a_eq=a_eq, b_eq=d), rows
+    if not isinstance(pool, _Pool):
+        pool = _Pool(network, pool)
+    return pool.master()
 
 
 def _grow_basis(
@@ -462,6 +526,181 @@ def _enrichment_columns(
     return cols
 
 
+def _flow_solve(tables: PricingTables) -> CGResult:
+    """Exact solve of a window whose only commodity is the dummy.
+
+    With one commodity the master is a min-cost flow of d0 units with unit
+    capacity on the shared edges, and its LP is integral, so successive
+    shortest paths solve it exactly. Nodes are numbered as in the network
+    (u_i = 2i, v_i = 2i + 1, source 2N, sink 2N + 1). The first search is
+    the pricing sweep over the DAG: its distances are the initial node
+    potentials and its shortest path the first unit. Every later search is
+    Dijkstra on reduced costs over the residual graph, where an observation
+    or transition edge that carries its unit appears reversed and the
+    uncapacitated start, termination and bypass edges stay. A search stops
+    when the sink settles; a node it did not settle takes the sink's
+    distance, which keeps every residual reduced cost nonnegative. Units go
+    one at a time until d0 are routed or the bypass is a shortest path; the
+    rest take the bypass.
+
+    The final potentials are the duals: sigma is the sink's potential (the
+    source's stays 0) and pi_e = max(0, -reduced cost) on each used shared
+    edge, 0 elsewhere. Every path then costs at least sigma under the
+    pi-shifted costs, and d0 * sigma - sum(pi) is the flow's cost. Each
+    detection carries at most one unit, so the flow decomposes into unique
+    paths. `iterations` counts the searches, at most max(d0, 1).
+    """
+    net = tables.network
+    n, ns = net.num_detections, net.num_shared
+    d0 = int(net.demands[0])
+    vals = tables.values[0]
+    obs = vals[:n].tolist()
+    trans = vals[n:ns].tolist()  # transition p is edge n + p
+    start = vals[ns : ns + n].tolist()
+    term = vals[ns + n : ns + 2 * n].tolist()
+    bypass = float(tables.bypass[0])
+    tails = [i for i, _ in net.transitions]
+    heads = [j for _, j in net.transitions]
+    out: list[list[int]] = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for p, (i, j) in enumerate(net.transitions):
+        out[i].append(p)
+        into[j].append(p)
+    src, sink = 2 * n, 2 * n + 1
+    used = [False] * n  # detection i carries a unit
+    prev = [_START] * n  # the transition its unit arrives by, or _START
+    nxt = [_TERM] * n  # the transition it leaves by, or _TERM
+    back = [src] * (2 * n + 2)  # the last search's tree: predecessor node
+    back_arc = [-1] * (2 * n + 2)  # and the transition into the node, or -1
+
+    reach, dist = _sweep(tables, tables.shared)
+    pot = np.column_stack([reach[0], dist[0]]).ravel().tolist() + [0.0, bypass]
+    ends = dist[0] + tables.term[0]
+    found = bool(n) and ends.min() < bypass
+    if found:
+        # Walk the sweep's shortest path back: each distance equals,
+        # bit for bit, the candidate that attained it.
+        i = int(ends.argmin())
+        pot[sink] = float(ends[i])
+        back[sink] = 2 * i + 1
+        while True:
+            back[2 * i + 1] = 2 * i
+            via = [p for p in into[i] if pot[2 * tails[p] + 1] + trans[p] == pot[2 * i]]
+            if not via:
+                back[2 * i] = src
+                break
+            back[2 * i], back_arc[2 * i] = 2 * tails[via[0]] + 1, via[0]
+            i = tails[via[0]]
+
+    def search() -> bool:
+        """Dijkstra from the source; False when the bypass is a shortest path."""
+        d = [float("inf")] * (2 * n + 2)
+        done = [False] * (2 * n + 2)
+        d[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            dx, x = heapq.heappop(heap)
+            if done[x]:
+                continue
+            done[x] = True
+            if x == sink:
+                break
+            i = x >> 1
+            if x == src:
+                arcs = [(2 * j, start[j], -1) for j in range(n)]
+                arcs.append((sink, bypass, -1))
+            elif not x & 1:  # u_i: its observation edge, or back along the one into it
+                if not used[i]:
+                    arcs = [(x + 1, obs[i], -1)]
+                elif prev[i] != _START:
+                    p = prev[i]
+                    arcs = [(2 * tails[p] + 1, -trans[p], p)]
+                else:
+                    continue
+            else:  # v_i: free transitions, termination, back along the observation
+                taken = nxt[i] if used[i] else _TERM
+                arcs = [(2 * heads[p], trans[p], p) for p in out[i] if p != taken]
+                arcs.append((sink, term[i], -1))
+                if used[i]:
+                    arcs.append((x - 1, -obs[i], -1))
+            base = dx + pot[x]
+            for y, c, p in arcs:
+                if not done[y]:
+                    dy = base + c - pot[y]
+                    if dy < d[y]:
+                        d[y] = dy
+                        back[y] = x
+                        back_arc[y] = p
+                        heapq.heappush(heap, (dy, y))
+        top = d[sink]
+        pot[:] = [p + (dx if dx < top else top) for p, dx in zip(pot, d)]
+        return back[sink] != src
+
+    def augment() -> None:
+        """Send one unit along the last search's path to the sink."""
+        y = sink
+        while y != src:
+            x = back[y]
+            if x == src:
+                prev[y >> 1] = _START
+            elif y == sink:
+                nxt[x >> 1] = _TERM
+            elif x >> 1 == y >> 1:
+                used[x >> 1] = not x & 1  # forward along the observation, or back
+            elif x & 1:
+                nxt[x >> 1] = prev[y >> 1] = back_arc[y]
+            # a reversed transition frees its ends, which the path rewires
+            y = x
+
+    iterations, units = 1, 0
+    while found and units < d0:
+        augment()
+        units += 1
+        if units < d0:
+            iterations += 1
+            found = search()
+
+    pi = np.zeros(ns)
+    columns = []
+    for i in range(n):
+        if not used[i]:
+            continue
+        pi[i] = max(0.0, pot[2 * i + 1] - pot[2 * i] - obs[i])
+        p = nxt[i]
+        if p != _TERM:
+            pi[n + p] = max(0.0, pot[2 * heads[p]] - pot[2 * i + 1] - trans[p])
+        if prev[i] == _START:
+            j = i
+            edges = [net.start_edge(0, j), j]
+            while nxt[j] != _TERM:
+                p = nxt[j]
+                j = heads[p]
+                edges += (n + p, j)
+            edges.append(net.term_edge(0, j))
+            columns.append(PathColumn(0, tuple(edges), float(sum(vals[e] for e in edges))))
+    rest = net.bypass_edge(0)
+    columns.append(PathColumn(0, (rest,), float(vals[rest])))
+    selection = [(col, 1) for col in columns[:-1]]
+    if units < d0:
+        selection.append((columns[-1], d0 - units))
+    v_int = float(sum(col.cost * u for col, u in selection))
+    grouped, flows = _group_selection(net, selection)
+    sigma = np.array([pot[sink] - pot[src]])
+    return CGResult(
+        status="proven-optimal",
+        v_lp=v_int,
+        v_int=v_int,
+        epsilon=0.0,
+        iterations=iterations,
+        columns=columns,
+        selection=grouped,
+        flows=flows,
+        pi=pi,
+        sigma=sigma,
+        zetas=sigma.copy(),
+    )
+
+
 def column_generation(
     network: FlowNetwork,
     cost_vectors: Sequence[CostVector],
@@ -469,7 +708,9 @@ def column_generation(
 ) -> CGResult:
     """Run the full loop; see module docstring for the protocol.
 
-    cost_vectors must be ordered by commodity and cover every edge id.
+    cost_vectors must be ordered by commodity and cover every edge id. A
+    network whose only commodity is the dummy is solved exactly by
+    `_flow_solve` instead.
     """
     nc = network.num_commodities
     if iter_max < 1:
@@ -482,9 +723,12 @@ def column_generation(
         if cv.values.shape[0] != network.num_edges:
             raise ValueError("cost vector length does not match edge count")
     values = [cv.values for cv in cost_vectors]
+    tables = PricingTables.build(network, values)
+    if nc == 1:
+        return _flow_solve(tables)
     ns = network.num_shared
 
-    pool: list[PathColumn] = []
+    pool = _Pool(network)
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
     def add_column(col: PathColumn) -> bool:
@@ -494,7 +738,6 @@ def column_generation(
         pool.append(col)
         return True
 
-    tables = PricingTables.build(network, values)
     dummy = tables.dummy()
     n = network.num_detections
 
@@ -641,7 +884,7 @@ def column_generation(
         v_int=v_int,
         epsilon=epsilon,
         iterations=iterations,
-        columns=pool,
+        columns=pool.columns,
         selection=grouped,
         flows=flows,
         pi=None if last is None else pi,

@@ -146,6 +146,16 @@ def test_solve_certified_instance(capsys):
     assert "epsilon 0.000e+00" in out
 
 
+def test_solve_dummy_only_window_by_successive_shortest_paths(capsys):
+    code = main(["solve", "--network", str(FIXTURES / "m_window1.instance")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "status proven-optimal" in lines
+    assert "epsilon 0.000e+00" in lines
+    iterations = [int(line.split()[1]) for line in lines if line.startswith("iterations ")]
+    assert len(iterations) == 1 and iterations[0] <= 8
+
+
 def test_solve_with_oracle_cross_check(capsys):
     code = main(["solve", "--network", str(FIXTURES / "tiny.instance"), "--oracle"])
     assert code == 0

@@ -1,13 +1,16 @@
-"""Column generation: pricing, certificates, integer extraction, full loop."""
+"""Column generation: pricing, certificates, integer extraction, full loop, and the
+dummy-only flow solve."""
 
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from helpers import (
     check_flow_constraints,
+    fake_track,
     make_det,
     random_instance,
     wrap_cost_vectors,
@@ -67,16 +70,38 @@ def price_one(net, costs, pi=None):
     return cols[0], zetas[0]
 
 
-def births_windows(starts, seed=3):
-    """Dummy-only windows of the births scene, one per start frame."""
+def births_windows(starts, seed=3, tracked=False):
+    """Windows of the births scene, one per start frame: dummy-only by default.
+
+    With `tracked`, each window also carries one trajectory that ended in the
+    frame before it, at the box and feature of the first frame's
+    highest-scoring detection, so column generation solves it.
+    """
     dets, _ = synth_generate(BIRTHS_SCENE, seed=seed)
     cfg = BIRTHS_CONFIG
     windows = []
     for lo in starts:
         window = [d for f in range(lo, lo + cfg.window) for d in dets[f]]
-        net = build_network(window, [], [cfg.d0], cfg.gating_config())
-        windows.append((net, [assemble_cost_vector(net, 0, [], cfg.cost_config())]))
+        tracks = []
+        if tracked:
+            top = max(dets[lo], key=lambda d: d.score)
+            tracks = [fake_track(top.box, lo - 1, top.feature, dim=top.feature.size)]
+        net = build_network(window, tracks, [cfg.d0] + [1] * len(tracks), cfg.gating_config())
+        windows.append((net, [assemble_cost_vector(net, k, tracks, cfg.cost_config())
+                              for k in range(net.num_commodities)]))
     return windows
+
+
+def tracked_instances(count, **kwargs):
+    """The first `count` random instances, by seed, with a tracked commodity."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        net, costs = random_instance(seed, **kwargs)
+        if net.num_tracked:
+            found.append((seed, net, costs))
+        seed += 1
+    return found
 
 
 def single_det_network():
@@ -346,9 +371,9 @@ def test_extract_integer_rejects_unfinished_or_infeasible_solver_results(monkeyp
 
 
 def test_master_over_touched_rows_is_exact():
+    # Dummy-only networks take the flow solve, whose pi is not a master dual.
     untouched_total = 0
-    for seed in range(40):
-        net, costs = random_instance(seed)
+    for seed, net, costs in tracked_instances(40):
         res = column_generation(net, wrap_cost_vectors(net, costs))
         pool, ns = res.columns, net.num_shared
         prob, rows = _master_problem(net, pool)
@@ -402,7 +427,7 @@ def test_grow_basis_warm_starts_grown_master():
 
 
 def test_failed_warm_master_solve_retries_cold(monkeypatch):
-    net, costs = random_instance(5)
+    net, costs = random_instance(0)  # two tracked commodities: column generation runs
     vectors = wrap_cost_vectors(net, costs)
     ref = column_generation(net, vectors)
     assert ref.iterations >= 2 and ref.status == "proven-optimal"
@@ -620,13 +645,14 @@ def check_dummy_rounds(net, vectors, res, rounds):
 def test_extra_dummy_columns_are_disjoint_and_price_negative(monkeypatch):
     extras = 0
     # A re-sweep path that prices non-negatively but is neither the bypass
-    # nor pooled is rare: 7 of these 300 instances have one.
+    # nor pooled is rare. The 74 dummy-only instances of these 300 take the
+    # flow solve and price no round.
     for seed in range(300):
         net, costs = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
         vectors = wrap_cost_vectors(net, costs)
         res, rounds = priced_rounds(monkeypatch, net, vectors)
         extras += check_dummy_rounds(net, vectors, res, rounds)
-    (net, vectors), = births_windows([1])
+    (net, vectors), = births_windows([1], tracked=True)
     res, rounds = priced_rounds(monkeypatch, net, vectors)
     births_extras = check_dummy_rounds(net, vectors, res, rounds)
     assert res.status == "proven-optimal"
@@ -634,8 +660,9 @@ def test_extra_dummy_columns_are_disjoint_and_price_negative(monkeypatch):
 
 
 def test_m_window1_is_proven_within_80_iterations():
-    # With one dummy path per round this window hits the 200-iteration
-    # limit with epsilon 3.51, after about 20 s.
+    # Dummy-only: the flow solve takes d0 = 8 searches. Column generation
+    # took 46 iterations here, and 200 (the limit, epsilon 3.51, about 20 s)
+    # with one dummy path per round.
     net, vectors = load_instance(FIXTURES / "m_window1.instance")
     res = column_generation(net, vectors)
     assert res.status == "proven-optimal"
@@ -644,8 +671,134 @@ def test_m_window1_is_proven_within_80_iterations():
 
 
 def test_births_windows_take_few_iterations():
-    # With one dummy path per round these windows take 308 iterations.
+    # Dummy-only: the flow solve takes at most d0 = 8 searches a window.
+    # Column generation took 76 iterations over these windows, and 308 with
+    # one dummy path per round.
     results = [column_generation(net, vectors, iter_max=BIRTHS_CONFIG.iter_max)
                for net, vectors in births_windows(range(1, 110, 12))]
     assert all(r.status == "proven-optimal" for r in results)
     assert sum(r.iterations for r in results) <= 120
+
+
+def touched_row_master(net, cols):
+    """Master LP over cols with one coupling row per shared edge they use, by hand."""
+    ns = net.num_shared
+    rows = sorted({e for c in cols for e in c.edges if e < ns})
+    a_ub = np.zeros((len(rows), len(cols)))
+    a_eq = np.zeros((net.num_commodities, len(cols)))
+    for j, col in enumerate(cols):
+        for e in col.edges:
+            if e < ns:
+                a_ub[rows.index(e), j] = 1.0
+        a_eq[col.commodity, j] = 1.0
+    prob = LPProblem(obj=np.array([c.cost for c in cols], dtype=float), a_ub=a_ub,
+                     b_ub=np.ones(len(rows)), a_eq=a_eq, b_eq=net.demands.astype(float))
+    return prob, rows
+
+
+def test_master_record_matches_a_from_scratch_build(monkeypatch):
+    # Every master build of column generation, and the MILP's, comes from the
+    # record kept as the pool grows; each must equal a build from the columns.
+    real = colgen._master_problem
+    builds = []
+
+    def checked(network, pool):
+        prob, rows = real(network, pool)
+        ref, ref_rows = touched_row_master(network, list(pool))
+        for name in ("obj", "a_ub", "b_ub", "a_eq", "b_eq"):
+            got, want = getattr(prob, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert rows.tolist() == ref_rows
+        builds.append(len(pool))
+        return prob, rows
+
+    monkeypatch.setattr(colgen, "_master_problem", checked)
+    grown = 0
+    for seed, net, costs in tracked_instances(40):
+        before = len(builds)
+        res = column_generation(net, wrap_cost_vectors(net, costs))
+        assert len(builds) - before >= res.iterations, seed
+        grown += builds[-1] > builds[before]
+    assert grown > 0
+
+
+def dummy_only_cases():
+    """Dummy-only networks with costs: random ones with d0 up to 8, d0 = 0, no detections."""
+    cases = [random_instance(seed, max_tracked=0, d0_max=8) for seed in range(300)]
+    net, costs = cases[0]
+    cases.append((network_from_parts(net.detections, net.transitions, [0]), costs))
+    cases.append((network_from_parts([], [], [3]), [np.array([0.75])]))
+    return cases
+
+
+def test_flow_solve_matches_brute_force(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("the flow solve needs no master LP and no MILP")
+
+    monkeypatch.setattr(colgen, "solve_lp", unused)
+    monkeypatch.setattr(colgen, "milp", unused)
+    demands = set()
+    for case, (net, costs) in enumerate(dummy_only_cases()):
+        d0 = int(net.demands[0])
+        demands.add(d0)
+        res = column_generation(net, wrap_cost_vectors(net, costs))
+        ref, _ = brute_force_ilp(net, costs)
+        assert abs(res.v_int - ref) <= 1e-9, (case, res.v_int, ref)
+        assert res.status == "proven-optimal" and res.epsilon == 0.0, case
+        assert res.v_lp == res.v_int, case
+        assert 1 <= res.iterations <= max(d0, 1), case
+        check_flow_constraints(net, res.selection)
+        assert sum(c.cost * u for c, u in res.selection[0]) == pytest.approx(res.v_int, abs=1e-12)
+    assert demands == set(range(9))
+
+
+def test_flow_solve_duals_certify_the_optimum():
+    cases = dummy_only_cases()
+    cases += [(net, [cv.values for cv in vectors])
+              for net, vectors in births_windows(range(1, 110, 12))]
+    for case, (net, costs) in enumerate(cases):
+        res = column_generation(net, wrap_cost_vectors(net, costs))
+        d0 = int(net.demands[0])
+        assert res.pi.shape == (net.num_shared,) and (res.pi >= 0.0).all(), case
+        _, zetas = price(PricingTables.build(net, costs), res.pi)
+        assert zetas[0] >= res.sigma[0] - CERT_TOL, case
+        assert -res.pi.sum() + d0 * res.sigma[0] == pytest.approx(res.v_lp, abs=1e-9), case
+
+
+def arc_lp_optimum(net, values):
+    """Min-cost flow of d0 units over the dummy's edges: the arc LP, by HiGHS."""
+    edges = np.arange(net.num_edges)
+    conservation = np.zeros((net.num_nodes, net.num_edges))
+    conservation[net.head, edges] += 1.0
+    conservation[net.tail, edges] -= 1.0
+    supply = np.zeros(net.num_nodes)
+    supply[net.source(0)], supply[net.sink(0)] = -net.demands[0], net.demands[0]
+    bounds = [(0.0, 1.0) if e < net.num_shared else (0.0, None) for e in edges]
+    res = linprog(values, A_eq=conservation, b_eq=supply, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_births_windows_match_the_arc_lp():
+    for net, vectors in births_windows(range(1, 110, 12)):
+        res = column_generation(net, vectors)
+        ref = arc_lp_optimum(net, vectors[0].values)
+        assert abs(res.v_int - ref) <= 1e-9 * (1.0 + abs(ref)), (res.v_int, ref)
+
+
+def test_flow_solve_refuses_bad_input():
+    (net, (cv,)), = births_windows([1])
+    n, b = net.num_detections, net.block_start(0)
+    for edge in (0, n, b, b + n, net.bypass_edge(0)):
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = cv.values.copy()
+            vals[edge] = bad
+            with pytest.raises(ValueError, match="finite"):
+                column_generation(net, [CostVector(0, vals)])
+    with pytest.raises(ValueError, match="labeled"):
+        column_generation(net, [CostVector(1, cv.values)])
+    with pytest.raises(ValueError, match="2 cost vectors"):
+        column_generation(net, [cv, cv])
+    with pytest.raises(ValueError, match="iter_max"):
+        column_generation(net, [cv], iter_max=0)
