@@ -15,13 +15,12 @@ transition leaves an earlier one); the loop stops when every priced value
 zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
 an iteration cap, or when pricing can only repeat pooled columns. The dummy
 commodity carries up to d0 units, so when its shortest path is the only one
-that prices negative, the round re-prices the dummy alone up to d0 - 1 more
-times, each time with the observation edges of the detections its paths
-claimed this round shifted to +inf. Every further path that still prices
+that prices negative, the round also routes all d0 of them under the
+pi-shifted costs by successive shortest paths (`_dummy_flow`, the routine
+that solves dummy-only windows below, as k-disjoint-paths trackers route
+units on this graph). Every path of that flow whose shifted cost prices
 negative joins the pool, so one round can add up to d0 detection-disjoint
-dummy paths (successive disjoint shortest paths, as k-shortest-paths
-trackers route on this graph). The bound and the certificate read only the
-unblocked sweep.
+dummy paths. The bound and the certificate read only the pricing sweep.
 
 The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
 RMLP value or, when stopping early, the Lagrangian bound
@@ -42,7 +41,7 @@ instead.
 A window whose only commodity is the dummy (every stream start, every window
 with no tracked target) skips all of this. It is a single-commodity
 min-cost flow of d0 units with unit capacity on the shared edges, whose LP
-is integral, so successive shortest paths solve it exactly: no master LP,
+is integral, so `_dummy_flow` at pi = 0 solves it exactly: no master LP,
 no pricing round and no MILP. It reports proven-optimal with epsilon 0,
 duals read off the final node potentials, and the number of shortest-path
 searches as its iterations.
@@ -51,7 +50,7 @@ searches as its iterations.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +58,7 @@ from scipy.optimize import LinearConstraint, milp
 
 from .costs import CostVector
 from .graph import FlowNetwork
-from .lp import LPInternalError, LPProblem, LPSolution, solve_lp
+from .lp import LPInternalError, LPProblem, solve_lp
 from .oracle import OracleLimitError, enumerate_paths
 
 CERT_TOL = 1e-7
@@ -206,19 +205,6 @@ class PricingTables:
         return cls(network, list(values), shared, term, bypass, buf, seg, seg_of, edge,
                    t_edge, layers)
 
-    def dummy(self) -> PricingTables:
-        """A view of the dummy commodity's row alone, sharing every array.
-
-        The dummy is commodity 0, so `price` labels the view's one column
-        correctly. Pricing the view refills the dummy's transition entries
-        of `buf`, which every pricing round overwrites anyway.
-        """
-        return replace(
-            self, values=self.values[:1], shared=self.shared[:1], term=self.term[:1],
-            bypass=self.bypass[:1], buf=self.buf[:1],
-            layers=[replace(lay, buf=lay.buf[:1]) for lay in self.layers],
-        )
-
 
 def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[int]:
     """Edge ids of commodity k's chosen path from its source to v_i.
@@ -345,7 +331,7 @@ def lagrangian_lower_bound(
 
 
 class _Pool:
-    """Pooled columns and what the master LP reads of each, kept as they arrive.
+    """Pooled columns, each once, and what the master LP reads of each.
 
     Per column it records the cost, the commodity, and the shared edges the
     column uses (as parallel hit lists), so building the master walks no
@@ -355,14 +341,19 @@ class _Pool:
     def __init__(self, network: FlowNetwork, columns: Sequence[PathColumn] = ()) -> None:
         self.network = network
         self.columns: list[PathColumn] = []
+        self.keys: set[tuple[int, tuple[int, ...]]] = set()
         self.costs: list[float] = []
         self.owners: list[int] = []
         self.hit_edges: list[int] = []
         self.hit_cols: list[int] = []
         for col in columns:
-            self.append(col)
+            self.add(col)
 
-    def append(self, col: PathColumn) -> None:
+    def add(self, col: PathColumn) -> bool:
+        """Pool `col` unless the same path of its commodity is pooled; True if added."""
+        if col.key in self.keys:
+            return False
+        self.keys.add(col.key)
         j = len(self.columns)
         ns = self.network.num_shared
         self.columns.append(col)
@@ -372,6 +363,7 @@ class _Pool:
             if e < ns:
                 self.hit_edges.append(e)
                 self.hit_cols.append(j)
+        return True
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -383,7 +375,13 @@ class _Pool:
         return iter(self.columns)
 
     def master(self) -> tuple[LPProblem, np.ndarray]:
-        """The restricted master over the pooled columns; see `_master_problem`."""
+        """Restricted master over the pooled columns, and its coupling rows.
+
+        Coupling row i is the capacity of shared edge rows[i], where `rows`
+        holds the sorted shared edges that some pooled column uses. Other
+        shared edges carry no row: no column can load them, so their slack
+        stays basic and their dual is 0.
+        """
         net = self.network
         n = len(self.columns)
         a_eq = np.zeros((net.num_commodities, n))
@@ -394,22 +392,6 @@ class _Pool:
         a_ub[row_of, np.asarray(self.hit_cols, dtype=np.intp)] = 1.0
         d = net.demands.astype(np.float64)
         return LPProblem(obj=obj, a_ub=a_ub, b_ub=np.ones(len(rows)), a_eq=a_eq, b_eq=d), rows
-
-
-def _master_problem(
-    network: FlowNetwork, pool: Sequence[PathColumn]
-) -> tuple[LPProblem, np.ndarray]:
-    """Restricted master over the pooled columns, and its coupling rows.
-
-    Coupling row i is the capacity of shared edge rows[i], where `rows` holds
-    the sorted shared edges that some pooled column uses. Other shared edges
-    carry no row: no column can load them, so their slack stays basic and
-    their dual is 0. A `_Pool` builds from its record; any other sequence
-    is recorded first.
-    """
-    if not isinstance(pool, _Pool):
-        pool = _Pool(network, pool)
-    return pool.master()
 
 
 def _grow_basis(
@@ -448,8 +430,11 @@ def extract_integer(
     branch and bound would reach first. Raises ColgenError when the check
     fails, the solver does not finish, or the pool admits no integer
     solution (unreachable when every commodity's bypass column is pooled).
+    A plain sequence is pooled first, which drops repeated columns.
     """
-    prob, _ = _master_problem(network, pool)
+    if not isinstance(pool, _Pool):
+        pool = _Pool(network, pool)
+    prob, _ = pool.master()
     res = milp(
         prob.obj,
         integrality=np.ones(len(pool)),
@@ -526,36 +511,37 @@ def _enrichment_columns(
     return cols
 
 
-def _flow_solve(tables: PricingTables) -> CGResult:
-    """Exact solve of a window whose only commodity is the dummy.
+def _dummy_flow(
+    tables: PricingTables, pi: np.ndarray | None = None
+) -> tuple[list[PathColumn], int, list[float]]:
+    """Route the dummy's d0 units by successive shortest paths under pi-shifted costs.
 
-    With one commodity the master is a min-cost flow of d0 units with unit
-    capacity on the shared edges, and its LP is integral, so successive
-    shortest paths solve it exactly. Nodes are numbered as in the network
-    (u_i = 2i, v_i = 2i + 1, source 2N, sink 2N + 1). The first search is
-    the pricing sweep over the DAG: its distances are the initial node
-    potentials and its shortest path the first unit. Every later search is
-    Dijkstra on reduced costs over the residual graph, where an observation
-    or transition edge that carries its unit appears reversed and the
-    uncapacitated start, termination and bypass edges stay. A search stops
-    when the sink settles; a node it did not settle takes the sink's
+    The dummy's flow is a min-cost flow of d0 units with unit capacity on
+    the shared edges, each shifted by pi, and its LP is integral, so
+    successive shortest paths solve it exactly. Nodes are numbered as in the
+    network (u_i = 2i, v_i = 2i + 1, source 2N, sink 2N + 1). The first
+    search is the pricing sweep over the DAG: its distances are the initial
+    node potentials and its shortest path the first unit. Every later search
+    is Dijkstra on reduced costs over the residual graph, where an
+    observation or transition edge that carries its unit appears reversed and
+    the uncapacitated start, termination and bypass edges stay. A search
+    stops when the sink settles; a node it did not settle takes the sink's
     distance, which keeps every residual reduced cost nonnegative. Units go
     one at a time until d0 are routed or the bypass is a shortest path; the
     rest take the bypass.
 
-    The final potentials are the duals: sigma is the sink's potential (the
-    source's stays 0) and pi_e = max(0, -reduced cost) on each used shared
-    edge, 0 elsewhere. Every path then costs at least sigma under the
-    pi-shifted costs, and d0 * sigma - sum(pi) is the flow's cost. Each
-    detection carries at most one unit, so the flow decomposes into unique
-    paths. `iterations` counts the searches, at most max(d0, 1).
+    Each detection carries at most one unit, so the flow decomposes into
+    unique detection-disjoint paths. Returns them as columns with their
+    unshifted costs, ordered by first detection, then the number of
+    searches (at most max(d0, 1)) and the final node potentials.
     """
     net = tables.network
     n, ns = net.num_detections, net.num_shared
     d0 = int(net.demands[0])
     vals = tables.values[0]
-    obs = vals[:n].tolist()
-    trans = vals[n:ns].tolist()  # transition p is edge n + p
+    w = tables.shared if pi is None else tables.shared + pi
+    obs = w[0, :n].tolist()
+    trans = w[0, n:].tolist()  # transition p is edge n + p
     start = vals[ns : ns + n].tolist()
     term = vals[ns + n : ns + 2 * n].tolist()
     bypass = float(tables.bypass[0])
@@ -573,7 +559,7 @@ def _flow_solve(tables: PricingTables) -> CGResult:
     back = [src] * (2 * n + 2)  # the last search's tree: predecessor node
     back_arc = [-1] * (2 * n + 2)  # and the transition into the node, or -1
 
-    reach, dist = _sweep(tables, tables.shared)
+    reach, dist = _sweep(tables, w)
     pot = np.column_stack([reach[0], dist[0]]).ravel().tolist() + [0.0, bypass]
     ends = dist[0] + tables.term[0]
     found = bool(n) and ends.min() < bypass
@@ -660,16 +646,9 @@ def _flow_solve(tables: PricingTables) -> CGResult:
             iterations += 1
             found = search()
 
-    pi = np.zeros(ns)
     columns = []
     for i in range(n):
-        if not used[i]:
-            continue
-        pi[i] = max(0.0, pot[2 * i + 1] - pot[2 * i] - obs[i])
-        p = nxt[i]
-        if p != _TERM:
-            pi[n + p] = max(0.0, pot[2 * heads[p]] - pot[2 * i + 1] - trans[p])
-        if prev[i] == _START:
+        if used[i] and prev[i] == _START:
             j = i
             edges = [net.start_edge(0, j), j]
             while nxt[j] != _TERM:
@@ -678,14 +657,37 @@ def _flow_solve(tables: PricingTables) -> CGResult:
                 edges += (n + p, j)
             edges.append(net.term_edge(0, j))
             columns.append(PathColumn(0, tuple(edges), float(sum(vals[e] for e in edges))))
+    return columns, iterations, pot
+
+
+def _flow_solve(tables: PricingTables) -> CGResult:
+    """Exact solve of a window whose only commodity is the dummy.
+
+    With one commodity the master is the dummy's min-cost flow, which
+    `_dummy_flow` routes exactly at pi = 0; the units it leaves take the
+    bypass. The final potentials are the duals: sigma is the sink's
+    potential (the source's stays 0) and pi_e = max(0, -reduced cost) on
+    each used shared edge, 0 elsewhere. Every path then costs at least sigma
+    under the pi-shifted costs, and d0 * sigma - sum(pi) is the flow's cost.
+    `iterations` counts the searches.
+    """
+    net = tables.network
+    ns = net.num_shared
+    d0 = int(net.demands[0])
+    vals = tables.values[0]
+    columns, iterations, pot = _dummy_flow(tables)
+    used = np.array([e for col in columns for e in col.edges if e < ns], dtype=np.intp)
+    p = np.asarray(pot)
+    pi = np.zeros(ns)
+    pi[used] = np.maximum(0.0, p[net.head[used]] - p[net.tail[used]] - vals[used])
+    selection = [(col, 1) for col in columns]
     rest = net.bypass_edge(0)
     columns.append(PathColumn(0, (rest,), float(vals[rest])))
-    selection = [(col, 1) for col in columns[:-1]]
-    if units < d0:
-        selection.append((columns[-1], d0 - units))
+    if len(selection) < d0:
+        selection.append((columns[-1], d0 - len(selection)))
     v_int = float(sum(col.cost * u for col, u in selection))
     grouped, flows = _group_selection(net, selection)
-    sigma = np.array([pot[sink] - pot[src]])
+    sigma = np.array([pot[net.sink(0)] - pot[net.source(0)]])
     return CGResult(
         status="proven-optimal",
         v_lp=v_int,
@@ -729,53 +731,33 @@ def column_generation(
     ns = network.num_shared
 
     pool = _Pool(network)
-    seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def add_column(col: PathColumn) -> bool:
-        if col.key in seen:
-            return False
-        seen.add(col.key)
-        pool.append(col)
-        return True
-
-    dummy = tables.dummy()
-    n = network.num_detections
-
-    def add_dummy_paths(
-        col: PathColumn, zetas: np.ndarray, pi: np.ndarray | None, cutoffs: np.ndarray
-    ) -> int:
-        """Pool up to d0 - 1 more dummy paths after the round's first, `col`.
+    def add_dummy_paths(zetas: np.ndarray, pi: np.ndarray, cutoffs: np.ndarray) -> int:
+        """Pool the dummy's flow paths under `pi` that price below its cutoff.
 
         Only when the dummy alone has a zeta below its cutoff: while a
         tracked commodity still prices negatively, the duals on the
         detections it contests keep moving, and extra dummy paths through
-        them mostly go unused. Each re-sweep shifts the observation edges of
-        the detections this round's dummy paths claimed to +inf, so the
-        paths are detection-disjoint and each zeta is a shifted cost under
-        `pi` itself. Stops at a zeta not below the dummy's cutoff (the
-        bypass among them) or at a pooled column. Returns the paths pooled.
+        them mostly go unused. The flow's paths are detection-disjoint, and
+        each one's pi-shifted cost is its reduced cost. Returns the paths
+        pooled.
         """
         negative = zetas < cutoffs
         if not negative[0] or negative[1:].any():
             return 0
-        blocked = np.zeros(ns) if pi is None else pi.copy()
-        added = 0
-        for _ in range(int(network.demands[0]) - 1):
-            blocked[[e for e in col.edges if e < n]] = np.inf
-            (col,), (zeta,) = price(dummy, blocked)
-            if zeta >= cutoffs[0] or not add_column(col):
-                break
-            added += 1
-        return added
+        flow, _, _ = _dummy_flow(tables, pi)
+        return sum(
+            pool.add(col) for col in flow
+            if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoffs[0]
+        )
 
     priced, zetas = price(tables, None)
     for k, col in enumerate(priced):
-        add_column(col)
+        pool.add(col)
         bypass = network.bypass_edge(k)
-        add_column(
-            PathColumn(commodity=k, edges=(bypass,), cost=float(values[k][bypass]))
-        )
-    add_dummy_paths(priced[0], zetas, None, tables.bypass)
+        pool.add(PathColumn(commodity=k, edges=(bypass,), cost=float(values[k][bypass])))
+    pi = np.zeros(ns)
+    add_dummy_paths(zetas, pi, tables.bypass)
 
     demands = network.demands
     incumbent: list[tuple[PathColumn, int]] | None = None
@@ -783,15 +765,12 @@ def column_generation(
     best_bound = -float("inf")
     basis: tuple[int, ...] | None = None
     rows = np.zeros(0, dtype=np.intp)
-    pi = np.zeros(ns)
     converged = False
-    v_lp = float("nan")
     iterations = 0
-    last: LPSolution | None = None
 
     for _ in range(iter_max):
         iterations += 1
-        prob, grown = _master_problem(network, pool)
+        prob, grown = pool.master()
         basis = _grow_basis(basis, rows, grown)
         rows = grown
         try:
@@ -805,7 +784,6 @@ def column_generation(
             sol = solve_lp(prob)
         if sol.status != "optimal":
             raise ColgenError(f"master LP ended with status {sol.status!r}")
-        last = sol
         basis = sol.basis
         pi = np.zeros(ns)
         pi[rows] = sol.pi
@@ -829,14 +807,14 @@ def column_generation(
         for k, (col, zeta) in enumerate(zip(priced, zetas)):
             if zeta >= sol.sigma[k] - CERT_TOL:
                 continue
-            if add_column(col):
+            if pool.add(col):
                 added += 1
             elif zeta - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
                 raise ColgenError(
                     f"pricing repeated a pooled column for commodity {k} "
                     f"with violation {zeta - sol.sigma[k]:.3e}; duals inconsistent"
                 )
-        added += add_dummy_paths(priced[0], zetas, pi, sol.sigma - CERT_TOL)
+        added += add_dummy_paths(zetas, pi, sol.sigma - CERT_TOL)
         if added == 0:
             # Only within-noise duplicates: fall back to the bound.
             v_lp = best_bound
@@ -860,7 +838,7 @@ def column_generation(
             extra = _enrichment_columns(network, values, ENRICH_PATH_BUDGET)
             if extra is not None:
                 for col in extra:
-                    add_column(col)
+                    pool.add(col)
                 rich_val, rich_sel = extract_integer(network, pool)
                 if rich_val < v_int:
                     v_int, selection = rich_val, rich_sel
@@ -887,7 +865,7 @@ def column_generation(
         columns=pool.columns,
         selection=grouped,
         flows=flows,
-        pi=None if last is None else pi,
-        sigma=None if last is None else last.sigma,
+        pi=pi,
+        sigma=sol.sigma,
         zetas=zetas,
     )

@@ -21,9 +21,10 @@ from mcftrack.colgen import (
     ColgenError,
     PathColumn,
     PricingTables,
+    _Pool,
+    _dummy_flow,
     _enrichment_columns,
     _grow_basis,
-    _master_problem,
     column_generation,
     extract_integer,
     lagrangian_lower_bound,
@@ -324,7 +325,7 @@ def test_extract_integer_odd_cycle_behind_an_untouched_row():
         path(3, 1, (obs_a, t_ac, obs_c), 3, -1.0),
         path(3, 1, (obs_a,), 1, -0.3),
     ] + [PathColumn(k, (net.bypass_edge(k),), 0.0) for k in range(4)]
-    assert list(_master_problem(net, pool)[1]) == [1, 2, 3, 4, 5, 6]
+    assert list(_Pool(net, pool).master()[1]) == [1, 2, 3, 4, 5, 6]
     assert solve_lp(full_row_master(net, pool)).objective == pytest.approx(-1.6)
     val, sel = extract_integer(net, pool)
     assert val == pytest.approx(-1.3)
@@ -370,13 +371,24 @@ def test_extract_integer_rejects_unfinished_or_infeasible_solver_results(monkeyp
             extract_integer(net, pool)
 
 
+def test_pool_keeps_each_column_once():
+    net = single_det_network()
+    path, rest = PathColumn(0, (1, 0, 2), -2.0), PathColumn(0, (3,), 5.0)
+    pool = _Pool(net, [path, rest, path])
+    assert list(pool) == [path, rest]
+    assert not pool.add(PathColumn(0, (1, 0, 2), -2.0)) and len(pool) == 2
+    prob, rows = pool.master()
+    assert prob.obj.tolist() == [-2.0, 5.0] and rows.tolist() == [0]
+    assert extract_integer(net, [path, rest, path]) == (-2.0, [(path, 1)])
+
+
 def test_master_over_touched_rows_is_exact():
     # Dummy-only networks take the flow solve, whose pi is not a master dual.
     untouched_total = 0
     for seed, net, costs in tracked_instances(40):
         res = column_generation(net, wrap_cost_vectors(net, costs))
         pool, ns = res.columns, net.num_shared
-        prob, rows = _master_problem(net, pool)
+        prob, rows = _Pool(net, pool).master()
         assert list(rows) == sorted({e for c in pool for e in c.edges if e < ns})
         full = solve_lp(full_row_master(net, pool))
         pruned = solve_lp(prob)
@@ -398,8 +410,8 @@ def test_grow_basis_warm_starts_grown_master():
         paths = [c for c in pool if any(e < ns for e in c.edges)]
         first = bypass + paths[: len(paths) // 2]
         grown = first + paths[len(paths) // 2 :]
-        first_prob, rows = _master_problem(net, first)
-        prob, more = _master_problem(net, grown)
+        first_prob, rows = _Pool(net, first).master()
+        prob, more = _Pool(net, grown).master()
         if more.size == rows.size:
             continue
         grown_cases += 1
@@ -550,34 +562,39 @@ def test_flows_mirror_selection():
 def priced_rounds(monkeypatch, net, vectors):
     """Run column generation, splitting its pricing into rounds.
 
-    A round is one pricing call over every commodity plus the one-row dummy
-    re-sweeps after it, which block detections with an infinite pi. Each
-    round records the coupling duals pi it priced at and the convexity duals
-    sigma of the master solve before it (both None in the initial round),
-    the columns and zetas of its full call, the pi of each re-sweep and the
-    columns it pooled (the pool's growth up to the next master build).
+    A round is one pricing call over every commodity plus the dummy flows
+    routed after it. Each round records the coupling duals pi it priced at
+    and the convexity duals sigma of the master solve before it (both None
+    in the initial round), the columns and zetas of its pricing call, the pi
+    of each dummy flow and the columns it pooled (the pool's growth up to
+    the next master build).
     """
     events = []
-    real_price, real_master, real_lp = colgen.price, colgen._master_problem, colgen.solve_lp
+    real_price, real_master = colgen.price, colgen._Pool.master
+    real_lp, real_flow = colgen.solve_lp, colgen._dummy_flow
 
     def spy_price(tables, pi):
         cols, zetas = real_price(tables, pi)
-        events.append(("price", len(tables.bypass), None if pi is None else pi.copy(), cols,
-                       zetas))
+        events.append(("price", None if pi is None else pi.copy(), cols, zetas))
         return cols, zetas
 
-    def spy_master(network, pool):
+    def spy_master(pool):
         events.append(("pool", len(pool)))
-        return real_master(network, pool)
+        return real_master(pool)
 
     def spy_lp(prob, warm_basis=None):
         sol = real_lp(prob, warm_basis=warm_basis)
         events.append(("lp", sol.sigma))
         return sol
 
+    def spy_flow(tables, pi=None):
+        events.append(("flow", None if pi is None else pi.copy()))
+        return real_flow(tables, pi)
+
     monkeypatch.setattr(colgen, "price", spy_price)
-    monkeypatch.setattr(colgen, "_master_problem", spy_master)
+    monkeypatch.setattr(colgen._Pool, "master", spy_master)
     monkeypatch.setattr(colgen, "solve_lp", spy_lp)
+    monkeypatch.setattr(colgen, "_dummy_flow", spy_flow)
     res = column_generation(net, vectors)
     monkeypatch.undo()
 
@@ -589,13 +606,14 @@ def priced_rounds(monkeypatch, net, vectors):
             pooled = event[1]
             if rounds and rounds[-1]["end"] is None:
                 rounds[-1]["end"] = pooled
-        elif event[2] is None or np.isfinite(event[2]).all():
-            assert event[1] == net.num_commodities
-            rounds.append(dict(pi=event[2], sigma=sigma, first=event[3], zetas=event[4],
-                               sweeps=[], start=pooled, end=None))
+        elif event[0] == "price":
+            assert len(event[3]) == net.num_commodities
+            rounds.append(dict(pi=event[1], sigma=sigma, first=event[2], zetas=event[3],
+                               flows=[], start=pooled, end=None))
+        elif event[1] is None:
+            assert net.num_commodities == 1, "only the flow solve routes without duals"
         else:
-            assert event[1] == 1, "a re-sweep prices the dummy alone"
-            rounds[-1]["sweeps"].append(event[2])
+            rounds[-1]["flows"].append(event[1])
     for rnd in rounds:
         end = len(res.columns) if rnd["end"] is None else rnd["end"]
         rnd["added"] = res.columns[rnd["start"] : end]
@@ -605,27 +623,39 @@ def priced_rounds(monkeypatch, net, vectors):
 def check_dummy_rounds(net, vectors, res, rounds):
     """Assert the extra dummy columns' contract; returns how many there were."""
     ns, values = net.num_shared, [cv.values for cv in vectors]
-    d0 = int(net.demands[0])
+    tables = PricingTables.build(net, values)
     bypass = {(k, (net.bypass_edge(k),)) for k in range(net.num_commodities)}
     bypass_costs = np.array([values[k][net.bypass_edge(k)] for k in range(net.num_commodities)])
     extras = 0
     for r, rnd in enumerate(rounds):
         cutoffs = bypass_costs if r == 0 else rnd["sigma"] - CERT_TOL
+        pi = np.zeros(ns) if rnd["pi"] is None else rnd["pi"]
         negative = rnd["zetas"] < cutoffs
-        # re-sweeps run exactly when the dummy is the one commodity pricing negatively
-        assert bool(rnd["sweeps"]) == (d0 > 1 and negative[0] and not negative[1:].any())
+        # one flow, at the round's duals, exactly when the dummy is the one
+        # commodity pricing negatively
+        assert len(rnd["flows"]) == int(negative[0] and not negative[1:].any())
+        assert all(np.array_equal(flow_pi, pi) for flow_pi in rnd["flows"])
         # the initial round also pools every commodity's bypass column
         added = [c for c in rnd["added"] if r > 0 or c.key not in bypass]
         for k in range(1, net.num_commodities):
             assert sum(c.commodity == k for c in added) <= 1
-        assert len(rnd["sweeps"]) <= max(d0 - 1, 0)
         first = rnd["first"][0]
         dummy = [c for c in added if c.commodity == 0]
-        extras += sum(c.key != first.key for c in dummy)
-        claimed = set(net.path_detections(first.edges))
-        for col in dummy:
-            if col.key == first.key:
-                continue
+        extra = [c for c in dummy if c.key != first.key]
+        extras += len(extra)
+
+        def shifted(col):
+            return col.cost + sum(pi[e] for e in col.edges if e < ns)
+
+        # the extras are the flow's paths at pi below the cutoff, less those pooled
+        want = []
+        if rnd["flows"]:
+            pooled = {c.key for c in res.columns[: rnd["start"]]} | {first.key}
+            flow, _, _ = _dummy_flow(tables, pi)
+            want = [c for c in flow if shifted(c) < cutoffs[0] and c.key not in pooled]
+        assert [(c.key, c.cost) for c in extra] == [(c.key, c.cost) for c in want]
+        claimed = set()
+        for col in extra:
             dets = set(net.path_detections(col.edges))
             assert dets and not dets & claimed, "extra dummy path shares a detection"
             claimed |= dets
@@ -633,20 +663,14 @@ def check_dummy_rounds(net, vectors, res, rounds):
             if r == 0:
                 assert col.cost < bypass_costs[0]
             else:
-                shifted = col.cost + sum(rnd["pi"][e] for e in col.edges if e < ns)
-                assert shifted - rnd["sigma"][0] < -CERT_TOL
-        for blocked in rnd["sweeps"]:
-            base = np.zeros(ns) if rnd["pi"] is None else rnd["pi"]
-            off = np.flatnonzero(blocked != base)
-            assert np.isinf(blocked[off]).all() and (off < net.num_detections).all()
+                assert shifted(col) - rnd["sigma"][0] < -CERT_TOL
     return extras
 
 
 def test_extra_dummy_columns_are_disjoint_and_price_negative(monkeypatch):
     extras = 0
-    # A re-sweep path that prices non-negatively but is neither the bypass
-    # nor pooled is rare. The 74 dummy-only instances of these 300 take the
-    # flow solve and price no round.
+    # The 74 dummy-only instances of these 300 take the flow solve and price
+    # no round.
     for seed in range(300):
         net, costs = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
         vectors = wrap_cost_vectors(net, costs)
@@ -699,12 +723,12 @@ def touched_row_master(net, cols):
 def test_master_record_matches_a_from_scratch_build(monkeypatch):
     # Every master build of column generation, and the MILP's, comes from the
     # record kept as the pool grows; each must equal a build from the columns.
-    real = colgen._master_problem
+    real = colgen._Pool.master
     builds = []
 
-    def checked(network, pool):
-        prob, rows = real(network, pool)
-        ref, ref_rows = touched_row_master(network, list(pool))
+    def checked(pool):
+        prob, rows = real(pool)
+        ref, ref_rows = touched_row_master(pool.network, list(pool))
         for name in ("obj", "a_ub", "b_ub", "a_eq", "b_eq"):
             got, want = getattr(prob, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -713,7 +737,7 @@ def test_master_record_matches_a_from_scratch_build(monkeypatch):
         builds.append(len(pool))
         return prob, rows
 
-    monkeypatch.setattr(colgen, "_master_problem", checked)
+    monkeypatch.setattr(colgen._Pool, "master", checked)
     grown = 0
     for seed, net, costs in tracked_instances(40):
         before = len(builds)
@@ -778,6 +802,32 @@ def arc_lp_optimum(net, values):
     res = linprog(values, A_eq=conservation, b_eq=supply, bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+def test_dummy_flow_is_optimal_under_the_duals():
+    # Column generation pools the dummy's flow paths at the round's duals;
+    # with the rest on the bypass they must route d0 units at least cost
+    # under the pi-shifted costs.
+    rng = np.random.default_rng(7)
+    routed = 0
+    for seed, net, costs in tracked_instances(60, d0_max=8):
+        ns, d0 = net.num_shared, int(net.demands[0])
+        pi = rng.uniform(0.0, 1.5, ns) * (rng.random(ns) < 0.6)
+        flow, searches, _ = _dummy_flow(PricingTables.build(net, costs), pi)
+        assert len(flow) <= d0 and 1 <= searches <= max(d0, 1), seed
+        dets = [i for col in flow for i in net.path_detections(col.edges)]
+        assert len(dets) == len(set(dets)), seed
+        for col in flow:
+            assert col.cost == pytest.approx(sum(costs[0][e] for e in col.edges), abs=1e-12)
+        bypass = costs[0][net.bypass_edge(0)]
+        v = sum(c.cost + sum(pi[e] for e in c.edges if e < ns) for c in flow)
+        v += (d0 - len(flow)) * bypass
+        values = costs[0].copy()
+        values[:ns] += pi
+        ref = arc_lp_optimum(net, values)
+        assert abs(v - ref) <= 1e-9 * (1.0 + abs(ref)), (seed, v, ref)
+        routed += len(flow) > 1
+    assert routed > 0
 
 
 def test_births_windows_match_the_arc_lp():
