@@ -778,9 +778,10 @@ def column_generation(
         except LPInternalError:
             if basis is None:
                 raise
-            # Long degenerate runs from a warm basis can drift the explicit
-            # inverse; a cold start from the slack-and-bypass basis takes
-            # another pivot path.
+            # A long degenerate run from a warm basis can carry rounding
+            # error through the rank-one inverse updates until a
+            # refactorization finds the basis singular or infeasible; a cold
+            # start from the slack-and-bypass basis takes another pivot path.
             sol = solve_lp(prob)
         if sol.status != "optimal":
             raise ColgenError(f"master LP ended with status {sol.status!r}")

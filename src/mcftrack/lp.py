@@ -21,10 +21,17 @@ old optimal basis. A caller that also adds inequality rows must map the old
 basis onto the new layout itself and enter each new row with its slack
 basic.
 
-Numerics: explicit basis-inverse updates with periodic refactorization,
-Dantzig pricing with a Bland's-rule fallback after a run of degenerate
-pivots. Unboundedness cannot occur in well-formed master problems (every
-column belongs to a convexity row with finite demand) and raises.
+Numerics: an explicit basis inverse, updated in place by one rank-one
+step per pivot and rebuilt every REFACTOR_EVERY pivots. Every inverse is
+built through the basis's structural block: a basic slack column is a unit
+vector, so with S the rows whose slack is basic, R the other rows and J the
+basic structural columns (|R| = |J|), B^-1 is K^-1 at (J, R) for
+K = M[R, J], the identity at (slacks, S) and -M[S, J] K^-1 at (slacks, R).
+Only K is factored, and it is about half the rows of a master basis.
+Pricing is Dantzig's rule with a Bland's-rule fallback after a run of
+degenerate pivots (steps of at most FEAS_TOL). Unboundedness cannot occur
+in well-formed master problems (every column belongs to a convexity row
+with finite demand) and raises.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-7
@@ -96,13 +104,12 @@ class LPSolution:
     iterations: int
 
 
-def _crash_basis(problem: LPProblem) -> tuple[list[int], np.ndarray]:
-    """The cold-start basis of the module docstring and its (diagonal) inverse."""
+def _crash_basis(problem: LPProblem) -> list[int]:
+    """The cold-start basis of the module docstring."""
     mi = problem.a_ub.shape[0]
     a_eq = problem.a_eq
     solo = ~problem.a_ub.any(axis=0) & (np.count_nonzero(a_eq, axis=0) == 1)
     basis = list(range(mi))
-    diag = [1.0] * mi
     for r in range(a_eq.shape[0]):
         cols = np.flatnonzero(solo & (a_eq[r] > 0))
         if cols.size == 0:
@@ -110,11 +117,35 @@ def _crash_basis(problem: LPProblem) -> tuple[list[int], np.ndarray]:
                 f"equality row {r} has no column whose only nonzero is a positive entry in it"
             )
         basis.append(mi + int(cols[0]))
-        diag.append(1.0 / a_eq[r, cols[0]])
-    return basis, np.diag(diag)
+    return basis
 
 
-def _iterate(M, c, rhs, basis, b_inv, max_iter):
+def _basis_inverse(M: np.ndarray, basis: Sequence[int], mi: int) -> np.ndarray:
+    """Inverse of M[:, basis] built through its structural block.
+
+    Columns 0..mi-1 of M are the coupling rows' slacks (see the module
+    docstring for the block layout). Raises np.linalg.LinAlgError when the
+    structural block is singular, or not square (a slack listed twice).
+    """
+    m = M.shape[0]
+    basis_arr = np.asarray(basis, dtype=np.intp)
+    slack = basis_arr < mi
+    slack_pos = np.flatnonzero(slack)
+    struct_pos = np.flatnonzero(~slack)
+    s_rows = basis_arr[slack_pos]
+    cols = basis_arr[struct_pos]
+    in_r = np.ones(m, dtype=bool)
+    in_r[s_rows] = False
+    r_rows = np.flatnonzero(in_r)
+    k_inv = np.linalg.inv(M[np.ix_(r_rows, cols)])
+    b_inv = np.zeros((m, m))
+    b_inv[np.ix_(struct_pos, r_rows)] = k_inv
+    b_inv[np.ix_(slack_pos, r_rows)] = -(M[np.ix_(s_rows, cols)] @ k_inv)
+    b_inv[slack_pos, s_rows] = 1.0
+    return b_inv
+
+
+def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
     """Simplex core loop from a feasible basis. Mutates basis/b_inv; returns (code, iters)."""
     m = M.shape[0]
     xb = b_inv @ rhs
@@ -148,14 +179,18 @@ def _iterate(M, c, rhs, basis, b_inv, max_iter):
         theta = max(xb[leave] / direction[leave], 0.0)
 
         piv_row = b_inv[leave] / direction[leave]
-        b_inv -= np.outer(direction, piv_row)
+        # b_inv -= outer(direction, piv_row), in place on the C-ordered array
+        dger(-1.0, piv_row, direction, a=b_inv.T, overwrite_a=True)
         b_inv[leave] = piv_row
         xb -= theta * direction
         xb[leave] = theta
         np.clip(xb, 0.0, None, out=xb)
         basis[leave] = enter
 
-        if theta <= 1e-12:
+        # A step within the feasibility tolerance is rounding noise on a
+        # degenerate vertex; counting it as progress would switch Bland's
+        # rule off in the middle of a stall.
+        if theta <= FEAS_TOL:
             degen_run += 1
             if degen_run >= DEGENERATE_RUN_LIMIT:
                 bland = True
@@ -167,7 +202,7 @@ def _iterate(M, c, rhs, basis, b_inv, max_iter):
         if since_refactor >= REFACTOR_EVERY:
             since_refactor = 0
             try:
-                b_inv[:, :] = np.linalg.inv(M[:, basis])
+                b_inv[:, :] = _basis_inverse(M, basis, mi)
             except np.linalg.LinAlgError as exc:
                 raise LPInternalError("singular basis during refactorization") from exc
             xb = b_inv @ rhs
@@ -207,16 +242,17 @@ def solve_lp(
         cand = [int(j) for j in warm_basis]
         if all(0 <= j < mi + n for j in cand) and len(set(cand)) == m:
             try:
-                inv = np.linalg.inv(M[:, cand])
+                inv = _basis_inverse(M, cand, mi)
             except np.linalg.LinAlgError:
                 inv = None
             if inv is not None and (m == 0 or (inv @ rhs).min() >= -FEAS_TOL):
                 basis, b_inv = cand, inv
 
     if basis is None:
-        basis, b_inv = _crash_basis(problem)
+        basis = _crash_basis(problem)
+        b_inv = _basis_inverse(M, basis, mi)
 
-    code, iters = _iterate(M, c, rhs, basis, b_inv, max_iter)
+    code, iters = _iterate(M, mi, c, rhs, basis, b_inv, max_iter)
     if code == _UNBOUNDED:
         raise LPInternalError(
             "unbounded master LP; every column must lie in a convexity row"
@@ -225,7 +261,7 @@ def solve_lp(
         return LPSolution("iteration-limit", float("nan"), None, None, None, None, iters)
 
     try:
-        b_inv = np.linalg.inv(M[:, basis])
+        b_inv = _basis_inverse(M, basis, mi)
     except np.linalg.LinAlgError as exc:
         raise LPInternalError("singular optimal basis") from exc
     xb = b_inv @ rhs

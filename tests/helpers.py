@@ -271,3 +271,33 @@ def random_lp(seed: int, comb_cap: int = 200_000) -> LPProblem:
     b_eq = rng.integers(1, 4, size=me).astype(float)
     obj = rng.uniform(-5.0, 5.0, size=n_cols)
     return LPProblem(obj=obj, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+def master_lp(seed: int, rows: int = 60, cols: int = 200, commodities: int = 8,
+              frames: int = 6, d0: int = 3) -> LPProblem:
+    """A restricted master at the scale of a real window: coupling rows are
+    detections (b = 1), one convexity row per commodity, and every column is
+    a path taking at most one detection per frame.
+
+    Columns 0..commodities-1 are the bypasses (empty footprint, positive
+    cost); the last commodity is the dummy with demand d0, the others have
+    demand 1. Path costs are negative, roughly in proportion to length, so
+    many paths compete for the same detections.
+    """
+    rng = np.random.default_rng(seed)
+    frame_of = np.arange(rows) % frames
+    a_ub = np.zeros((rows, cols))
+    a_eq = np.zeros((commodities, cols))
+    obj = np.empty(cols)
+    a_eq[np.arange(commodities), np.arange(commodities)] = 1.0
+    obj[:commodities] = 12.0
+    for j in range(commodities, cols):
+        a_eq[int(rng.integers(0, commodities)), j] = 1.0
+        first = int(rng.integers(0, frames))
+        last = int(rng.integers(first, frames))
+        for f in range(first, last + 1):
+            a_ub[int(rng.choice(np.flatnonzero(frame_of == f))), j] = 1.0
+        obj[j] = -float(rng.uniform(1.0, 4.0)) * (last - first + 1) + float(rng.uniform(0.0, 2.0))
+    b_eq = np.ones(commodities)
+    b_eq[-1] = float(d0)
+    return LPProblem(obj=obj, a_ub=a_ub, b_ub=np.ones(rows), a_eq=a_eq, b_eq=b_eq)

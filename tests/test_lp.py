@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from helpers import random_lp, vertex_lp_oracle
-from mcftrack.lp import LPProblem, LPSolution, solve_lp
+from helpers import master_lp, random_lp, vertex_lp_oracle
+from mcftrack import lp as lp_module
+from mcftrack.lp import REFACTOR_EVERY, LPInternalError, LPProblem, LPSolution, solve_lp
 
 
 def lp(obj, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -159,3 +161,139 @@ def test_solution_is_basic():
     assert len(sol.basis) == m
     # at most m nonzero structural variables
     assert int(np.sum(sol.x > 1e-9)) <= m
+
+
+def stacked(prob):
+    """[slacks | structural columns] over [coupling rows; convexity rows]."""
+    mi, me = prob.a_ub.shape[0], prob.a_eq.shape[0]
+    M = np.zeros((mi + me, mi + prob.num_cols))
+    M[:mi, :mi] = np.eye(mi)
+    M[:mi, mi:] = prob.a_ub
+    M[mi:, mi:] = prob.a_eq
+    return M
+
+
+def assert_block_inverse_matches_dense(prob, basis):
+    M = stacked(prob)
+    dense = np.linalg.inv(M[:, basis])
+    block = lp_module._basis_inverse(M, basis, prob.a_ub.shape[0])
+    assert np.abs(block - dense).max() <= 1e-10
+
+
+def random_nonsingular_bases(M, pool, count, rng):
+    """Up to `count` bases drawn from the column indices in `pool`."""
+    m = M.shape[0]
+    found = []
+    for _ in range(50 * count):
+        basis = [int(j) for j in rng.choice(pool, size=m, replace=False)]
+        if np.linalg.cond(M[:, basis]) < 1e8:
+            found.append(basis)
+            if len(found) == count:
+                break
+    return found
+
+
+def test_block_inverse_of_all_slack_bases():
+    # coupling rows alone: the structural block is empty
+    prob = master_lp(0)
+    no_eq = LPProblem(obj=prob.obj, a_ub=prob.a_ub, b_ub=prob.b_ub,
+                      a_eq=np.zeros((0, prob.num_cols)), b_eq=np.zeros(0))
+    mi = prob.a_ub.shape[0]
+    assert_block_inverse_matches_dense(no_eq, list(range(mi)))
+    assert_block_inverse_matches_dense(no_eq, list(range(mi))[::-1])
+    # every slack basic plus the bypasses (the crash basis)
+    assert_block_inverse_matches_dense(prob, lp_module._crash_basis(prob))
+
+
+def test_block_inverse_of_all_structural_and_mixed_bases():
+    rng = np.random.default_rng(11)
+    counts = {"structural": 0, "mixed": 0}
+    for seed in range(20):
+        prob = master_lp(seed, rows=8, cols=40, commodities=3, frames=4)
+        M = stacked(prob)
+        mi = prob.a_ub.shape[0]
+        structural = np.arange(mi, M.shape[1])
+        for basis in random_nonsingular_bases(M, structural, 3, rng):
+            assert_block_inverse_matches_dense(prob, basis)
+            counts["structural"] += 1
+        for basis in random_nonsingular_bases(M, np.arange(M.shape[1]), 3, rng):
+            assert_block_inverse_matches_dense(prob, basis)
+            counts["mixed"] += int(min(basis) < mi <= max(basis))
+    assert counts["structural"] >= 20 and counts["mixed"] >= 20
+
+
+def test_block_inverse_of_degenerate_optimal_bases():
+    degenerate = 0
+    for seed in range(8):
+        prob = master_lp(seed)
+        sol = solve_lp(prob)
+        basis = list(sol.basis)
+        assert_block_inverse_matches_dense(prob, basis)
+        mi = prob.a_ub.shape[0]
+        degenerate += int(np.sum(sol.x[[j - mi for j in basis if j >= mi]] == 0.0))
+    assert degenerate > 0  # some basic structural columns sit at 0
+
+
+# One coupling row, one convexity row with demand 2; columns: a bypass and
+# two identical columns that use the coupling row. Layout indices: 0 is the
+# slack, 1 the bypass, 2 and 3 the twins.
+TWINS = lp([0.0, -1.0, -1.0], a_ub=[[0.0, 1.0, 1.0]], b_ub=[1.0],
+           a_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0])
+
+
+def test_block_inverse_raises_on_a_singular_structural_block():
+    with pytest.raises(np.linalg.LinAlgError):
+        lp_module._basis_inverse(stacked(TWINS), [2, 3], 1)
+    # slack basic: the block is the convexity row over one twin, and is fine
+    assert_block_inverse_matches_dense(TWINS, [0, 2])
+
+
+@pytest.mark.parametrize("warm", [
+    (0,),        # wrong length
+    (0, 4),      # index past the last column
+    (-1, 1),     # negative index
+    (1, 1),      # duplicate index
+    (2, 3),      # the twins: singular structural block
+    (0, 2),      # nonsingular but infeasible: the twin takes 2 units of row 0
+])
+def test_stale_warm_basis_falls_back_to_the_cold_solve(warm):
+    cold = solve_lp(TWINS)
+    sol = solve_lp(TWINS, warm_basis=warm)
+    assert cold.status == sol.status == "optimal"
+    assert cold.objective == pytest.approx(-1.0)
+    assert (sol.objective, sol.basis, sol.iterations) == (
+        cold.objective, cold.basis, cold.iterations)
+
+
+def test_feasible_warm_basis_is_used():
+    # the optimal basis itself: one pricing pass, fewer than the cold solve
+    cold = solve_lp(TWINS)
+    warm = solve_lp(TWINS, warm_basis=(1, 2))
+    assert warm.objective == pytest.approx(cold.objective)
+    assert warm.iterations < cold.iterations
+
+
+def test_refactorization_onto_a_singular_basis_raises(monkeypatch):
+    # Convexity rows only, so the basis is the structural block. Column 2
+    # duplicates column 0. A drifted inverse (rows swapped) sends the pivot
+    # that enters column 2 out through column 1, which leaves the twins
+    # basic; the refactorization right after it must refuse them.
+    monkeypatch.setattr(lp_module, "REFACTOR_EVERY", 1)
+    prob = lp([0.0, 0.0, -1.0], a_eq=[[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], b_eq=[1.0, 1.0])
+    M = stacked(prob)
+    drifted = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(LPInternalError, match="singular basis during refactorization"):
+        lp_module._iterate(M, 0, prob.obj, prob.b_eq, [0, 1], drifted, 10)
+
+
+def test_long_solves_refactor_and_stay_optimal():
+    for seed in range(8):
+        prob = master_lp(seed)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.iterations > REFACTOR_EVERY, seed
+        ref = linprog(prob.obj, A_ub=prob.a_ub, b_ub=prob.b_ub, A_eq=prob.a_eq,
+                      b_eq=prob.b_eq, method="highs")
+        assert ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-7, seed
+        check_optimal_duals(prob, ref.fun, seed)
