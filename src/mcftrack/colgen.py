@@ -192,8 +192,7 @@ class PricingTables:
         buf = np.empty((nc, seg[-1]))
         buf[:, seg[1:] - 1] = start
 
-        frames = np.array([d.frame for d in network.detections], dtype=np.int64)
-        cuts = np.flatnonzero(np.diff(frames)) + 1
+        cuts = np.flatnonzero(np.diff(network.frames)) + 1
         layers = []
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]) if n else ():
             c0, c1, a, b = seg[lo], seg[hi], before[lo], before[hi]

@@ -8,6 +8,11 @@ negated detector score, transitions by cosine similarity, and starts by a
 flat constant. Termination is a flat constant for every commodity. Bypass
 costs are the price of leaving a commodity's demand unrouted; they are
 configuration, not part of the published cost model.
+
+The scalar rules below define each cost. assemble_cost_vector evaluates
+them with array operations over the network's per-detection arrays
+(frames, boxes, features), in the same float operations and order, so its
+start entries are bitwise equal to start_cost.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .graph import Box, Detection, EdgeKind, FlowNetwork
+from .graph import Box, Detection, FlowNetwork
 from .simlearn import SimilarityModel, similarity
 
 
@@ -134,32 +139,53 @@ def assemble_cost_vector(
         raise ValueError(
             f"{len(trajectories)} trajectories for {network.num_tracked} tracked commodities"
         )
-    dets = network.detections
-    n = len(dets)
+    n = network.num_detections
+    ns = network.num_shared
     values = np.zeros(network.num_edges, dtype=np.float64)
+    private = values[ns:].reshape(network.num_commodities, 2 * n + 1)
 
     if n:
-        feats = np.stack([d.feature for d in dets])
+        feats = network.features
         if commodity == 0:
-            obs = -np.array([d.score for d in dets], dtype=np.float64)
+            obs = -np.array([d.score for d in network.detections], dtype=np.float64)
             gram = feats @ feats.T
-            starts = np.full(n, config.dummy_start_cost)
+            starts = config.dummy_start_cost
         else:
             traj = trajectories[commodity - 1]
             w = traj.model.W
             obs = -(feats @ (w.T @ traj.template))
             gram = feats @ w @ feats.T
-            starts = np.array(
-                [start_cost(traj, d, config) for d in dets], dtype=np.float64
-            )
+            starts = _start_costs(traj, network.frames, network.boxes, config)
         values[:n] = obs
-        ns = network.num_shared
         values[n:ns] = -gram[network.det_a[n:ns], network.det_b[n:ns]]
-        start_mask = network.kind == EdgeKind.START
-        values[start_mask] = starts[network.det_a[start_mask]]
+        private[:, :n] = starts
 
-    values[network.kind == EdgeKind.TERMINATION] = config.termination_cost
-    values[network.kind == EdgeKind.BYPASS] = (
-        config.bypass_cost_dummy if commodity == 0 else config.bypass_cost_tracked
-    )
+    private[:, n:-1] = config.termination_cost
+    private[:, -1] = config.bypass_cost_dummy if commodity == 0 else config.bypass_cost_tracked
     return CostVector(commodity=commodity, values=values)
+
+
+def _start_costs(
+    traj: TrackLike, frames: np.ndarray, boxes: np.ndarray, config: CostConfig
+) -> np.ndarray:
+    """start_cost for ascending frames, by the same float operations in the same order."""
+    gap = frames - traj.last_frame
+    if gap[0] < 1:
+        raise ValueError(
+            f"start candidate at frame {frames[0]} does not follow frame {traj.last_frame}"
+        )
+    x, y, w, h = traj.last_box
+    vx, vy = traj.velocity
+    corner = np.array([x, y]) + np.array([vx, vy]) * gap[:, None]  # predict_box
+    # iou: the intersection's width and height side by side
+    ixy = (np.minimum(corner + np.array([w, h]), boxes[:, :2] + boxes[:, 2:])
+           - np.maximum(corner, boxes[:, :2]))
+    ix, iy = ixy.T
+    inter = ix * iy
+    overlap = np.zeros(len(frames))
+    np.divide(inter, w * h + boxes[:, 2] * boxes[:, 3] - inter, out=overlap,
+              where=(ix > 0) & (iy > 0))
+    # Python's float pow once per gap in the span: numpy's vectorised power may round apart.
+    lo = int(gap[0])
+    decay = np.array([config.eta ** g for g in range(lo, int(gap[-1]) + 1)])
+    return -decay[gap - lo] * overlap

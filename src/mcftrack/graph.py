@@ -21,7 +21,7 @@ n_k = 2N+2k+1, giving 2N + 2(K+1) nodes total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Sequence
 
@@ -30,6 +30,7 @@ import numpy as np
 Box = tuple[float, float, float, float]  # x, y, w, h (top-left corner)
 
 FEATURE_NORM_TOL = 1e-9
+HYPOT_TIE_RTOL = 1e-12
 
 
 class EdgeKind(IntEnum):
@@ -100,24 +101,34 @@ def permissible_transitions(
     """Gated transition pairs (i, j) over detection indices, sorted by (i, j).
 
     A pair is admitted when 1 <= frame_j - frame_i <= max_gap and the center
-    distance is at most gamma * gap * mean box diagonal of the pair.
+    distance is at most gamma * gap * mean box diagonal of the pair. Pairs
+    are gated one source frame at a time, against the detections of the
+    next max_gap frames only.
     """
-    _check_frame_sorted(detections)
-    pairs: list[tuple[int, int]] = []
-    for i, di in enumerate(detections):
-        ci = di.center
-        for j in range(i + 1, len(detections)):
-            dj = detections[j]
-            gap = dj.frame - di.frame
-            if gap < 1:
-                continue
-            if gap > gating.max_gap:
-                break  # frame-sorted: later j only grows the gap
-            cj = dj.center
-            reach = gating.gamma * gap * 0.5 * (di.diagonal + dj.diagonal)
-            if math.hypot(cj[0] - ci[0], cj[1] - ci[1]) <= reach:
-                pairs.append((i, j))
-    return pairs
+    frames, boxes = _detection_arrays(detections)
+    if not len(frames):
+        return []
+    cx = boxes[:, 0] + boxes[:, 2] / 2.0
+    cy = boxes[:, 1] + boxes[:, 3] / 2.0
+    diag = np.array([d.diagonal for d in detections])
+    firsts = np.flatnonzero(np.r_[True, np.diff(frames) != 0])
+    ends = np.r_[firsts[1:], len(frames)]
+    tops = np.searchsorted(frames, frames[firsts] + gating.max_gap, side="right")
+    tails, heads = [], []
+    for lo, hi, top in zip(firsts, ends, tops):
+        # frame [lo, hi) against [hi, top), row-major: pairs come out sorted
+        i = np.repeat(np.arange(lo, hi), top - hi)
+        j = np.tile(np.arange(hi, top), hi - lo)
+        dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+        reach = gating.gamma * (frames[j] - frames[i]) * 0.5 * (diag[i] + diag[j])
+        dist = np.hypot(dx, dy)
+        keep = dist <= reach
+        # np.hypot may round apart from math.hypot: settle near-ties by the latter.
+        for p in np.flatnonzero(np.abs(dist - reach) <= HYPOT_TIE_RTOL * reach):
+            keep[p] = math.hypot(dx[p], dy[p]) <= reach[p]
+        tails.append(i[keep])
+        heads.append(j[keep])
+    return list(zip(np.concatenate(tails).tolist(), np.concatenate(heads).tolist()))
 
 
 @dataclass
@@ -128,6 +139,8 @@ class FlowNetwork:
     for shared edges and the commodity index otherwise. det_a holds the
     detection index of observation/start/termination edges and the
     transition tail; det_b holds the transition head (-1 elsewhere).
+    frames (N), boxes (N x 4) and features (N x d) are the detections'
+    fields as arrays, in detection order.
     """
 
     detections: list[Detection]
@@ -140,7 +153,9 @@ class FlowNetwork:
     det_a: np.ndarray
     det_b: np.ndarray
     num_shared: int
-    _trans_out: list[list[int]] = field(repr=False, default_factory=list)
+    frames: np.ndarray
+    boxes: np.ndarray
+    features: np.ndarray
 
     # -- shape ---------------------------------------------------------------
 
@@ -202,7 +217,9 @@ class FlowNetwork:
             if node % 2 == 0:  # u_i: only the observation edge
                 yield i
             else:  # v_i: shared transitions, then this commodity's termination
-                yield from self._trans_out[i]
+                # transitions are sorted by tail, so i's form one id range
+                lo, hi = np.searchsorted(self.det_a[n : self.num_shared], (i, i + 1))
+                yield from range(n + lo, n + hi)
                 yield self.term_edge(k, i)
         elif node == self.source(k):
             yield from range(self.block_start(k), self.block_start(k) + n)
@@ -211,18 +228,20 @@ class FlowNetwork:
 
     def path_detections(self, edges: Sequence[int]) -> list[int]:
         """Detection indices claimed along a path, in path order."""
-        return [
-            int(self.det_a[e]) for e in edges if self.kind[e] == EdgeKind.OBSERVATION
-        ]
+        e = np.asarray(edges, dtype=np.intp)
+        return self.det_a[e[self.kind[e] == EdgeKind.OBSERVATION]].tolist()
 
     def is_shared(self, edge: int) -> bool:
         return edge < self.num_shared
 
 
-def _check_frame_sorted(detections: Sequence[Detection]) -> None:
-    for a, b in zip(detections, detections[1:]):
-        if b.frame < a.frame:
-            raise ValueError("detections must be sorted by frame")
+def _detection_arrays(detections: Sequence[Detection]) -> tuple[np.ndarray, np.ndarray]:
+    """Frames (N) and boxes (N x 4) of frame-sorted detections."""
+    frames = np.array([d.frame for d in detections], dtype=np.int64)
+    if np.any(np.diff(frames) < 0):
+        raise ValueError("detections must be sorted by frame")
+    boxes = np.array([d.box for d in detections], dtype=np.float64).reshape(-1, 4)
+    return frames, boxes
 
 
 def network_from_parts(
@@ -236,7 +255,7 @@ def network_from_parts(
     be exactly 1 and the dummy demand nonnegative.
     """
     detections = list(detections)
-    _check_frame_sorted(detections)
+    frames, boxes = _detection_arrays(detections)
     seen_ids = set()
     for det in detections:
         if det.det_id in seen_ids:
@@ -262,45 +281,33 @@ def network_from_parts(
     if any(int(d) != 1 for d in dem[1:]):
         raise ValueError("tracked commodity demands must all be 1")
 
-    num_comm = len(dem)
-    num_shared = n + len(trans)
-    num_edges = num_shared + num_comm * (2 * n + 1)
-    tail = np.empty(num_edges, dtype=np.int64)
-    head = np.empty(num_edges, dtype=np.int64)
-    kind = np.empty(num_edges, dtype=np.int64)
-    owner = np.full(num_edges, -1, dtype=np.int64)
-    det_a = np.full(num_edges, -1, dtype=np.int64)
-    det_b = np.full(num_edges, -1, dtype=np.int64)
+    num_comm, block = len(dem), 2 * n + 1
+    idx = np.arange(n, dtype=np.int64)
+    ti, tj = np.array(trans, dtype=np.int64).reshape(-1, 2).T
+    # Private blocks, one row per commodity: starts s_k -> u_i, terminations
+    # v_i -> n_k, then the bypass s_k -> n_k.
+    src = 2 * n + 2 * np.arange(num_comm, dtype=np.int64)[:, None]
+    block_tail = np.empty((num_comm, block), dtype=np.int64)
+    block_head = np.empty_like(block_tail)
+    block_tail[:, :n], block_head[:, :n] = src, 2 * idx
+    block_tail[:, n:-1], block_head[:, n:-1] = 2 * idx + 1, src + 1
+    block_tail[:, -1:], block_head[:, -1:] = src, src + 1
+    shared_kinds = np.array([EdgeKind.OBSERVATION, EdgeKind.TRANSITION], dtype=np.int64)
+    block_kinds = np.array([EdgeKind.START, EdgeKind.TERMINATION, EdgeKind.BYPASS], dtype=np.int64)
 
-    for i in range(n):
-        tail[i], head[i] = 2 * i, 2 * i + 1
-        kind[i] = EdgeKind.OBSERVATION
-        det_a[i] = i
-    for e, (i, j) in enumerate(trans, start=n):
-        tail[e], head[e] = 2 * i + 1, 2 * j
-        kind[e] = EdgeKind.TRANSITION
-        det_a[e], det_b[e] = i, j
+    tail = np.concatenate([2 * idx, 2 * ti + 1, block_tail.ravel()])
+    head = np.concatenate([2 * idx + 1, 2 * tj, block_head.ravel()])
+    kind = np.concatenate([np.repeat(shared_kinds, (n, len(ti))),
+                           np.tile(np.repeat(block_kinds, (n, n, 1)), num_comm)])
+    owner = np.concatenate([np.full(n + len(ti), -1, dtype=np.int64),
+                            np.repeat(np.arange(num_comm, dtype=np.int64), block)])
+    det_a = np.concatenate([idx, ti, np.tile(np.r_[idx, idx, -1], num_comm)])
+    det_b = np.concatenate([np.full(n, -1, dtype=np.int64), tj,
+                            np.full(num_comm * block, -1, dtype=np.int64)])
+    features = (np.array([d.feature for d in detections], dtype=np.float64) if n
+                else np.empty((0, 0), dtype=np.float64))
 
-    e = num_shared
-    for k in range(num_comm):
-        s, t = 2 * n + 2 * k, 2 * n + 2 * k + 1
-        for i in range(n):
-            tail[e], head[e] = s, 2 * i
-            kind[e], owner[e], det_a[e] = EdgeKind.START, k, i
-            e += 1
-        for i in range(n):
-            tail[e], head[e] = 2 * i + 1, t
-            kind[e], owner[e], det_a[e] = EdgeKind.TERMINATION, k, i
-            e += 1
-        tail[e], head[e] = s, t
-        kind[e], owner[e] = EdgeKind.BYPASS, k
-        e += 1
-
-    trans_out: list[list[int]] = [[] for _ in range(n)]
-    for eid, (i, _) in enumerate(trans, start=n):
-        trans_out[i].append(eid)
-
-    for arr in (tail, head, kind, owner, det_a, det_b):
+    for arr in (tail, head, kind, owner, det_a, det_b, frames, boxes, features):
         arr.flags.writeable = False
 
     return FlowNetwork(
@@ -313,8 +320,10 @@ def network_from_parts(
         owner=owner,
         det_a=det_a,
         det_b=det_b,
-        num_shared=num_shared,
-        _trans_out=trans_out,
+        num_shared=n + len(trans),
+        frames=frames,
+        boxes=boxes,
+        features=features,
     )
 
 

@@ -58,6 +58,32 @@ def fake_track(box, frame, feature=None, dim=4, velocity=(0.0, 0.0)) -> _FakeTra
     return _FakeTrack(box, frame, feature, dim=dim, velocity=velocity)
 
 
+def reference_transitions(detections, gating: GatingConfig) -> list[tuple[int, int]]:
+    """Transition gating as a scalar loop over pairs: the reference rule.
+
+    (i, j) is admitted when 1 <= frame_j - frame_i <= max_gap and
+    hypot(dx, dy) <= gamma * gap * 0.5 * (diag_i + diag_j).
+    """
+    for a, b in zip(detections, detections[1:]):
+        if b.frame < a.frame:
+            raise ValueError("detections must be sorted by frame")
+    pairs: list[tuple[int, int]] = []
+    for i, di in enumerate(detections):
+        ci = di.center
+        for j in range(i + 1, len(detections)):
+            dj = detections[j]
+            gap = dj.frame - di.frame
+            if gap < 1:
+                continue
+            if gap > gating.max_gap:
+                break  # frame-sorted: later j only grows the gap
+            cj = dj.center
+            reach = gating.gamma * gap * 0.5 * (di.diagonal + dj.diagonal)
+            if math.hypot(cj[0] - ci[0], cj[1] - ci[1]) <= reach:
+                pairs.append((i, j))
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Random solver instances (network + direct random costs).
 # ---------------------------------------------------------------------------

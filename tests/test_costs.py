@@ -245,3 +245,57 @@ def test_assemble_requires_known_commodity():
     net = build_network(dets, [], None, GatingConfig())
     with pytest.raises(ValueError):
         assemble_cost_vector(net, 1, [], CostConfig())
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_assembled_starts_are_bitwise_start_cost():
+    # gaps 1-4 against a moving track; perfect, partial and zero overlap
+    tracks = [fake_track((0, 0, 10, 10), 0, velocity=(3.0, 1.5)),
+              fake_track((40, 7, 12, 9), 0, velocity=(-0.7, 0.0))]
+    dets = []
+    for gap in range(1, 5):
+        dets += [make_det(len(dets), gap, (3.0 * gap, 1.5 * gap, 10, 10)),
+                 make_det(len(dets) + 1, gap, (3.0 * gap + 4.3, 1.5 * gap - 2.1, 7, 13)),
+                 make_det(len(dets) + 2, gap, (500, 500, 10, 10))]
+    net = build_network(dets, tracks, None, GatingConfig())
+    for eta in (0.95, 0.3, 1.0):
+        cfg = CostConfig(eta=eta)
+        for k in (1, 2):
+            want = [start_cost(tracks[k - 1], d, cfg) for d in dets]
+            if k == 1:
+                assert any(w == 0.0 for w in want) and any(-1.0 < w < 0.0 for w in want)
+            values = assemble_cost_vector(net, k, tracks, cfg).values
+            for block in range(net.num_commodities):
+                got = values[[net.start_edge(block, i) for i in range(len(dets))]]
+                assert np.array_equal(bits(got), bits(want)), (eta, k, block)
+
+
+def test_assembled_starts_bitwise_on_random_scenes():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        last = int(rng.integers(0, 3))
+        track = fake_track((rng.uniform(0, 30), rng.uniform(0, 30),
+                            rng.uniform(5, 15), rng.uniform(5, 15)), last,
+                           velocity=(rng.uniform(-4, 4), rng.uniform(-4, 4)))
+        frames = np.sort(rng.integers(last + 1, last + 6, size=int(rng.integers(1, 12))))
+        dets = [make_det(i, int(f), (rng.uniform(0, 40), rng.uniform(0, 40),
+                                     rng.uniform(3, 20), rng.uniform(3, 20)))
+                for i, f in enumerate(frames)]
+        net = build_network(dets, [track], None, GatingConfig())
+        cfg = CostConfig(eta=float(rng.uniform(0.05, 1.0)))
+        values = assemble_cost_vector(net, 1, [track], cfg).values
+        want = [start_cost(track, d, cfg) for d in dets]
+        got = values[net.start_edge(1, 0) : net.start_edge(1, 0) + len(dets)]
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_assemble_rejects_detection_not_after_last_frame():
+    tr = fake_track(box_at(0, 0), 3)
+    dets = [make_det(0, 3, box_at(0, 0)), make_det(1, 4, box_at(0, 0))]
+    net = build_network(dets, [tr], None, GatingConfig())
+    assemble_cost_vector(net, 0, [tr], CostConfig())  # the dummy has no prediction
+    with pytest.raises(ValueError, match="does not follow frame 3"):
+        assemble_cost_vector(net, 1, [tr], CostConfig())

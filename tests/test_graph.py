@@ -1,9 +1,11 @@
 """Network construction: gating, id layout, frame ranges, rebuild determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
-from helpers import make_det, unit_feature
+from helpers import make_det, reference_transitions, unit_feature
 from mcftrack.graph import (
     Detection,
     EdgeKind,
@@ -72,6 +74,106 @@ def test_transitions_sorted_and_deterministic():
     one = permissible_transitions(dets, GatingConfig())
     two = permissible_transitions(dets, GatingConfig())
     assert one == two == sorted(one)
+
+
+def random_scene(rng, grid: bool):
+    """Frame-sorted detections; on a grid, 3x4 boxes make exact-reach ties common."""
+    n = int(rng.integers(0, 40))
+    frames = np.sort(rng.integers(1, int(rng.integers(1, 9)) + 1, size=n))
+    dets = []
+    for i, f in enumerate(frames):
+        if grid:
+            w, h = (3.0, 4.0) if rng.random() < 0.5 else (6.0, 8.0)
+            x, y = float(rng.integers(0, 12)), float(rng.integers(0, 12))
+        else:
+            w, h = rng.uniform(1, 20), rng.uniform(1, 20)
+            x, y = rng.uniform(0, 80), rng.uniform(0, 80)
+        dets.append(make_det(i, int(f), (x, y, w, h)))
+    return dets
+
+
+def test_transitions_match_scalar_reference_on_random_scenes():
+    rng = np.random.default_rng(12)
+    admitted = 0
+    for scene in range(200):
+        dets = random_scene(rng, grid=scene % 2 == 0)
+        gating = GatingConfig(max_gap=int(rng.integers(1, 5)),
+                              gamma=float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 3)])))
+        got = permissible_transitions(dets, gating)
+        assert got == reference_transitions(dets, gating), scene
+        assert all(type(i) is int and type(j) is int for i, j in got)
+        admitted += len(got)
+    assert admitted > 1000
+
+
+def test_transitions_admit_distance_equal_to_reach():
+    # 3x4 boxes have diagonal 5; centers 3-4-5 apart at gap 1 with gamma 1: reach 5.
+    a = make_det(0, 1, (0, 0, 3, 4))
+    b = make_det(1, 2, (3, 4, 3, 4))
+    beyond = make_det(1, 2, (3, 4.000001, 3, 4))
+    gating = GatingConfig(max_gap=1, gamma=1.0)
+    assert permissible_transitions([a, b], gating) == [(0, 1)]
+    assert permissible_transitions([a, beyond], gating) == []
+    assert reference_transitions([a, b], gating) == [(0, 1)]
+
+
+def test_transitions_settle_hypot_rounding_by_the_scalar_rule():
+    """Where np.hypot and math.hypot round apart, a reach equal to the smaller
+    of the two flips the decision; the gate must follow math.hypot."""
+    rng = np.random.default_rng(1)
+    a = make_det(0, 1, (0, 0, 2, 2))
+    diag = a.diagonal
+    outcomes = []
+    for _ in range(20_000):
+        if len(outcomes) == 20:
+            break
+        dx, dy = rng.integers(1, 1 << 16, size=2) / 1024.0  # exact center offsets
+        exact, vectorised = math.hypot(dx, dy), float(np.hypot(dx, dy))
+        if exact == vectorised:
+            continue
+        target = min(exact, vectorised)
+        gamma = target / diag
+        for _ in range(4):  # nudge gamma until the reach is exactly the target
+            reach = gamma * 1 * 0.5 * (diag + diag)
+            if reach == target:
+                break
+            gamma = float(np.nextafter(gamma, np.inf if reach < target else -np.inf))
+        if reach != target:
+            continue
+        b = make_det(1, 2, (dx, dy, 2, 2))
+        gating = GatingConfig(max_gap=1, gamma=gamma)
+        want = reference_transitions([a, b], gating)
+        assert permissible_transitions([a, b], gating) == want, (dx, dy, gamma)
+        outcomes.append(bool(want))
+    if not outcomes:
+        pytest.skip("np.hypot rounds as math.hypot does on this platform")
+
+
+def test_transitions_gap_at_and_past_max_gap():
+    gating = GatingConfig(max_gap=2)
+    a = make_det(0, 1, (0, 0, 10, 10))
+    at = make_det(1, 3, (0, 0, 10, 10))
+    past = make_det(2, 4, (0, 0, 10, 10))
+    assert permissible_transitions([a, at, past], gating) == [(0, 1), (1, 2)]
+    assert permissible_transitions([a, past], gating) == []
+
+
+def test_transitions_degenerate_windows():
+    gating = GatingConfig()
+    same = [make_det(i, 4, (0, 0, 10, 10)) for i in range(3)]
+    assert permissible_transitions(same, gating) == []
+    assert permissible_transitions([], gating) == []
+    assert permissible_transitions(same[:1], gating) == []
+
+
+def test_unsorted_frames_raise():
+    dets = [make_det(0, 2, (0, 0, 10, 10)), make_det(1, 1, (0, 0, 10, 10))]
+    with pytest.raises(ValueError):
+        permissible_transitions(dets, GatingConfig())
+    with pytest.raises(ValueError):
+        reference_transitions(dets, GatingConfig())
+    with pytest.raises(ValueError):
+        network_from_parts(dets, [], [1])
 
 
 def test_empty_window_network():
@@ -219,3 +321,70 @@ def test_out_edges_ascending():
         for node in range(net.num_nodes):
             out = list(net.out_edges(node, k))
             assert out == sorted(out)
+
+
+def random_network(seed: int):
+    rng = np.random.default_rng(seed)
+    dets = random_scene(rng, grid=False)
+    dets = [make_det(d.det_id, d.frame, d.box, float(rng.uniform(0, 1)),
+                     unit_feature(rng, 3), dim=3) for d in dets]
+    tracked = int(rng.integers(0, 4))
+    net = build_network(dets, [object()] * tracked, [int(rng.integers(0, 4))] + [1] * tracked,
+                        GatingConfig(max_gap=int(rng.integers(1, 4))))
+    return dets, net
+
+
+def test_edge_arrays_agree_with_id_arithmetic():
+    for seed in range(30):
+        dets, net = random_network(seed)
+        n, ns, nc = len(dets), net.num_shared, net.num_commodities
+        assert net.num_edges == ns + nc * (2 * n + 1)
+        expect = {}  # edge id -> (tail, head, kind, owner, det_a, det_b)
+        for i in range(n):
+            expect[i] = (net.u_node(i), net.v_node(i), EdgeKind.OBSERVATION, -1, i, -1)
+        for e, (i, j) in enumerate(net.transitions, start=n):
+            expect[e] = (net.v_node(i), net.u_node(j), EdgeKind.TRANSITION, -1, i, j)
+        for k in range(nc):
+            assert net.block_start(k) == ns + k * (2 * n + 1)
+            for i in range(n):
+                expect[net.start_edge(k, i)] = (
+                    net.source(k), net.u_node(i), EdgeKind.START, k, i, -1)
+                expect[net.term_edge(k, i)] = (
+                    net.v_node(i), net.sink(k), EdgeKind.TERMINATION, k, i, -1)
+            expect[net.bypass_edge(k)] = (
+                net.source(k), net.sink(k), EdgeKind.BYPASS, k, -1, -1)
+        assert sorted(expect) == list(range(net.num_edges))
+        arrays = (net.tail, net.head, net.kind, net.owner, net.det_a, net.det_b)
+        for e, want in expect.items():
+            assert tuple(int(a[e]) for a in arrays) == want, (seed, e)
+        for a in arrays:
+            assert a.dtype == np.int64 and not a.flags.writeable
+        for k in range(nc):
+            for node in range(net.num_nodes):
+                visible = [e for e in range(net.num_edges)
+                           if net.tail[e] == node and net.owner[e] in (-1, k)]
+                assert list(net.out_edges(node, k)) == visible, (seed, k, node)
+
+
+def test_detection_arrays_match_detections():
+    for seed in range(10):
+        dets, net = random_network(seed)
+        assert net.frames.tolist() == [d.frame for d in dets]
+        assert [tuple(b) for b in net.boxes.tolist()] == [d.box for d in dets]
+        assert net.boxes.shape == (len(dets), 4)
+        if dets:
+            assert np.array_equal(net.features, np.stack([d.feature for d in dets]))
+        for a in (net.frames, net.boxes, net.features):
+            assert not a.flags.writeable
+
+
+def test_path_detections_reads_observation_edges():
+    dets, net = random_network(4)
+    assert net.transitions
+    i, j = net.transitions[0]
+    trans = len(dets)  # first transition edge id
+    path = [net.start_edge(0, i), i, trans, j, net.term_edge(0, j)]
+    assert net.path_detections(path) == [i, j]
+    assert net.path_detections(tuple(path)) == [i, j]
+    assert net.path_detections([net.bypass_edge(0)]) == []
+    assert net.path_detections([]) == []

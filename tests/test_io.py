@@ -253,6 +253,18 @@ def test_instance_file_round_trip():
     assert a.v_int == pytest.approx(b.v_int, abs=1e-12)
 
 
+def test_instance_file_round_trip_reproduces_edge_arrays():
+    for seed in range(20):
+        net, costs = random_instance(seed, max_dets=12, max_tracked=4, oracle_budget=None)
+        net2, _ = load_instance(io.StringIO(save_instance(net, wrap_cost_vectors(net, costs))))
+        assert net2.transitions == net.transitions
+        assert net2.num_shared == net.num_shared
+        for name in ("tail", "head", "kind", "owner", "det_a", "det_b", "demands", "frames"):
+            a, b = getattr(net, name), getattr(net2, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (seed, name)
+        assert np.allclose(net2.boxes, net.boxes, rtol=0, atol=0.005)
+
+
 def test_instance_file_structure_errors():
     with pytest.raises(ParseError, match="missing"):
         load_instance(io.StringIO("[meta]\ncommodities=1\ndemands=1\n"))
