@@ -23,11 +23,15 @@ negative joins the pool, so one round can add up to d0 detection-disjoint
 dummy paths. The bound and the certificate read only the pricing sweep.
 
 The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
-RMLP value or, when stopping early, the Lagrangian bound
+RMLP value v_rmlp or, when stopping early, the Lagrangian bound
 v_rmlp + sum_k d_k * min(0, zeta_k - sigma_k), which is dual-feasible and
-therefore a true lower bound on the integer optimum. epsilon <= 1e-9 proves
-the returned integer solution optimal. A bound above v_int by at most 1e-9
-is rounding and reported as v_int, so epsilon >= 0; a larger excess raises.
+therefore a true lower bound on the integer optimum. v_rmlp is the master
+solve's objective: the RMLP optimum, or, when the solve perturbed its
+right-hand side to leave a degenerate stall, the duals' value at the true
+right-hand side, a lower bound on that optimum (see `lp`), so v_lp stays a
+lower bound. epsilon <= 1e-9 proves the returned integer solution optimal.
+A bound above v_int by at most 1e-9 is rounding and reported as v_int, so
+epsilon >= 0; a larger excess raises.
 
 The integer solution is the retained integral RMLP incumbent when it already
 certifies, otherwise the exact integer optimum over the generated pool from

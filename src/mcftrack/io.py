@@ -468,7 +468,11 @@ def load_instance(source: Source) -> tuple[FlowNetwork, list[CostVector]]:
             raise ParseError(f"{origin}:{lineno}: non-numeric detection field") from None
         if not np.isfinite(nums).all():
             raise ParseError(f"{origin}:{lineno}: non-finite detection field")
+        if nums[0] != int(nums[0]):
+            raise ParseError(f"{origin}:{lineno}: frame must be an integer")
         frame = int(nums[0])
+        if frame < 1:
+            raise ParseError(f"{origin}:{lineno}: frames are 1-based, got {frame}")
         x, y, w, h, score = nums[1:]
         try:
             detections.append(Detection(idx, frame, (x, y, w, h), score, placeholder))

@@ -28,10 +28,13 @@ vector, so with S the rows whose slack is basic, R the other rows and J the
 basic structural columns (|R| = |J|), B^-1 is K^-1 at (J, R) for
 K = M[R, J], the identity at (slacks, S) and -M[S, J] K^-1 at (slacks, R).
 Only K is factored, and it is about half the rows of a master basis.
-Pricing is Dantzig's rule with a Bland's-rule fallback after a run of
-degenerate pivots (steps of at most FEAS_TOL). Unboundedness cannot occur
-in well-formed master problems (every column belongs to a convexity row
-with finite demand) and raises.
+Pricing is Dantzig's rule. Each run of DEGENERATE_RUN_LIMIT pivots of step
+at most FEAS_TOL raises every basic value by a distinct amount near PERTURB
+and sets the right-hand side to B x_B, which breaks the ties and keeps B
+feasible. A perturbed solve reports that problem's x and, as objective, the
+dual value -b^T pi + d^T sigma at the true b and d: a lower bound, since the
+final basis is dual feasible for any right-hand side. An unbounded master
+(impossible when every column lies in a convexity row) raises.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-7
 PIVOT_TOL = 1e-10
 DEGENERATE_RUN_LIMIT = 50
+PERTURB = 1e-7
 REFACTOR_EVERY = 64
 
 _OPTIMAL = 0
@@ -92,7 +96,9 @@ class LPProblem:
 class LPSolution:
     """Primal/dual solution; status is 'optimal' or 'iteration-limit'.
 
-    x, pi, sigma and basis are None unless status is 'optimal'.
+    x, pi, sigma and basis are None unless status is 'optimal'. After a
+    perturbed solve, x solves the perturbed problem and objective is a dual
+    bound at the true right-hand side (module docstring).
     """
 
     status: str
@@ -146,10 +152,9 @@ def _basis_inverse(M: np.ndarray, basis: Sequence[int], mi: int) -> np.ndarray:
 
 
 def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
-    """Simplex core loop from a feasible basis. Mutates basis/b_inv; returns (code, iters)."""
+    """Simplex loop from a feasible basis; mutates basis, b_inv and rhs; returns (code, iters)."""
     m = M.shape[0]
     xb = b_inv @ rhs
-    bland = False
     degen_run = 0
     since_refactor = 0
     iters = 0
@@ -158,15 +163,9 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
         y = c[basis] @ b_inv
         reduced = c - y @ M
         reduced[basis] = 0.0
-        if bland:
-            cands = np.flatnonzero(reduced < -OPT_TOL)
-            if cands.size == 0:
-                return _OPTIMAL, iters
-            enter = int(cands[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -OPT_TOL:
-                return _OPTIMAL, iters
+        enter = int(np.argmin(reduced))
+        if reduced[enter] >= -OPT_TOL:
+            return _OPTIMAL, iters
         direction = b_inv @ M[:, enter]
         pos = np.flatnonzero(direction > PIVOT_TOL)
         if pos.size == 0:
@@ -175,7 +174,7 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
         theta = ratios.min()
         ties = pos[ratios <= theta + 1e-12]
         basis_arr = np.asarray(basis)
-        leave = int(ties[np.argmin(basis_arr[ties])])  # Bland-compatible
+        leave = int(ties[np.argmin(basis_arr[ties])])  # lowest basis index on ties
         theta = max(xb[leave] / direction[leave], 0.0)
 
         piv_row = b_inv[leave] / direction[leave]
@@ -187,16 +186,14 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
         np.clip(xb, 0.0, None, out=xb)
         basis[leave] = enter
 
-        # A step within the feasibility tolerance is rounding noise on a
-        # degenerate vertex; counting it as progress would switch Bland's
-        # rule off in the middle of a stall.
-        if theta <= FEAS_TOL:
-            degen_run += 1
-            if degen_run >= DEGENERATE_RUN_LIMIT:
-                bland = True
-        else:
+        # A step within FEAS_TOL is rounding noise on a degenerate vertex, not
+        # progress: it must not end the run in the middle of a stall.
+        degen_run = degen_run + 1 if theta <= FEAS_TOL else 0
+        if degen_run >= DEGENERATE_RUN_LIMIT:
+            # distinct raises break the ties; rhs = B x_B keeps B feasible
+            xb += PERTURB * (1.0 + np.modf(0.618 * np.arange(m))[0])
+            rhs[:] = M[:, basis] @ xb
             degen_run = 0
-            bland = False
 
         since_refactor += 1
         if since_refactor >= REFACTOR_EVERY:
@@ -233,7 +230,8 @@ def solve_lp(
     M[:mi, :mi] = np.eye(mi)
     M[:mi, mi:] = problem.a_ub
     M[mi:, mi:] = problem.a_eq
-    rhs = np.concatenate([problem.b_ub, problem.b_eq])
+    b = np.concatenate([problem.b_ub, problem.b_eq])
+    rhs = b.copy()
     c = np.concatenate([np.zeros(mi), problem.obj])
 
     basis: list[int] | None = None
@@ -278,11 +276,13 @@ def solve_lp(
     np.clip(pi, 0.0, None, out=pi)
     sigma = y[mi:]
     objective = float(problem.obj @ x)
-    dual_obj = float(-problem.b_ub @ pi + problem.b_eq @ sigma)
+    dual_obj = float(-rhs[:mi] @ pi + rhs[mi:] @ sigma)
     if abs(objective - dual_obj) > 1e-6 * (1.0 + abs(objective)):
         raise LPInternalError(
             f"strong duality violated: primal {objective!r} vs dual {dual_obj!r}"
         )
+    if (rhs != b).any():
+        objective = float(-problem.b_ub @ pi + problem.b_eq @ sigma)
     return LPSolution(
         status="optimal",
         objective=objective,

@@ -694,6 +694,30 @@ def test_m_window1_is_proven_within_80_iterations():
     assert res.iterations <= 80
 
 
+@pytest.mark.parametrize("name, v_int", [
+    ("m_window8.instance", 106.45621497559856),
+    ("m_window15.instance", 123.38373776188382),
+])
+def test_m_stall_windows_are_proven_within_25000_pivots(monkeypatch, name, v_int):
+    # M windows 8 and 15: set-partitioning-like masters whose degenerate
+    # runs stalled the master LP. A Bland's-rule fallback took 80,126 and
+    # 51,105 master pivots here, perturbing the right-hand side about 10,000.
+    net, vectors = load_instance(FIXTURES / name)
+    pivots = 0
+
+    def spy_lp(prob, warm_basis=None):
+        nonlocal pivots
+        sol = solve_lp(prob, warm_basis=warm_basis)
+        pivots += sol.iterations
+        return sol
+
+    monkeypatch.setattr(colgen, "solve_lp", spy_lp)
+    res = column_generation(net, vectors)
+    assert res.status == "proven-optimal"
+    assert res.v_int == pytest.approx(v_int, abs=1e-9)
+    assert pivots <= 25_000
+
+
 def test_births_windows_take_few_iterations():
     # Dummy-only: the flow solve takes at most d0 = 8 searches a window.
     # Column generation took 76 iterations over these windows, and 308 with

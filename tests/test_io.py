@@ -278,8 +278,12 @@ def test_instance_file_structure_errors():
     det, cost = lines.index("[detections]") + 1, lines.index("[costs]") + 1
     head, tail = lines[det].split(",", 1)[1], lines[det].rsplit(",", 1)[0]
     cost_head, cost_tail = lines[cost].split(",", 1)[1], lines[cost].rsplit(",", 1)[0]
-    for at, row in ((det, "inf," + head), (det, tail + ",nan"),
-                    (cost, "0:nan," + cost_head), (cost, cost_tail + ",-inf")):
+    for at, row, error in ((det, "inf," + head, "non-finite"),
+                           (det, tail + ",nan", "non-finite"),
+                           (cost, "0:nan," + cost_head, "non-finite"),
+                           (cost, cost_tail + ",-inf", "non-finite"),
+                           (det, "1.5," + head, "frame must be an integer"),
+                           (det, "-3," + head, "frames are 1-based")):
         edited = lines[:at] + [row] + lines[at + 1:]
-        with pytest.raises(ParseError, match=f":{at + 1}:.*non-finite"):
+        with pytest.raises(ParseError, match=f":{at + 1}:.*{error}"):
             load_instance(io.StringIO("\n".join(edited) + "\n"))

@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import master_lp, random_lp, vertex_lp_oracle
+from helpers import master_lp, random_instance, random_lp, vertex_lp_oracle, wrap_cost_vectors
+from mcftrack import colgen
 from mcftrack import lp as lp_module
-from mcftrack.lp import REFACTOR_EVERY, LPInternalError, LPProblem, LPSolution, solve_lp
+from mcftrack.colgen import INT_TOL, column_generation
+from mcftrack.lp import (
+    FEAS_TOL,
+    OPT_TOL,
+    REFACTOR_EVERY,
+    LPInternalError,
+    LPProblem,
+    LPSolution,
+    solve_lp,
+)
+from mcftrack.oracle import brute_force_ilp
 
 
 def lp(obj, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -297,3 +308,47 @@ def test_long_solves_refactor_and_stay_optimal():
         assert ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-7, seed
         check_optimal_duals(prob, ref.fun, seed)
+
+
+def perturbed(prob, sol):
+    """Whether the solve moved the right-hand side: every perturbation raises
+    each convexity row's value, so x no longer meets the true demands."""
+    return bool(np.abs(prob.a_eq @ sol.x - prob.b_eq).max() > FEAS_TOL)
+
+
+def test_forced_stalls_end_at_the_optimum_with_a_dual_bound(monkeypatch):
+    # A run limit of 1 perturbs on every degenerate pivot, again and again.
+    monkeypatch.setattr(lp_module, "DEGENERATE_RUN_LIMIT", 1)
+    count = 0
+    for seed in range(300):
+        prob = random_lp(seed)
+        ref = vertex_lp_oracle(prob)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal", seed
+        assert (sol.pi >= 0.0).all(), seed
+        reduced = prob.obj + sol.pi @ prob.a_ub - sol.sigma @ prob.a_eq
+        assert reduced.min() >= -OPT_TOL, seed
+        assert abs(sol.objective - ref) <= 1e-9, seed
+        assert sol.objective <= ref + 1e-12 * (1.0 + abs(ref)), seed
+        count += perturbed(prob, sol)
+    assert count > 0
+
+
+def test_forced_stalls_keep_column_generation_exact(monkeypatch):
+    monkeypatch.setattr(lp_module, "DEGENERATE_RUN_LIMIT", 1)
+    count = 0
+
+    def spy(prob, warm_basis=None):
+        nonlocal count
+        sol = solve_lp(prob, warm_basis=warm_basis)
+        count += sol.status == "optimal" and perturbed(prob, sol)
+        return sol
+
+    monkeypatch.setattr(colgen, "solve_lp", spy)
+    for seed in range(200):
+        net, costs = random_instance(seed)
+        res = column_generation(net, wrap_cost_vectors(net, costs))
+        ref, _ = brute_force_ilp(net, costs)
+        assert abs(res.v_int - ref) <= 1e-6, seed
+        assert res.v_lp <= ref + INT_TOL, seed
+    assert count > 0
