@@ -49,6 +49,7 @@ from .simlearn import (
     DegenerateTripletError,
     SimilarityModel,
     Triplet,
+    TripletSet,
     build_triplets,
     hinge_loss,
     load_model,
@@ -96,6 +97,7 @@ __all__ = [
     "TrackerConfig",
     "Trajectory",
     "Triplet",
+    "TripletSet",
     "WindowDiagnostics",
     "assemble_cost_vector",
     "brute_force_ilp",

@@ -34,13 +34,14 @@ A bound above v_int by at most 1e-9 is rounding and reported as v_int, so
 epsilon >= 0; a larger excess raises.
 
 The integer solution is the retained integral RMLP incumbent when it already
-certifies, otherwise the exact integer optimum over the generated pool from
-one MILP solve (price-and-branch: no pricing happens after the LP phase, so
-v_lp stays the bound and v_int the cost of a checked selection). When the
-gap stays open and the network is small enough to enumerate every
-source-sink path within a fixed budget, the pool is enriched with the full
-path set and extraction reruns once; larger networks keep the certified gap
-instead.
+certifies (the best master solution whose rounding moves no value by more
+than ROUND_TOL and meets the true rows exactly), otherwise the exact integer
+optimum over the generated pool from one MILP solve (price-and-branch: no
+pricing happens after the LP phase, so v_lp stays the bound and v_int the
+cost of a checked selection). When the gap stays open and the network is
+small enough to enumerate every source-sink path within a fixed budget, the
+pool is enriched with the full path set and extraction reruns once; larger
+networks keep the certified gap instead.
 
 A window whose only commodity is the dummy (every stream start, every window
 with no tracked target) skips all of this. It is a single-commodity
@@ -62,12 +63,17 @@ from scipy.optimize import LinearConstraint, milp
 
 from .costs import CostVector
 from .graph import FlowNetwork
-from .lp import LPInternalError, LPProblem, solve_lp
+from .lp import PERTURB, LPInternalError, LPProblem, solve_lp
 from .oracle import OracleLimitError, enumerate_paths
 
 CERT_TOL = 1e-7
 INT_TOL = 1e-9
 ITER_MAX_DEFAULT = 200
+
+# A master solve that perturbed its right-hand side leaves lam off an integral
+# vertex by a few PERTURB per perturbation (up to 1e-5 on the stalling M
+# windows); a fractional vertex of these masters sits far beyond this.
+ROUND_TOL = 1e3 * PERTURB
 
 # Total path budget for the enrichment fallback; beyond it the certified
 # near-optimal answer stands. Window networks of realistic size blow past
@@ -452,14 +458,19 @@ def extract_integer(
     if res.status != 0:
         raise ColgenError(f"integer master ended with status {res.status}: {res.message}")
     units = np.round(res.x)
-    if (
-        (units < 0).any()
-        or (prob.a_ub @ units > prob.b_ub).any()
-        or (prob.a_eq @ units != prob.b_eq).any()
-    ):
+    if not _meets_rows(prob, units):
         raise ColgenError("integer master solution violates the pool's rows")
     selection = _decode_selection(pool, units)
     return float(sum(col.cost * u for col, u in selection)), selection
+
+
+def _meets_rows(prob: LPProblem, units: np.ndarray) -> bool:
+    """Whether integral units satisfy the master's true rows exactly."""
+    return not (
+        (units < 0).any()
+        or (prob.a_ub @ units > prob.b_ub).any()
+        or (prob.a_eq @ units != prob.b_eq).any()
+    )
 
 
 def _decode_selection(
@@ -791,9 +802,11 @@ def column_generation(
         basis = sol.basis
         pi = np.zeros(ns)
         pi[rows] = sol.pi
-        lam = sol.x
-        if np.abs(lam - np.round(lam)).max() <= INT_TOL:
-            cand = _decode_selection(pool, lam)
+        # Round, then check the true rows: after a perturbed solve an
+        # integral vertex shows only to within ROUND_TOL.
+        units = np.round(sol.x)
+        if np.abs(sol.x - units).max() <= ROUND_TOL and _meets_rows(prob, units):
+            cand = _decode_selection(pool, units)
             cand_val = float(sum(c.cost * u for c, u in cand))
             if cand_val < v_incumbent:
                 incumbent, v_incumbent = cand, cand_val

@@ -15,7 +15,7 @@ through the same per-frame routine as a step but without learning or misses.
 Trajectories keep a feature history (last 10 associated features, mean
 renormalized as the matching template), a constant-velocity estimate from
 the last two associated boxes, and a per-trajectory similarity model updated
-from co-association triplets at every commit.
+at every commit from its co-association triplet set.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ class OnlineTracker:
                 traj.misses += 1
                 if traj.misses >= self.config.miss_limit:
                     traj.active = False
-        for i, triplets in triplet_sets.items():
-            update_model(frozen.active[i].model, triplets)
+        for i, triplet_set in triplet_sets.items():
+            update_model(frozen.active[i].model, triplet_set)
         del self._buffer[commit_frame]
         self._committed_through = commit_frame
         return records

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import unit_feature
+from mcftrack import tracker
+from mcftrack.io import Scenario, synth_generate
 from mcftrack.simlearn import (
     DegenerateTripletError,
     SimilarityModel,
     Triplet,
+    TripletSet,
     build_triplets,
     hinge_loss,
     load_model,
@@ -159,14 +162,17 @@ def test_build_triplets_three_associated():
     assert set(out) == {0, 1, 2}
     assert all(len(v) == 2 for v in out.values())
     # anchor is the trajectory template, positive its own detection
-    t = out[0][0]
+    t = out[0]
     assert np.array_equal(t.anchor, E1) and np.array_equal(t.positive, E1)
+    # negatives are the other associations in index order
+    assert np.array_equal(t.negatives[0], E2)
+    assert np.array_equal(t.negatives[1], [0.6, 0.8])
 
 
 def test_build_triplets_single_association():
     trajs = [_Traj(1, E1), _Traj(2, E2)]
     out = build_triplets(trajs, {0: E1})
-    assert out[0] == []
+    assert len(out[0]) == 0
 
 
 def test_build_triplets_unassociated_gets_none():
@@ -177,12 +183,28 @@ def test_build_triplets_unassociated_gets_none():
     assert out2 == {}
 
 
+@pytest.mark.parametrize("anchor, positive, negatives, message", [
+    (np.eye(2), E1, (E2,), "anchor must be a 1-D vector"),
+    (np.float64(1.0), E1, (E2,), "anchor must be a 1-D vector"),
+    (E1, np.ones(3), (E2,), "positive must be a 1-D vector of length 2"),
+    (E1, E2, (E2, np.ones(3)), "negative must be a 1-D vector of length 2"),
+    (E1, E2, (np.eye(2),), "negative must be a 1-D vector of length 2"),
+])
+def test_triplet_set_rejects_what_triplet_rejects(anchor, positive, negatives, message):
+    with pytest.raises(ValueError, match=message):
+        TripletSet(anchor, positive, negatives)
+    with pytest.raises(ValueError, match=message):
+        for n in negatives:
+            Triplet(anchor, positive, n)
+
+
 # -- update_model and persistence -------------------------------------------------
 
 def test_update_model_empty_is_identity():
     m = model(np.eye(3))
-    m2 = update_model(m, [])
+    m2 = update_model(m, TripletSet(np.ones(3), np.ones(3), ()))
     assert np.array_equal(m2.W, np.eye(3))
+    assert m2.update_count == 0
 
 
 def test_update_model_single_equals_pa_update():
@@ -191,17 +213,134 @@ def test_update_model_single_equals_pa_update():
     m = model(rng.normal(size=(3, 3)), c=0.5)
     base = SimilarityModel(W=m.W.copy(), aggressiveness=0.5)
     ref, _ = pa_update(base, t)
-    got = update_model(model(m.W.copy(), c=0.5), [t])
+    got = update_model(model(m.W.copy(), c=0.5), TripletSet(t.anchor, t.positive, (t.negative,)))
     assert np.allclose(got.W, ref.W)
 
 
 def test_update_model_order_deterministic():
     rng = np.random.default_rng(15)
-    ts = [Triplet(unit_feature(rng, 3), unit_feature(rng, 3), unit_feature(rng, 3))
-          for _ in range(4)]
-    a = update_model(model(np.eye(3), c=0.3), list(ts))
-    b = update_model(model(np.eye(3), c=0.3), list(ts))
+    ts = TripletSet(unit_feature(rng, 3), unit_feature(rng, 3),
+                    tuple(unit_feature(rng, 3) for _ in range(4)))
+    a = update_model(model(np.eye(3), c=0.3), ts)
+    b = update_model(model(np.eye(3), c=0.3), ts)
     assert np.array_equal(a.W, b.W)
+
+
+# -- a triplet set equals its triplets applied one by one ---------------------------
+
+def reference_update(m, triplets):
+    """The passive-aggressive step written out per Triplet, as a reference."""
+    for t in triplets:
+        loss = max(0.0, 1.0 - (float(t.anchor @ m.W @ t.positive)
+                               - float(t.anchor @ m.W @ t.negative)))
+        if loss <= 0.0:
+            continue
+        delta = t.positive - t.negative
+        vnorm = float(t.anchor @ t.anchor) * float(delta @ delta)
+        if vnorm <= 0.0:
+            raise DegenerateTripletError("positive == negative")
+        m.W += min(m.aggressiveness, loss / vnorm) * np.outer(t.anchor, delta)
+        m.update_count += 1
+    return m
+
+
+def reference_build(trajectories, associations):
+    keys = sorted(associations)
+    return {
+        k: [Triplet(trajectories[k].template, associations[k], associations[l])
+            for l in keys if l != k]
+        for k in keys
+    }
+
+
+def as_triplets(ts):
+    return [Triplet(ts.anchor, ts.positive, n) for n in ts.negatives]
+
+
+def test_triplet_set_update_is_bit_identical_to_per_triplet_steps():
+    rng = np.random.default_rng(18)
+    kinds = {"noop": 0, "full": 0, "clipped": 0}
+    for _ in range(400):
+        dim = int(rng.integers(2, 25))
+        c = float(rng.uniform(0.01, 3.0))
+        w0 = np.eye(dim) + rng.normal(scale=rng.uniform(0.0, 1.5), size=(dim, dim))
+        anchor = unit_feature(rng, dim)
+        positive = unit_feature(rng, dim) if rng.random() < 0.5 else anchor.copy()
+        ts = TripletSet(anchor, positive,
+                        tuple(unit_feature(rng, dim) for _ in range(int(rng.integers(0, 31)))))
+        assert len(ts) == len(ts.negatives)
+        got = update_model(model(w0, c), ts)
+        ref = model(w0, c)
+        for t in as_triplets(ts):
+            before = ref.W.copy()
+            loss = hinge_loss(ref, t)
+            reference_update(ref, [t])
+            if np.array_equal(ref.W, before):
+                kinds["noop"] += 1
+            elif loss > c * float(t.anchor @ t.anchor) * float(
+                    (t.positive - t.negative) @ (t.positive - t.negative)):
+                kinds["clipped"] += 1
+            else:
+                kinds["full"] += 1
+        assert np.array_equal(got.W, ref.W)
+        assert got.update_count == ref.update_count
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_degenerate_negative_mid_set_keeps_the_steps_before_it():
+    rng = np.random.default_rng(19)
+    raised = 0
+    for _ in range(100):
+        dim = int(rng.integers(2, 25))
+        c = float(rng.uniform(0.01, 3.0))
+        w0 = np.eye(dim) + rng.normal(size=(dim, dim))
+        anchor, positive = unit_feature(rng, dim), unit_feature(rng, dim)
+        negatives = [unit_feature(rng, dim) for _ in range(int(rng.integers(1, 31)))]
+        j = int(rng.integers(0, len(negatives)))
+        negatives[j] = positive.copy()
+        ts = TripletSet(anchor, positive, tuple(negatives))
+        ref = model(w0, c)
+        reference_update(ref, as_triplets(ts)[:j])
+        if hinge_loss(ref, as_triplets(ts)[j]) <= 0.0:
+            continue  # a zero-loss degenerate triplet is a no-op, not an error
+        got = model(w0, c)
+        with pytest.raises(DegenerateTripletError):
+            update_model(got, ts)
+        assert np.array_equal(got.W, ref.W)
+        assert got.update_count == ref.update_count
+        raised += 1
+    assert raised > 50
+
+
+def test_tracker_learns_the_same_with_sets_as_with_triplets(monkeypatch):
+    # the gated `wide` benchmark scene, cut to 12 frames
+    scene = Scenario(targets=24, frames=12, clutter_rate=0.0, feature_dim=24,
+                     arena_h=3200.0, lane_gap=120.0, miss_prob=0.05, feature_noise=0.1,
+                     pos_noise=1.0, target_score_std=0.0)
+    dets, _ = synth_generate(scene, seed=3)
+    config = tracker.TrackerConfig(window=3, d0=8, bypass_cost_tracked=12.0,
+                                   bypass_cost_dummy=19.5)
+
+    def track():
+        trk = tracker.OnlineTracker(config)
+        records = []
+        for f in range(1, scene.frames + 1):
+            records += trk.step(f, dets.get(f, []))
+        return trk, records
+
+    shipped, shipped_records = track()
+    monkeypatch.setattr(tracker, "build_triplets", reference_build)
+    monkeypatch.setattr(tracker, "update_model", reference_update)
+    ref, ref_records = track()
+
+    assert shipped_records == ref_records
+    assert [d.v_int for d in shipped.diagnostics] == [d.v_int for d in ref.diagnostics]
+    assert len(shipped.trajectories) == len(ref.trajectories) >= 24
+    assert sum(t.model.update_count for t in shipped.trajectories) > 0
+    for a, b in zip(shipped.trajectories, ref.trajectories):
+        assert a.track_id == b.track_id
+        assert np.array_equal(a.model.W, b.model.W)
+        assert a.model.update_count == b.model.update_count
 
 
 def test_model_updates_are_independent():
