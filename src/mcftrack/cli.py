@@ -72,6 +72,18 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _load_features(path: Path) -> np.ndarray:
+    """The feature sidecar's table; anything but one readable .npy array is a ParseError."""
+    try:
+        table = np.load(path)
+    except (OSError, ValueError, EOFError) as exc:
+        raise mio.ParseError(f"{path}: unreadable feature file: {exc}") from None
+    if not isinstance(table, np.ndarray):
+        table.close()
+        raise mio.ParseError(f"{path}: feature file is not a single .npy array")
+    return table
+
+
 def _cmd_track(args: argparse.Namespace) -> int:
     det_path = _require_file(args.det)
     if args.config is not None:
@@ -89,7 +101,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if args.features and not feat_path.is_file():
         raise mio.ParseError(f"missing feature file: {args.features}")
     if feat_path.is_file():
-        features = np.load(feat_path)
+        features = _load_features(feat_path)
     detections = mio.read_detections(det_path, features=features, seed=args.seed)
     tracks, _ = run(detections, config, log_path=args.log)
     mio.write_tracks(tracks, args.out)

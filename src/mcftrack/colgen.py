@@ -38,10 +38,20 @@ certifies (the best master solution whose rounding moves no value by more
 than ROUND_TOL and meets the true rows exactly), otherwise the exact integer
 optimum over the generated pool from one MILP solve (price-and-branch: no
 pricing happens after the LP phase, so v_lp stays the bound and v_int the
-cost of a checked selection). When the gap stays open and the network is
-small enough to enumerate every source-sink path within a fixed budget, the
-pool is enriched with the full path set and extraction reruns once; larger
-networks keep the certified gap instead.
+cost of a checked selection). When that leaves v_int - v_lp > INT_TOL, the
+last pricing round's duals pi >= 0 and values zeta_k bound every selection
+x, with x_p units on path p of commodity k(p):
+
+    cost(x) >= L(pi) + sum_p rc_p x_p,  L(pi) = -sum(pi) + sum_k d_k zeta_k,
+
+where rc_p >= 0 is p's pi-shifted cost less zeta_k(p): the shifted costs
+add pi_e times each shared edge's load, which is at most 1, and each
+commodity's x_p sum to d_k. So every column of a selection cheaper than
+v_int has rc_p < v_int - L(pi). `_bounded_columns` enumerates exactly those
+paths and extraction reruns when one of them is new to the pool; either way
+v_int is then the integer optimum over all paths, and an epsilon left is a
+true integrality gap against the LP bound. Past ENUM_COLUMN_CAP columns the
+enumeration gives up and the certified gap stands.
 
 A window whose only commodity is the dummy (every stream start, every window
 with no tracked target) skips all of this. It is a single-commodity
@@ -64,7 +74,6 @@ from scipy.optimize import LinearConstraint, milp
 from .costs import CostVector
 from .graph import FlowNetwork
 from .lp import PERTURB, LPInternalError, LPProblem, solve_lp
-from .oracle import OracleLimitError, enumerate_paths
 
 CERT_TOL = 1e-7
 INT_TOL = 1e-9
@@ -75,10 +84,9 @@ ITER_MAX_DEFAULT = 200
 # windows); a fractional vertex of these masters sits far beyond this.
 ROUND_TOL = 1e3 * PERTURB
 
-# Total path budget for the enrichment fallback; beyond it the certified
-# near-optimal answer stands. Window networks of realistic size blow past
-# this immediately, so enrichment effectively runs only on tiny instances.
-ENRICH_PATH_BUDGET = 2048
+# Most columns the reduced-cost enumeration may return; beyond it the
+# certified gap stands.
+ENUM_COLUMN_CAP = 2048
 
 # A pooled column repricing below sigma signals dual/tolerance inconsistency,
 # but only beyond an order of magnitude of the certificate tolerance; smaller
@@ -507,21 +515,55 @@ def _group_selection(
     return grouped, flows
 
 
-def _enrichment_columns(
-    network: FlowNetwork, values: Sequence[np.ndarray], budget: int
+def _bounded_columns(
+    tables: PricingTables, pi: np.ndarray, zetas: np.ndarray, gap: float
 ) -> list[PathColumn] | None:
-    """Every source-sink path of every commodity, or None over budget.
+    """Every path whose pi-shifted cost is below zeta_k + gap, or None past the cap.
 
-    Used only by the enrichment fallback; each commodity's enumeration stops
-    as soon as the running path count crosses the budget.
+    Paths grow back from each commodity's sink by a DFS. A partial path
+    from v_t to the sink is kept only while the shortest shifted distance
+    from the source to v_t (the pricing sweep's) plus its own shifted cost
+    stays below the limit, so every kept partial path completes to at least
+    one listed path and the search visits little beyond its output. Columns
+    carry their unshifted cost and come per commodity in edge-id order,
+    bypass last. Returns None as soon as more than ENUM_COLUMN_CAP are found.
     """
+    net = tables.network
+    n = net.num_detections
+    w = tables.shared + pi
+    _, dist = _sweep(tables, w)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (tail, edge) by head
+    for p, (i, j) in enumerate(net.transitions):
+        into[j].append((i, n + p))
     cols: list[PathColumn] = []
-    for k in range(network.num_commodities):
-        try:
-            paths = enumerate_paths(network, k, limit=budget - len(cols))
-        except OracleLimitError:
+    for k in range(net.num_commodities):
+        limit = float(zetas[k]) + gap
+        w_k, dist_k = w[k].tolist(), dist[k].tolist()
+        start = tables.values[k][net.start_edge(k, 0) : net.start_edge(k, n)].tolist()
+        term = tables.term[k].tolist()
+        paths: list[tuple[int, ...]] = []
+        budget = ENUM_COLUMN_CAP - len(cols)
+
+        def grow(j: int, suffix: tuple[int, ...], s: float) -> None:
+            # suffix runs from u_j to the sink at shifted cost s
+            if len(paths) > budget:
+                return
+            if start[j] + s < limit:
+                paths.append((net.start_edge(k, j),) + suffix)
+            for t, e in into[j]:
+                s_t = w_k[e] + s
+                if dist_k[t] + s_t < limit:
+                    grow(t, (t, e) + suffix, w_k[t] + s_t)
+
+        for i in range(n):
+            if dist_k[i] + term[i] < limit:
+                grow(i, (i, net.term_edge(k, i)), w_k[i] + term[i])
+        if tables.bypass[k] < limit:
+            paths.append((net.bypass_edge(k),))
+        if len(paths) > budget:
             return None
-        cols.extend(PathColumn(k, p, float(sum(values[k][e] for e in p))) for p in paths)
+        vals = tables.values[k]
+        cols.extend(PathColumn(k, p, float(sum(vals[e] for e in p))) for p in sorted(paths))
     return cols
 
 
@@ -849,13 +891,11 @@ def column_generation(
         else:
             v_int, selection = mip_val, mip_sel
         if v_int - v_lp > INT_TOL:
-            # The pool may simply be missing the right columns; on a small
-            # network the whole path set fits in the budget, making the
-            # second extraction exact. Over budget, the certificate stands.
-            extra = _enrichment_columns(network, values, ENRICH_PATH_BUDGET)
-            if extra is not None:
-                for col in extra:
-                    pool.add(col)
+            # Every column of a cheaper selection prices below
+            # zeta_k + v_int - L(pi) (module docstring): pool them all.
+            lower = float(demands @ zetas - pi.sum())
+            extra = _bounded_columns(tables, pi, zetas, v_int - lower)
+            if extra is not None and sum(pool.add(col) for col in extra):
                 rich_val, rich_sel = extract_integer(network, pool)
                 if rich_val < v_int:
                     v_int, selection = rich_val, rich_sel

@@ -1,12 +1,12 @@
 """Exhaustive reference solvers for small window instances.
 
-Independent of the column-generation stack, which borrows enumerate_paths
-only for its enrichment fallback: paths are enumerated by DFS over the
-network structure and the joint assignment is found by brute-force
-search over per-commodity path choices with shared-edge disjointness
-enforced by bitmask. Intended for instances of a few detections; both
-entry points abort with OracleLimitError beyond an explicit size guard
-rather than run unbounded searches.
+Independent of the column-generation stack, which imports nothing from
+here: the oracle is a reference for the tests and `mcftrack solve --oracle`.
+Paths are enumerated by DFS over the network structure and the joint
+assignment is found by brute-force search over per-commodity path choices
+with shared-edge disjointness enforced by bitmask. Intended for instances
+of a few detections; both entry points abort with OracleLimitError beyond an
+explicit size guard rather than run unbounded searches.
 """
 
 from __future__ import annotations

@@ -97,6 +97,34 @@ def test_missing_files_exit_2(tmp_path, capsys):
     assert "gone.txt" in capsys.readouterr().err
 
 
+def broken_sidecars(tmp_path):
+    """Feature files np.load cannot read as one array: empty, truncated, garbage, .npz."""
+    good = tmp_path / "good.npy"
+    np.save(good, np.eye(4))
+    data = good.read_bytes()
+    good.unlink()
+    np.savez(tmp_path / "pair.npz", a=np.eye(4))
+    pair = (tmp_path / "pair.npz").read_bytes()
+    (tmp_path / "pair.npz").unlink()
+    return {"empty": b"", "header": data[:40], "truncated": data[:-8],
+            "garbage": b"frame,x,y\n" * 8, "npz": pair}
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_broken_feature_sidecar_exits_2(scene, capsys, explicit):
+    tmp_path, det, _, config = scene
+    sidecar = tmp_path / "feats.npy" if explicit else det.parent / (det.name + ".npy")
+    for kind, content in broken_sidecars(tmp_path).items():
+        sidecar.write_bytes(content)
+        out = tmp_path / "hyp.txt"
+        args = ["track", "--det", str(det), "--out", str(out), "--config", str(config)]
+        code = main(args + (["--features", str(sidecar)] if explicit else []))
+        err = capsys.readouterr().err
+        assert code == 2, kind
+        assert err.startswith("error: ") and str(sidecar) in err, (kind, err)
+        assert not out.exists(), kind
+
+
 def test_non_finite_frame_exits_2(tmp_path, capsys):
     det = tmp_path / "dets.txt"
     det.write_text("1,-1,10,20,5,60,0.8,-1,-1,-1\ninf,-1,10,20,5,60,0.8,-1,-1,-1\n")

@@ -22,8 +22,8 @@ from mcftrack.colgen import (
     PathColumn,
     PricingTables,
     _Pool,
+    _bounded_columns,
     _dummy_flow,
-    _enrichment_columns,
     _grow_basis,
     column_generation,
     extract_integer,
@@ -228,17 +228,39 @@ def test_price_across_an_empty_frame():
     assert zeta == -0.5 and col.cost == -0.5
 
 
-def test_enrichment_columns_at_budget_boundary():
-    dets = [make_det(0, 1, (0, 0, 10, 10)), make_det(1, 2, (2, 0, 10, 10))]
-    net = network_from_parts(dets, [(0, 1)], [1, 1])
-    rng = np.random.default_rng(0)
-    values = [rng.normal(size=net.num_edges) for _ in range(net.num_commodities)]
-    paths = [(k, p) for k in range(net.num_commodities) for p in enumerate_paths(net, k)]
-    cols = _enrichment_columns(net, values, len(paths))
-    assert [(c.commodity, c.edges) for c in cols] == paths
-    for c in cols:
-        assert c.cost == pytest.approx(sum(values[c.commodity][e] for e in c.edges))
-    assert _enrichment_columns(net, values, len(paths) - 1) is None
+def test_bounded_columns_are_the_paths_under_the_reduced_cost_limit(monkeypatch):
+    rng = np.random.default_rng(15)
+    checked = 0
+    for seed in range(120):
+        net, costs = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
+        ns = net.num_shared
+        tables = PricingTables.build(net, costs)
+        pi = rng.uniform(0.0, 1.5, size=ns) * (rng.random(ns) < 0.5)
+        _, zetas = price(tables, pi)
+        gap = float(rng.uniform(0.0, 3.0))
+        cols = _bounded_columns(tables, pi, zetas, gap)
+        found = {(c.commodity, c.edges) for c in cols}
+        for k in range(net.num_commodities):
+            weights = costs[k].copy()
+            weights[:ns] += pi
+            limit = zetas[k] + gap
+            for p in enumerate_paths(net, k):
+                shifted = float(sum(weights[e] for e in p))
+                if shifted < limit - 1e-9:
+                    assert (k, p) in found, (seed, k, p)
+                elif shifted >= limit + 1e-9:
+                    assert (k, p) not in found, (seed, k, p)
+        assert len(found) == len(cols), seed  # each path once
+        for c in cols:
+            assert c.cost == float(sum(costs[c.commodity][e] for e in c.edges)), seed
+        if len(cols) > 1:
+            monkeypatch.setattr(colgen, "ENUM_COLUMN_CAP", len(cols))
+            assert _bounded_columns(tables, pi, zetas, gap) == cols
+            monkeypatch.setattr(colgen, "ENUM_COLUMN_CAP", len(cols) - 1)
+            assert _bounded_columns(tables, pi, zetas, gap) is None, seed
+            monkeypatch.undo()
+            checked += 1
+    assert checked >= 60
 
 
 def test_optimality_check():
@@ -716,6 +738,18 @@ def test_m_stall_windows_are_proven_within_25000_pivots(monkeypatch, name, v_int
     assert res.status == "proven-optimal"
     assert res.v_int == pytest.approx(v_int, abs=1e-9)
     assert pivots <= 25_000
+
+
+def test_contested_window19_extracts_the_integer_optimum_over_every_path():
+    # contested seed 3, window_t 19: the first MILP over the pool reads
+    # v_int 169.05355386010658 against v_lp 168.8065202209866; pooling the
+    # columns under the reduced-cost limit lowers v_int to the optimum.
+    net, vectors = load_instance(FIXTURES / "contested_window19.instance")
+    res = column_generation(net, vectors)
+    assert res.v_lp == pytest.approx(168.8065202209866, abs=1e-9)
+    assert res.v_int == pytest.approx(168.86628779093667, abs=1e-9)
+    assert res.epsilon >= 0.0
+    check_flow_constraints(net, res.selection)
 
 
 def test_incumbent_is_decoded_after_perturbed_master_solves(monkeypatch):

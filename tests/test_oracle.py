@@ -1,5 +1,8 @@
 """Exhaustive oracle: path enumeration and brute-force integer optimum."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from helpers import make_det, random_instance
 from mcftrack.colgen import PricingTables, price
 from mcftrack.graph import network_from_parts
 from mcftrack.oracle import OracleLimitError, brute_force_ilp, enumerate_paths
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mcftrack"
 
 
 def test_empty_window_single_bypass_path():
@@ -119,3 +124,34 @@ def test_assignment_respects_demands_and_disjointness():
                 assert not (shared & seen_shared)
                 seen_shared |= shared
         assert total == pytest.approx(val, abs=1e-9)
+
+
+def oracle_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of the statements in `tree` that import the oracle module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "oracle" or any(a.name == "oracle" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "oracle" for a in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_and_the_package_import_the_oracle():
+    # The oracle is a reference for tests and `mcftrack solve --oracle`; the
+    # solver stack must not lean on it.
+    modules = sorted(SRC.glob("*.py"))
+    assert {"colgen.py", "cli.py", "oracle.py"} <= {p.name for p in modules}
+    offenders = {
+        p.name: lines
+        for p in modules
+        if p.name not in ("cli.py", "__init__.py")
+        and (lines := oracle_imports(ast.parse(p.read_text(), str(p))))
+    }
+    assert not offenders, offenders
+    for probe in ("from .oracle import enumerate_paths", "from . import oracle",
+                  "import mcftrack.oracle", "from mcftrack.oracle import PATH_LIMIT"):
+        assert oracle_imports(ast.parse(probe)) == [1], probe
