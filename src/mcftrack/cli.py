@@ -4,9 +4,10 @@ Subcommands: track (detections in, tracks out), eval (CLEAR MOT report),
 synth (generate a synthetic scene), solve (solve one serialized window
 instance, optionally cross-checked against the exhaustive oracle).
 
-Exit codes: 0 success, 2 input parse errors or missing input files (the
-message names the path), 3 configuration or scenario errors, 1 solver
-failures and other runtime refusals such as an oracle size guard.
+Exit codes: 0 success, 2 input parse errors, missing input files or missing
+output directories (the message names the path), 3 configuration or
+scenario errors, 1 solver failures and other runtime refusals such as an
+oracle size guard.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _require_out_dirs(*paths: str | None) -> None:
+    """Refuse output paths whose directory does not exist, before any work."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise mio.ParseError(f"missing output directory: {path}")
+
+
 def _load_features(path: Path) -> np.ndarray:
     """The feature sidecar's table; anything but one readable .npy array is a ParseError."""
     try:
@@ -85,6 +93,7 @@ def _load_features(path: Path) -> np.ndarray:
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
+    _require_out_dirs(args.out, args.log)
     det_path = _require_file(args.det)
     if args.config is not None:
         cfg_path = Path(args.config)
@@ -117,6 +126,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    _require_out_dirs(args.out_det, args.out_gt)
     scenario = mio.parse_scenario(_require_file(args.scenario))
     detections, gt = mio.synth_generate(scenario, seed=args.seed)
     mio.write_detections(detections, args.out_det)

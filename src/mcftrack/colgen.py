@@ -16,11 +16,11 @@ zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
 an iteration cap, or when pricing can only repeat pooled columns. The dummy
 commodity carries up to d0 units, so when its shortest path is the only one
 that prices negative, the round also routes all d0 of them under the
-pi-shifted costs by successive shortest paths (`_dummy_flow`, the routine
-that solves dummy-only windows below, as k-disjoint-paths trackers route
-units on this graph). Every path of that flow whose shifted cost prices
-negative joins the pool, so one round can add up to d0 detection-disjoint
-dummy paths. The bound and the certificate read only the pricing sweep.
+pi-shifted costs as one min-cost assignment (`_dummy_flow`, the routine that
+solves dummy-only windows below). Every path of that flow whose shifted cost
+prices negative joins the pool, so one round can add up to d0
+detection-disjoint dummy paths. The bound and the certificate read only the
+pricing sweep.
 
 The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
 RMLP value v_rmlp or, when stopping early, the Lagrangian bound
@@ -56,20 +56,18 @@ enumeration gives up and the certified gap stands.
 A window whose only commodity is the dummy (every stream start, every window
 with no tracked target) skips all of this. It is a single-commodity
 min-cost flow of d0 units with unit capacity on the shared edges, whose LP
-is integral, so `_dummy_flow` at pi = 0 solves it exactly: no master LP,
-no pricing round and no MILP. It reports proven-optimal with epsilon 0,
-duals read off the final node potentials, and the number of shortest-path
-searches as its iterations.
+is integral, so `_dummy_flow` at pi = 0 solves it exactly by one assignment
+solve: no master LP, no pricing round and no MILP. It reports
+proven-optimal with epsilon 0, one iteration and no duals.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
+from scipy.optimize import LinearConstraint, linear_sum_assignment, milp
 
 from .costs import CostVector
 from .graph import FlowNetwork
@@ -92,11 +90,6 @@ ENUM_COLUMN_CAP = 2048
 # but only beyond an order of magnitude of the certificate tolerance; smaller
 # violations are float jitter between the LP's reduced costs and our recompute.
 DUPLICATE_GUARD_TOL = 1e-6
-
-# A dummy-only flow's ends of a detection's unit: no transition into it
-# (from the source) or out of it (to the sink).
-_START = _TERM = -1
-
 
 class ColgenError(RuntimeError):
     pass
@@ -125,6 +118,7 @@ class CGResult:
     columns: list[PathColumn]
     selection: list[list[tuple[PathColumn, int]]]  # per commodity: (path, units)
     flows: list[np.ndarray]  # per commodity integer edge flows
+    # the last pricing round's duals and values; None for a dummy-only window
     pi: np.ndarray | None
     sigma: np.ndarray | None
     zetas: np.ndarray | None
@@ -567,153 +561,49 @@ def _bounded_columns(
     return cols
 
 
-def _dummy_flow(
-    tables: PricingTables, pi: np.ndarray | None = None
-) -> tuple[list[PathColumn], int, list[float]]:
-    """Route the dummy's d0 units by successive shortest paths under pi-shifted costs.
+def _dummy_flow(tables: PricingTables, pi: np.ndarray | None = None) -> list[PathColumn]:
+    """Route the dummy's d0 units by one assignment solve under pi-shifted costs.
 
     The dummy's flow is a min-cost flow of d0 units with unit capacity on
-    the shared edges, each shifted by pi, and its LP is integral, so
-    successive shortest paths solve it exactly. Nodes are numbered as in the
-    network (u_i = 2i, v_i = 2i + 1, source 2N, sink 2N + 1). The first
-    search is the pricing sweep over the DAG: its distances are the initial
-    node potentials and its shortest path the first unit. Every later search
-    is Dijkstra on reduced costs over the residual graph, where an
-    observation or transition edge that carries its unit appears reversed and
-    the uncapacitated start, termination and bypass edges stay. A search
-    stops when the sink settles; a node it did not settle takes the sink's
-    distance, which keeps every residual reduced cost nonnegative. Units go
-    one at a time until d0 are routed or the bypass is a shortest path; the
-    rest take the bypass.
+    the shared edges, each shifted by pi. Each detection carries at most one
+    unit and every transition advances in frame, so the flow is a min-cost
+    assignment, which `linear_sum_assignment` solves exactly. Rows are the
+    v nodes, then d0 source units; columns are the u nodes, then d0 sink
+    units. Row v_t picks u_j to leave along transition t -> j, a sink unit
+    to terminate, or its own u_t (at cost 0) to carry nothing; a source unit
+    picks u_j to start at j or a sink unit to take the bypass. A pick of u_j
+    adds j's shifted observation cost, and a pair with no edge costs +inf.
+    Transitions admit no cycle, so the picks chain each source unit to a
+    sink unit along one path, and the paths are detection-disjoint.
 
-    Each detection carries at most one unit, so the flow decomposes into
-    unique detection-disjoint paths. Returns them as columns with their
-    unshifted costs, ordered by first detection, then the number of
-    searches (at most max(d0, 1)) and the final node potentials.
+    Returns the paths as columns with their unshifted costs, ordered by
+    first detection.
     """
     net = tables.network
     n, ns = net.num_detections, net.num_shared
     d0 = int(net.demands[0])
     vals = tables.values[0]
-    w = tables.shared if pi is None else tables.shared + pi
-    obs = w[0, :n].tolist()
-    trans = w[0, n:].tolist()  # transition p is edge n + p
-    start = vals[ns : ns + n].tolist()
-    term = vals[ns + n : ns + 2 * n].tolist()
-    bypass = float(tables.bypass[0])
-    tails = [i for i, _ in net.transitions]
-    heads = [j for _, j in net.transitions]
-    out: list[list[int]] = [[] for _ in range(n)]
-    into: list[list[int]] = [[] for _ in range(n)]
-    for p, (i, j) in enumerate(net.transitions):
-        out[i].append(p)
-        into[j].append(p)
-    src, sink = 2 * n, 2 * n + 1
-    used = [False] * n  # detection i carries a unit
-    prev = [_START] * n  # the transition its unit arrives by, or _START
-    nxt = [_TERM] * n  # the transition it leaves by, or _TERM
-    back = [src] * (2 * n + 2)  # the last search's tree: predecessor node
-    back_arc = [-1] * (2 * n + 2)  # and the transition into the node, or -1
-
-    reach, dist = _sweep(tables, w)
-    pot = np.column_stack([reach[0], dist[0]]).ravel().tolist() + [0.0, bypass]
-    ends = dist[0] + tables.term[0]
-    found = bool(n) and ends.min() < bypass
-    if found:
-        # Walk the sweep's shortest path back: each distance equals,
-        # bit for bit, the candidate that attained it.
-        i = int(ends.argmin())
-        pot[sink] = float(ends[i])
-        back[sink] = 2 * i + 1
-        while True:
-            back[2 * i + 1] = 2 * i
-            via = [p for p in into[i] if pot[2 * tails[p] + 1] + trans[p] == pot[2 * i]]
-            if not via:
-                back[2 * i] = src
-                break
-            back[2 * i], back_arc[2 * i] = 2 * tails[via[0]] + 1, via[0]
-            i = tails[via[0]]
-
-    def search() -> bool:
-        """Dijkstra from the source; False when the bypass is a shortest path."""
-        d = [float("inf")] * (2 * n + 2)
-        done = [False] * (2 * n + 2)
-        d[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            dx, x = heapq.heappop(heap)
-            if done[x]:
-                continue
-            done[x] = True
-            if x == sink:
-                break
-            i = x >> 1
-            if x == src:
-                arcs = [(2 * j, start[j], -1) for j in range(n)]
-                arcs.append((sink, bypass, -1))
-            elif not x & 1:  # u_i: its observation edge, or back along the one into it
-                if not used[i]:
-                    arcs = [(x + 1, obs[i], -1)]
-                elif prev[i] != _START:
-                    p = prev[i]
-                    arcs = [(2 * tails[p] + 1, -trans[p], p)]
-                else:
-                    continue
-            else:  # v_i: free transitions, termination, back along the observation
-                taken = nxt[i] if used[i] else _TERM
-                arcs = [(2 * heads[p], trans[p], p) for p in out[i] if p != taken]
-                arcs.append((sink, term[i], -1))
-                if used[i]:
-                    arcs.append((x - 1, -obs[i], -1))
-            base = dx + pot[x]
-            for y, c, p in arcs:
-                if not done[y]:
-                    dy = base + c - pot[y]
-                    if dy < d[y]:
-                        d[y] = dy
-                        back[y] = x
-                        back_arc[y] = p
-                        heapq.heappush(heap, (dy, y))
-        top = d[sink]
-        pot[:] = [p + (dx if dx < top else top) for p, dx in zip(pot, d)]
-        return back[sink] != src
-
-    def augment() -> None:
-        """Send one unit along the last search's path to the sink."""
-        y = sink
-        while y != src:
-            x = back[y]
-            if x == src:
-                prev[y >> 1] = _START
-            elif y == sink:
-                nxt[x >> 1] = _TERM
-            elif x >> 1 == y >> 1:
-                used[x >> 1] = not x & 1  # forward along the observation, or back
-            elif x & 1:
-                nxt[x >> 1] = prev[y >> 1] = back_arc[y]
-            # a reversed transition frees its ends, which the path rewires
-            y = x
-
-    iterations, units = 1, 0
-    while found and units < d0:
-        augment()
-        units += 1
-        if units < d0:
-            iterations += 1
-            found = search()
+    w = tables.shared[0] if pi is None else tables.shared[0] + pi
+    tails, heads = net.det_a[n:ns], net.det_b[n:ns]
+    cost = np.full((n + d0, n + d0), np.inf)
+    cost[tails, heads] = w[n:] + w[heads]
+    cost[n:, :n] = vals[ns : ns + n] + w[:n]
+    cost[:n, n:] = tables.term[0][:, None]
+    cost[n:, n:] = tables.bypass[0]
+    cost[np.arange(n), np.arange(n)] = 0.0
+    _, pick = linear_sum_assignment(cost)
+    # the transition v_t -> u_pick[t], where there is one: keys sort as the ids
+    via = n + np.searchsorted(tails * n + heads, np.arange(n) * n + pick[:n])
 
     columns = []
-    for i in range(n):
-        if used[i] and prev[i] == _START:
-            j = i
-            edges = [net.start_edge(0, j), j]
-            while nxt[j] != _TERM:
-                p = nxt[j]
-                j = heads[p]
-                edges += (n + p, j)
-            edges.append(net.term_edge(0, j))
-            columns.append(PathColumn(0, tuple(edges), float(sum(vals[e] for e in edges))))
-    return columns, iterations, pot
+    for j in sorted(int(j) for j in pick[n:] if j < n):
+        edges = [net.start_edge(0, j), j]
+        while pick[j] < n:
+            edges += (int(via[j]), int(pick[j]))
+            j = int(pick[j])
+        edges.append(net.term_edge(0, j))
+        columns.append(PathColumn(0, tuple(edges), float(sum(vals[e] for e in edges))))
+    return columns
 
 
 def _flow_solve(tables: PricingTables) -> CGResult:
@@ -721,21 +611,14 @@ def _flow_solve(tables: PricingTables) -> CGResult:
 
     With one commodity the master is the dummy's min-cost flow, which
     `_dummy_flow` routes exactly at pi = 0; the units it leaves take the
-    bypass. The final potentials are the duals: sigma is the sink's
-    potential (the source's stays 0) and pi_e = max(0, -reduced cost) on
-    each used shared edge, 0 elsewhere. Every path then costs at least sigma
-    under the pi-shifted costs, and d0 * sigma - sum(pi) is the flow's cost.
-    `iterations` counts the searches.
+    bypass. The flow's LP is integral, so v_lp = v_int, epsilon is 0 and
+    `iterations` is the one assignment solve. No duals are reported: pi,
+    sigma and zetas are None.
     """
     net = tables.network
-    ns = net.num_shared
     d0 = int(net.demands[0])
     vals = tables.values[0]
-    columns, iterations, pot = _dummy_flow(tables)
-    used = np.array([e for col in columns for e in col.edges if e < ns], dtype=np.intp)
-    p = np.asarray(pot)
-    pi = np.zeros(ns)
-    pi[used] = np.maximum(0.0, p[net.head[used]] - p[net.tail[used]] - vals[used])
+    columns = _dummy_flow(tables)
     selection = [(col, 1) for col in columns]
     rest = net.bypass_edge(0)
     columns.append(PathColumn(0, (rest,), float(vals[rest])))
@@ -743,19 +626,18 @@ def _flow_solve(tables: PricingTables) -> CGResult:
         selection.append((columns[-1], d0 - len(selection)))
     v_int = float(sum(col.cost * u for col, u in selection))
     grouped, flows = _group_selection(net, selection)
-    sigma = np.array([pot[net.sink(0)] - pot[net.source(0)]])
     return CGResult(
         status="proven-optimal",
         v_lp=v_int,
         v_int=v_int,
         epsilon=0.0,
-        iterations=iterations,
+        iterations=1,
         columns=columns,
         selection=grouped,
         flows=flows,
-        pi=pi,
-        sigma=sigma,
-        zetas=sigma.copy(),
+        pi=None,
+        sigma=None,
+        zetas=None,
     )
 
 
@@ -801,7 +683,7 @@ def column_generation(
         negative = zetas < cutoffs
         if not negative[0] or negative[1:].any():
             return 0
-        flow, _, _ = _dummy_flow(tables, pi)
+        flow = _dummy_flow(tables, pi)
         return sum(
             pool.add(col) for col in flow
             if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoffs[0]

@@ -47,6 +47,11 @@ BIRTHS_SCENE = Scenario(targets=5, frames=120, clutter_rate=0.5, feature_dim=12,
                         pos_noise=1.0, target_score_std=0.0)
 BIRTHS_CONFIG = TrackerConfig(window=5, d0=8, bypass_cost_tracked=12.0,
                               bypass_cost_dummy=19.5)
+# The wide bench scene, and its config with a dummy demand of 20.
+WIDE_SCENE = Scenario(targets=24, frames=110, clutter_rate=0.0, feature_dim=24,
+                      arena_h=3200.0, lane_gap=120.0, miss_prob=0.05, feature_noise=0.1,
+                      pos_noise=1.0, target_score_std=0.0)
+WIDE_CONFIG = TrackerConfig(window=3, d0=20, bypass_cost_tracked=12.0, bypass_cost_dummy=19.5)
 
 
 def full_row_master(net, cols):
@@ -673,7 +678,7 @@ def check_dummy_rounds(net, vectors, res, rounds):
         want = []
         if rnd["flows"]:
             pooled = {c.key for c in res.columns[: rnd["start"]]} | {first.key}
-            flow, _, _ = _dummy_flow(tables, pi)
+            flow = _dummy_flow(tables, pi)
             want = [c for c in flow if shifted(c) < cutoffs[0] and c.key not in pooled]
         assert [(c.key, c.cost) for c in extra] == [(c.key, c.cost) for c in want]
         claimed = set()
@@ -706,7 +711,7 @@ def test_extra_dummy_columns_are_disjoint_and_price_negative(monkeypatch):
 
 
 def test_m_window1_is_proven_within_80_iterations():
-    # Dummy-only: the flow solve takes d0 = 8 searches. Column generation
+    # Dummy-only: the flow solve is one assignment solve. Column generation
     # took 46 iterations here, and 200 (the limit, epsilon 3.51, about 20 s)
     # with one dummy path per round.
     net, vectors = load_instance(FIXTURES / "m_window1.instance")
@@ -788,7 +793,7 @@ def test_rounded_incumbent_must_meet_the_true_rows():
 
 
 def test_births_windows_take_few_iterations():
-    # Dummy-only: the flow solve takes at most d0 = 8 searches a window.
+    # Dummy-only: the flow solve is one assignment solve a window.
     # Column generation took 76 iterations over these windows, and 308 with
     # one dummy path per round.
     results = [column_generation(net, vectors, iter_max=BIRTHS_CONFIG.iter_max)
@@ -864,23 +869,14 @@ def test_flow_solve_matches_brute_force(monkeypatch):
         assert abs(res.v_int - ref) <= 1e-9, (case, res.v_int, ref)
         assert res.status == "proven-optimal" and res.epsilon == 0.0, case
         assert res.v_lp == res.v_int, case
-        assert 1 <= res.iterations <= max(d0, 1), case
+        assert res.iterations == 1, case
+        assert res.pi is None and res.sigma is None and res.zetas is None, case
         check_flow_constraints(net, res.selection)
+        paths = [col for col, _ in res.selection[0] if len(col.edges) > 1]
+        firsts = [net.path_detections(col.edges)[0] for col in paths]
+        assert firsts == sorted(firsts), case
         assert sum(c.cost * u for c, u in res.selection[0]) == pytest.approx(res.v_int, abs=1e-12)
     assert demands == set(range(9))
-
-
-def test_flow_solve_duals_certify_the_optimum():
-    cases = dummy_only_cases()
-    cases += [(net, [cv.values for cv in vectors])
-              for net, vectors in births_windows(range(1, 110, 12))]
-    for case, (net, costs) in enumerate(cases):
-        res = column_generation(net, wrap_cost_vectors(net, costs))
-        d0 = int(net.demands[0])
-        assert res.pi.shape == (net.num_shared,) and (res.pi >= 0.0).all(), case
-        _, zetas = price(PricingTables.build(net, costs), res.pi)
-        assert zetas[0] >= res.sigma[0] - CERT_TOL, case
-        assert -res.pi.sum() + d0 * res.sigma[0] == pytest.approx(res.v_lp, abs=1e-9), case
 
 
 def arc_lp_optimum(net, values):
@@ -897,6 +893,30 @@ def arc_lp_optimum(net, values):
     return res.fun
 
 
+def check_dummy_flow(net, tables, pi):
+    """Assert that `_dummy_flow` under pi routes d0 units at least pi-shifted cost.
+
+    Its paths must be detection-disjoint and carry their unshifted costs,
+    and with the rest on the bypass they must meet the arc LP's optimum.
+    Returns the paths.
+    """
+    ns, d0 = net.num_shared, int(net.demands[0])
+    costs = tables.values[0]
+    flow = _dummy_flow(tables, pi)
+    assert len(flow) <= d0
+    dets = [i for col in flow for i in net.path_detections(col.edges)]
+    assert len(dets) == len(set(dets))
+    for col in flow:
+        assert col.cost == pytest.approx(sum(costs[e] for e in col.edges), abs=1e-12)
+    v = sum(c.cost + sum(pi[e] for e in c.edges if e < ns) for c in flow)
+    v += (d0 - len(flow)) * costs[net.bypass_edge(0)]
+    values = costs.copy()
+    values[:ns] += pi
+    ref = arc_lp_optimum(net, values)
+    assert abs(v - ref) <= 1e-9 * (1.0 + abs(ref)), (v, ref)
+    return flow
+
+
 def test_dummy_flow_is_optimal_under_the_duals():
     # Column generation pools the dummy's flow paths at the round's duals;
     # with the rest on the bypass they must route d0 units at least cost
@@ -904,22 +924,9 @@ def test_dummy_flow_is_optimal_under_the_duals():
     rng = np.random.default_rng(7)
     routed = 0
     for seed, net, costs in tracked_instances(60, d0_max=8):
-        ns, d0 = net.num_shared, int(net.demands[0])
+        ns = net.num_shared
         pi = rng.uniform(0.0, 1.5, ns) * (rng.random(ns) < 0.6)
-        flow, searches, _ = _dummy_flow(PricingTables.build(net, costs), pi)
-        assert len(flow) <= d0 and 1 <= searches <= max(d0, 1), seed
-        dets = [i for col in flow for i in net.path_detections(col.edges)]
-        assert len(dets) == len(set(dets)), seed
-        for col in flow:
-            assert col.cost == pytest.approx(sum(costs[0][e] for e in col.edges), abs=1e-12)
-        bypass = costs[0][net.bypass_edge(0)]
-        v = sum(c.cost + sum(pi[e] for e in c.edges if e < ns) for c in flow)
-        v += (d0 - len(flow)) * bypass
-        values = costs[0].copy()
-        values[:ns] += pi
-        ref = arc_lp_optimum(net, values)
-        assert abs(v - ref) <= 1e-9 * (1.0 + abs(ref)), (seed, v, ref)
-        routed += len(flow) > 1
+        routed += len(check_dummy_flow(net, PricingTables.build(net, costs), pi)) > 1
     assert routed > 0
 
 
@@ -928,6 +935,30 @@ def test_births_windows_match_the_arc_lp():
         res = column_generation(net, vectors)
         ref = arc_lp_optimum(net, vectors[0].values)
         assert abs(res.v_int - ref) <= 1e-9 * (1.0 + abs(ref)), (res.v_int, ref)
+
+
+def test_wide_dummy_only_window_matches_the_arc_lp():
+    # The wide bench scene's first 10 frames at d0 20: a dummy-only window at
+    # tracker scale, unshifted and under random duals.
+    dets, _ = synth_generate(WIDE_SCENE, seed=3)
+    cfg = WIDE_CONFIG
+    window = [d for f in range(1, 11) for d in dets[f]]
+    net = build_network(window, [], [cfg.d0], cfg.gating_config())
+    values = assemble_cost_vector(net, 0, [], cfg.cost_config()).values
+    ns = net.num_shared
+    assert net.num_detections >= 200
+
+    res = column_generation(net, [CostVector(0, values)])
+    ref = arc_lp_optimum(net, values)
+    assert res.status == "proven-optimal" and res.iterations == 1
+    assert abs(res.v_int - ref) <= 1e-9 * (1.0 + abs(ref)), (res.v_int, ref)
+    check_flow_constraints(net, res.selection)
+
+    rng = np.random.default_rng(11)
+    tables = PricingTables.build(net, [values])
+    for _ in range(3):
+        pi = rng.uniform(0.0, 1.5, ns) * (rng.random(ns) < 0.6)
+        assert check_dummy_flow(net, tables, pi)
 
 
 def test_flow_solve_refuses_bad_input():
