@@ -142,6 +142,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"v_int {result.v_int:.9g}")
     print(f"epsilon {result.epsilon:.3e}")
     print(f"iterations {result.iterations}")
+    print(f"pivots {result.pivots}")
     for k, selected in enumerate(result.selection):
         for col, units in selected:
             edges = " ".join(str(e) for e in col.edges)

@@ -48,17 +48,19 @@ where rc_p >= 0 is p's pi-shifted cost less zeta_k(p): the shifted costs
 add pi_e times each shared edge's load, which is at most 1, and each
 commodity's x_p sum to d_k. So every column of a selection cheaper than
 v_int has rc_p < v_int - L(pi). `_bounded_columns` enumerates exactly those
-paths and extraction reruns when one of them is new to the pool; either way
-v_int is then the integer optimum over all paths, and an epsilon left is a
-true integrality gap against the LP bound. Past ENUM_COLUMN_CAP columns the
-enumeration gives up and the certified gap stands.
+paths, and when one of them is new to the pool extraction reruns over the
+enumerated paths alone: a cheaper selection uses no other column, and when
+they admit no integer solution v_int stands. Either way v_int is then the
+integer optimum over all paths, and an epsilon left is a true integrality
+gap against the LP bound. Past ENUM_COLUMN_CAP columns the enumeration gives
+up and the certified gap stands.
 
 A window whose only commodity is the dummy (every stream start, every window
 with no tracked target) skips all of this. It is a single-commodity
 min-cost flow of d0 units with unit capacity on the shared edges, whose LP
 is integral, so `_dummy_flow` at pi = 0 solves it exactly by one assignment
 solve: no master LP, no pricing round and no MILP. It reports
-proven-optimal with epsilon 0, one iteration and no duals.
+proven-optimal with epsilon 0, one iteration, no pivots and no duals.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ class ColgenError(RuntimeError):
     pass
 
 
+class NoIntegerSolution(ColgenError):
+    """The column pool admits no integer solution."""
+
+
 @dataclass(frozen=True)
 class PathColumn:
     """One source-sink path of a commodity, as an ordered edge-id tuple."""
@@ -115,6 +121,7 @@ class CGResult:
     v_int: float
     epsilon: float
     iterations: int
+    pivots: int  # master LP pivots, summed over the window's solves
     columns: list[PathColumn]
     selection: list[list[tuple[PathColumn, int]]]  # per commodity: (path, units)
     flows: list[np.ndarray]  # per commodity integer edge flows
@@ -406,26 +413,38 @@ class _Pool:
 
 
 def _grow_basis(
-    basis: tuple[int, ...] | None, rows: np.ndarray, grown: np.ndarray
-) -> tuple[int, ...] | None:
-    """Carry a master basis over from coupling rows `rows` to `grown`.
+    basis: tuple[int, ...] | None,
+    inverse: np.ndarray | None,
+    rows: np.ndarray,
+    grown: np.ndarray,
+) -> tuple[tuple[int, ...] | None, np.ndarray | None]:
+    """Carry a master basis and its inverse over from coupling rows `rows` to `grown`.
 
     `grown` is sorted and contains `rows`; the rows it adds must be used
     only by columns that are nonbasic in `basis` (columns appended since).
     Each old slack follows its row to the row's new position, structural
     columns shift by the number of added rows, and each added row enters
     with its slack basic. The slacks of the added rows sit at b > 0, and the
-    basis matrix is block triangular, so the result stays feasible and
-    nonsingular. With no row added the basis maps to itself.
+    basis matrix is the old one bordered by their unit columns, so the
+    result stays feasible and nonsingular, and its inverse is exact: the old
+    inverse (rows in basis order, columns in row order) with its columns
+    moved to the old rows' new positions, and a unit entry for each added
+    slack. With no row added both map to themselves.
     """
     if basis is None or len(grown) == len(rows):
-        return basis
+        return basis, inverse
     mi, added = len(rows), len(grown) - len(rows)
     slack_at = np.searchsorted(grown, rows)
     fresh = np.ones(len(grown), dtype=bool)
     fresh[slack_at] = False
+    fresh_rows = np.flatnonzero(fresh)
     carried = [int(slack_at[j]) if j < mi else j + added for j in basis]
-    return tuple(carried) + tuple(int(r) for r in np.flatnonzero(fresh))
+    m_old = len(basis)
+    m = m_old + added
+    grown_inv = np.zeros((m, m))
+    grown_inv[:m_old, np.r_[slack_at, len(grown) : m]] = inverse
+    grown_inv[m_old + np.arange(added), fresh_rows] = 1.0
+    return tuple(carried) + tuple(fresh_rows.tolist()), grown_inv
 
 
 def extract_integer(
@@ -440,7 +459,8 @@ def extract_integer(
     is whichever HiGHS returns, which may differ from the one a depth-first
     branch and bound would reach first. Raises ColgenError when the check
     fails, the solver does not finish, or the pool admits no integer
-    solution (unreachable when every commodity's bypass column is pooled).
+    solution (NoIntegerSolution; unreachable when every commodity's bypass
+    column is pooled).
     A plain sequence is pooled first, which drops repeated columns.
     """
     if not isinstance(pool, _Pool):
@@ -456,7 +476,7 @@ def extract_integer(
         options={"mip_rel_gap": 0.0},
     )
     if res.status == 2:
-        raise ColgenError("column pool admits no integer solution")
+        raise NoIntegerSolution("column pool admits no integer solution")
     if res.status != 0:
         raise ColgenError(f"integer master ended with status {res.status}: {res.message}")
     units = np.round(res.x)
@@ -632,6 +652,7 @@ def _flow_solve(tables: PricingTables) -> CGResult:
         v_int=v_int,
         epsilon=0.0,
         iterations=1,
+        pivots=0,
         columns=columns,
         selection=grouped,
         flows=flows,
@@ -702,17 +723,20 @@ def column_generation(
     v_incumbent = float("inf")
     best_bound = -float("inf")
     basis: tuple[int, ...] | None = None
+    inverse: np.ndarray | None = None
+    factor_age = 0
     rows = np.zeros(0, dtype=np.intp)
     converged = False
     iterations = 0
+    pivots = 0
 
     for _ in range(iter_max):
         iterations += 1
         prob, grown = pool.master()
-        basis = _grow_basis(basis, rows, grown)
+        basis, inverse = _grow_basis(basis, inverse, rows, grown)
         rows = grown
         try:
-            sol = solve_lp(prob, warm_basis=basis)
+            sol = solve_lp(prob, warm_basis=basis, warm_inverse=inverse, factor_age=factor_age)
         except LPInternalError:
             if basis is None:
                 raise
@@ -723,7 +747,8 @@ def column_generation(
             sol = solve_lp(prob)
         if sol.status != "optimal":
             raise ColgenError(f"master LP ended with status {sol.status!r}")
-        basis = sol.basis
+        basis, inverse, factor_age = sol.basis, sol.inverse, sol.factor_age
+        pivots += sol.iterations
         pi = np.zeros(ns)
         pi[rows] = sol.pi
         # Round, then check the true rows: after a perturbed solve an
@@ -778,7 +803,11 @@ def column_generation(
             lower = float(demands @ zetas - pi.sum())
             extra = _bounded_columns(tables, pi, zetas, v_int - lower)
             if extra is not None and sum(pool.add(col) for col in extra):
-                rich_val, rich_sel = extract_integer(network, pool)
+                # a cheaper selection uses enumerated columns alone
+                try:
+                    rich_val, rich_sel = extract_integer(network, extra)
+                except NoIntegerSolution:
+                    rich_val = v_int
                 if rich_val < v_int:
                     v_int, selection = rich_val, rich_sel
 
@@ -801,6 +830,7 @@ def column_generation(
         v_int=v_int,
         epsilon=epsilon,
         iterations=iterations,
+        pivots=pivots,
         columns=pool.columns,
         selection=grouped,
         flows=flows,

@@ -18,15 +18,21 @@ x_B = (b_ub, b_eq / coef). The basis is kept as explicit column indices over
 the layout [slacks | structural columns], so appending structural columns
 never invalidates a previous basis: warm starts pivot on directly from the
 old optimal basis. A caller that also adds inequality rows must map the old
-basis onto the new layout itself and enter each new row with its slack
-basic.
+basis, and its inverse, onto the new layout itself and enter each new row
+with its slack basic.
 
-Numerics: an explicit basis inverse, updated in place by one rank-one
-step per pivot and rebuilt every REFACTOR_EVERY pivots. Every inverse is
-built through the basis's structural block: a basic slack column is a unit
-vector, so with S the rows whose slack is basic, R the other rows and J the
-basic structural columns (|R| = |J|), B^-1 is K^-1 at (J, R) for
-K = M[R, J], the identity at (slacks, S) and -M[S, J] K^-1 at (slacks, R).
+Numerics: an explicit basis inverse, updated in place by one rank-one step
+per pivot and rebuilt every REFACTOR_EVERY pivots. The inverse is carried
+from one solve to the next: a solution returns the inverse it ended on and
+the pivots since that inverse was factored, and a warm start that passes
+both back pivots on from them, so the refactorization cadence spans solves.
+Only a warm basis that arrives without an inverse, and a cold start, are
+factored on entry, and the optimum is read off the carried inverse with no
+final re-inversion. Every factorization is built through the basis's
+structural block: a basic slack column is a unit vector, so with S the rows
+whose slack is basic, R the other rows and J the basic structural columns
+(|R| = |J|), B^-1 is K^-1 at (J, R) for K = M[R, J], the identity at
+(slacks, S) and -M[S, J] K^-1 at (slacks, R).
 Only K is factored, and it is about half the rows of a master basis.
 Pricing is Dantzig's rule. Each run of DEGENERATE_RUN_LIMIT pivots of step
 at most FEAS_TOL raises every basic value by a distinct amount near PERTURB
@@ -96,9 +102,12 @@ class LPProblem:
 class LPSolution:
     """Primal/dual solution; status is 'optimal' or 'iteration-limit'.
 
-    x, pi, sigma and basis are None unless status is 'optimal'. After a
-    perturbed solve, x solves the perturbed problem and objective is a dual
-    bound at the true right-hand side (module docstring).
+    x, pi, sigma, basis and inverse are None unless status is 'optimal'.
+    After a perturbed solve, x solves the perturbed problem and objective is
+    a dual bound at the true right-hand side (module docstring). inverse is
+    the basis inverse the solve ended on, rows in basis order, and
+    factor_age the pivots applied to it since it was last factored: pass
+    both back with basis to warm-start the next solve.
     """
 
     status: str
@@ -108,9 +117,11 @@ class LPSolution:
     sigma: np.ndarray | None
     basis: tuple[int, ...] | None
     iterations: int
+    inverse: np.ndarray | None = None
+    factor_age: int = 0
 
 
-def _crash_basis(problem: LPProblem) -> list[int]:
+def _crash_basis(problem: LPProblem) -> np.ndarray:
     """The cold-start basis of the module docstring."""
     mi = problem.a_ub.shape[0]
     a_eq = problem.a_eq
@@ -123,7 +134,7 @@ def _crash_basis(problem: LPProblem) -> list[int]:
                 f"equality row {r} has no column whose only nonzero is a positive entry in it"
             )
         basis.append(mi + int(cols[0]))
-    return basis
+    return np.asarray(basis, dtype=np.intp)
 
 
 def _basis_inverse(M: np.ndarray, basis: Sequence[int], mi: int) -> np.ndarray:
@@ -151,12 +162,16 @@ def _basis_inverse(M: np.ndarray, basis: Sequence[int], mi: int) -> np.ndarray:
     return b_inv
 
 
-def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
-    """Simplex loop from a feasible basis; mutates basis, b_inv and rhs; returns (code, iters)."""
+def _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age=0):
+    """Simplex loop from a feasible basis; returns (code, iters, age).
+
+    basis is an np.intp array; it, b_inv and rhs are updated in place. age
+    counts the pivots applied to b_inv since it was factored, and the
+    refactorization cadence continues from it.
+    """
     m = M.shape[0]
     xb = b_inv @ rhs
     degen_run = 0
-    since_refactor = 0
     iters = 0
     while iters < max_iter:
         iters += 1
@@ -165,16 +180,15 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
         reduced[basis] = 0.0
         enter = int(np.argmin(reduced))
         if reduced[enter] >= -OPT_TOL:
-            return _OPTIMAL, iters
+            return _OPTIMAL, iters, age
         direction = b_inv @ M[:, enter]
         pos = np.flatnonzero(direction > PIVOT_TOL)
         if pos.size == 0:
-            return _UNBOUNDED, iters
+            return _UNBOUNDED, iters, age
         ratios = xb[pos] / direction[pos]
         theta = ratios.min()
         ties = pos[ratios <= theta + 1e-12]
-        basis_arr = np.asarray(basis)
-        leave = int(ties[np.argmin(basis_arr[ties])])  # lowest basis index on ties
+        leave = int(ties[np.argmin(basis[ties])])  # lowest basis index on ties
         theta = max(xb[leave] / direction[leave], 0.0)
 
         piv_row = b_inv[leave] / direction[leave]
@@ -195,9 +209,9 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
             rhs[:] = M[:, basis] @ xb
             degen_run = 0
 
-        since_refactor += 1
-        if since_refactor >= REFACTOR_EVERY:
-            since_refactor = 0
+        age += 1
+        if age >= REFACTOR_EVERY:
+            age = 0
             try:
                 b_inv[:, :] = _basis_inverse(M, basis, mi)
             except np.linalg.LinAlgError as exc:
@@ -206,21 +220,27 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter):
             if m and xb.min() < -1e-6:
                 raise LPInternalError("feasibility lost; basis update diverged")
             np.clip(xb, 0.0, None, out=xb)
-    return _ITERLIMIT, iters
+    return _ITERLIMIT, iters, age
 
 
 def solve_lp(
     problem: LPProblem,
     warm_basis: Sequence[int] | None = None,
     max_iter: int = 50_000,
+    warm_inverse: np.ndarray | None = None,
+    factor_age: int = 0,
 ) -> LPSolution:
     """Solve the master-shaped LP; see module docstring for conventions.
 
     warm_basis is a basis returned by a previous call on the same row
-    structure; extra structural columns may have been appended since. A
-    stale or infeasible warm basis falls back to a cold start silently. A
-    cold start raises ValueError naming an equality row without a column
-    whose only nonzero is a positive entry in it.
+    structure; extra structural columns may have been appended since.
+    warm_inverse, when given, is that basis's inverse (a returned
+    `LPSolution.inverse`, carried onto the current rows) and factor_age its
+    pivots since factorization; the solve pivots on a copy of it. Without
+    it the warm basis is factored. A stale or infeasible warm basis falls
+    back to a cold start silently. A cold start raises ValueError naming an
+    equality row without a column whose only nonzero is a positive entry in
+    it.
     """
     mi = problem.a_ub.shape[0]
     me = problem.a_eq.shape[0]
@@ -234,23 +254,28 @@ def solve_lp(
     rhs = b.copy()
     c = np.concatenate([np.zeros(mi), problem.obj])
 
-    basis: list[int] | None = None
+    basis: np.ndarray | None = None
     b_inv: np.ndarray | None = None
+    age = 0
     if warm_basis is not None and len(warm_basis) == m:
-        cand = [int(j) for j in warm_basis]
-        if all(0 <= j < mi + n for j in cand) and len(set(cand)) == m:
-            try:
-                inv = _basis_inverse(M, cand, mi)
-            except np.linalg.LinAlgError:
-                inv = None
+        cand = np.array(warm_basis, dtype=np.intp)  # _iterate pivots on it in place
+        if ((cand >= 0) & (cand < mi + n)).all() and np.unique(cand).size == m:
+            if warm_inverse is not None:
+                inv, age = np.array(warm_inverse), factor_age
+            else:
+                try:
+                    inv = _basis_inverse(M, cand, mi)
+                except np.linalg.LinAlgError:
+                    inv = None
             if inv is not None and (m == 0 or (inv @ rhs).min() >= -FEAS_TOL):
                 basis, b_inv = cand, inv
 
     if basis is None:
         basis = _crash_basis(problem)
         b_inv = _basis_inverse(M, basis, mi)
+        age = 0
 
-    code, iters = _iterate(M, mi, c, rhs, basis, b_inv, max_iter)
+    code, iters, age = _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age)
     if code == _UNBOUNDED:
         raise LPInternalError(
             "unbounded master LP; every column must lie in a convexity row"
@@ -258,10 +283,6 @@ def solve_lp(
     if code == _ITERLIMIT:
         return LPSolution("iteration-limit", float("nan"), None, None, None, None, iters)
 
-    try:
-        b_inv = _basis_inverse(M, basis, mi)
-    except np.linalg.LinAlgError as exc:
-        raise LPInternalError("singular optimal basis") from exc
     xb = b_inv @ rhs
     if m and xb.min() < -1e-7:
         raise LPInternalError(f"infeasible optimum: min basic value {xb.min():.3e}")
@@ -289,6 +310,8 @@ def solve_lp(
         x=x,
         pi=pi,
         sigma=sigma,
-        basis=tuple(basis),
+        basis=tuple(basis.tolist()),
         iterations=iters,
+        inverse=b_inv,
+        factor_age=age,
     )

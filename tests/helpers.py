@@ -327,3 +327,13 @@ def master_lp(seed: int, rows: int = 60, cols: int = 200, commodities: int = 8,
     b_eq = np.ones(commodities)
     b_eq[-1] = float(d0)
     return LPProblem(obj=obj, a_ub=a_ub, b_ub=np.ones(rows), a_eq=a_eq, b_eq=b_eq)
+
+
+def stacked(prob: LPProblem) -> np.ndarray:
+    """[slacks | structural columns] over [coupling rows; convexity rows]."""
+    mi, me = prob.a_ub.shape[0], prob.a_eq.shape[0]
+    M = np.zeros((mi + me, mi + prob.num_cols))
+    M[:mi, :mi] = np.eye(mi)
+    M[:mi, mi:] = prob.a_ub
+    M[mi:, mi:] = prob.a_eq
+    return M

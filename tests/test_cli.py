@@ -7,8 +7,8 @@ import pytest
 
 from mcftrack import cli, tracker
 from mcftrack.cli import main
-from mcftrack.colgen import ColgenError
-from mcftrack.io import read_tracks
+from mcftrack.colgen import ColgenError, column_generation
+from mcftrack.io import load_instance, read_tracks
 from mcftrack.lp import LPInternalError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -198,6 +198,12 @@ def test_solve_certified_instance(capsys):
     assert "status proven-optimal" in out
     assert "v_int 24.3" in out
     assert "epsilon 0.000e+00" in out
+    # the window's master pivots, on the line after the iterations
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("iterations "))
+    pivots = column_generation(*load_instance(FIXTURES / "tiny.instance")).pivots
+    assert pivots > 0
+    assert lines[at + 1] == f"pivots {pivots}"
 
 
 def test_solve_dummy_only_window_by_one_assignment(capsys):
@@ -208,6 +214,7 @@ def test_solve_dummy_only_window_by_one_assignment(capsys):
     assert "epsilon 0.000e+00" in lines
     iterations = [int(line.split()[1]) for line in lines if line.startswith("iterations ")]
     assert iterations == [1]
+    assert "pivots 0" in lines
 
 
 def test_solve_with_oracle_cross_check(capsys):

@@ -13,12 +13,14 @@ from helpers import (
     fake_track,
     make_det,
     random_instance,
+    stacked,
     wrap_cost_vectors,
 )
 from mcftrack.colgen import (
     CERT_TOL,
     CGResult,
     ColgenError,
+    NoIntegerSolution,
     PathColumn,
     PricingTables,
     _Pool,
@@ -34,8 +36,9 @@ from mcftrack.colgen import (
 from mcftrack.costs import CostVector, assemble_cost_vector
 from mcftrack.graph import build_network, network_from_parts
 from mcftrack import colgen
+from mcftrack import lp as lp_module
 from mcftrack.io import Scenario, load_instance, synth_generate
-from mcftrack.lp import LPInternalError, LPProblem, solve_lp
+from mcftrack.lp import FEAS_TOL, LPInternalError, LPProblem, solve_lp
 from mcftrack.oracle import brute_force_ilp, enumerate_paths
 from mcftrack.tracker import TrackerConfig
 
@@ -427,31 +430,36 @@ def test_master_over_touched_rows_is_exact():
     assert untouched_total > 0
 
 
-def test_grow_basis_warm_starts_grown_master():
-    grown_cases = 0
+def grown_masters():
+    """Masters whose added path columns add coupling rows, from 40 random instances.
+
+    Yields (seed, first master's solution, its rows, grown master, its rows):
+    the first master pools the bypasses and half the path columns of the
+    instance's column-generation pool, the grown one all of them.
+    """
     for seed in range(40):
         net, costs = random_instance(seed)
         pool = column_generation(net, wrap_cost_vectors(net, costs)).columns
         ns = net.num_shared
         bypass = [c for c in pool if not any(e < ns for e in c.edges)]
         paths = [c for c in pool if any(e < ns for e in c.edges)]
-        first = bypass + paths[: len(paths) // 2]
-        grown = first + paths[len(paths) // 2 :]
-        first_prob, rows = _Pool(net, first).master()
-        prob, more = _Pool(net, grown).master()
+        first_prob, rows = _Pool(net, bypass + paths[: len(paths) // 2]).master()
+        prob, more = _Pool(net, bypass + paths).master()
         if more.size == rows.size:
             continue
-        grown_cases += 1
         sol = solve_lp(first_prob)
         assert sol.status == "optimal", seed
-        basis = _grow_basis(sol.basis, rows, more)
+        yield seed, sol, rows, prob, more
 
-        mi, me, n = more.size, net.num_commodities, len(grown)
-        m = mi + me
-        full = np.zeros((m, mi + n))
-        full[:mi, :mi] = np.eye(mi)
-        full[:mi, mi:] = prob.a_ub
-        full[mi:, mi:] = prob.a_eq
+
+def test_grow_basis_warm_starts_grown_master():
+    grown_cases = 0
+    for seed, sol, rows, prob, more in grown_masters():
+        grown_cases += 1
+        basis, _ = _grow_basis(sol.basis, sol.inverse, rows, more)
+
+        m = more.size + prob.a_eq.shape[0]
+        full = stacked(prob)
         rhs = np.concatenate([prob.b_ub, prob.b_eq])
         assert len(basis) == m and len(set(basis)) == m, seed
         b_mat = full[:, list(basis)]
@@ -465,6 +473,41 @@ def test_grow_basis_warm_starts_grown_master():
     assert grown_cases >= 10
 
 
+def test_grow_basis_carries_the_exact_inverse():
+    grown_cases = 0
+    for seed, sol, rows, prob, more in grown_masters():
+        grown_cases += 1
+        basis, inverse = _grow_basis(sol.basis, sol.inverse, rows, more)
+        exact = lp_module._basis_inverse(stacked(prob), basis, more.size)
+        assert np.abs(inverse - exact).max() <= 1e-9, seed
+    assert grown_cases >= 10
+
+
+def test_carried_inverses_invert_their_bases(monkeypatch):
+    # A run limit of 1 perturbs the right-hand side on every degenerate
+    # pivot; the refactorization cadence runs on across the window's solves.
+    monkeypatch.setattr(lp_module, "DEGENERATE_RUN_LIMIT", 1)
+    net, vectors = load_instance(FIXTURES / "contested_window19.instance")
+    seen = {"perturbed": 0, "refactored": 0}
+
+    def checked(prob, warm_basis=None, warm_inverse=None, factor_age=0):
+        sol = solve_lp(prob, warm_basis=warm_basis, warm_inverse=warm_inverse,
+                       factor_age=factor_age)
+        basis_matrix = stacked(prob)[:, list(sol.basis)]
+        assert np.abs(sol.inverse @ basis_matrix - np.eye(len(sol.basis))).max() <= 1e-9
+        seen["perturbed"] += np.abs(prob.a_eq @ sol.x - prob.b_eq).max() > FEAS_TOL
+        # every iteration but the last pivots, and ages the inverse unless it refactors
+        seen["refactored"] += (
+            warm_inverse is not None and sol.factor_age < factor_age + sol.iterations - 1
+        )
+        return sol
+
+    monkeypatch.setattr(colgen, "solve_lp", checked)
+    res = column_generation(net, vectors)
+    assert res.v_int == pytest.approx(168.86628779093667, abs=1e-9)
+    assert seen["perturbed"] > 0 and seen["refactored"] > 0
+
+
 def test_failed_warm_master_solve_retries_cold(monkeypatch):
     net, costs = random_instance(0)  # two tracked commodities: column generation runs
     vectors = wrap_cost_vectors(net, costs)
@@ -472,11 +515,11 @@ def test_failed_warm_master_solve_retries_cold(monkeypatch):
     assert ref.iterations >= 2 and ref.status == "proven-optimal"
     calls = []
 
-    def warm_fails_once(prob, warm_basis=None):
+    def warm_fails_once(prob, warm_basis=None, **carried):
         calls.append(warm_basis is not None)
         if warm_basis is not None and calls.count(True) == 1:
             raise LPInternalError("injected")
-        return solve_lp(prob, warm_basis=warm_basis)
+        return solve_lp(prob, warm_basis=warm_basis, **carried)
 
     monkeypatch.setattr(colgen, "solve_lp", warm_fails_once)
     res = column_generation(net, vectors)
@@ -484,7 +527,7 @@ def test_failed_warm_master_solve_retries_cold(monkeypatch):
     assert res.v_lp == pytest.approx(ref.v_lp, abs=1e-9)
     assert res.v_int == pytest.approx(ref.v_int, abs=1e-9)
 
-    def cold_fails(prob, warm_basis=None):
+    def cold_fails(prob, warm_basis=None, **carried):
         raise LPInternalError("injected")
 
     monkeypatch.setattr(colgen, "solve_lp", cold_fails)
@@ -609,8 +652,8 @@ def priced_rounds(monkeypatch, net, vectors):
         events.append(("pool", len(pool)))
         return real_master(pool)
 
-    def spy_lp(prob, warm_basis=None):
-        sol = real_lp(prob, warm_basis=warm_basis)
+    def spy_lp(prob, warm_basis=None, **carried):
+        sol = real_lp(prob, warm_basis=warm_basis, **carried)
         events.append(("lp", sol.sigma))
         return sol
 
@@ -725,24 +768,15 @@ def test_m_window1_is_proven_within_80_iterations():
     ("m_window8.instance", 106.45621497559856),
     ("m_window15.instance", 123.38373776188382),
 ])
-def test_m_stall_windows_are_proven_within_25000_pivots(monkeypatch, name, v_int):
+def test_m_stall_windows_are_proven_within_25000_pivots(name, v_int):
     # M windows 8 and 15: set-partitioning-like masters whose degenerate
     # runs stalled the master LP. A Bland's-rule fallback took 80,126 and
     # 51,105 master pivots here, perturbing the right-hand side about 10,000.
     net, vectors = load_instance(FIXTURES / name)
-    pivots = 0
-
-    def spy_lp(prob, warm_basis=None):
-        nonlocal pivots
-        sol = solve_lp(prob, warm_basis=warm_basis)
-        pivots += sol.iterations
-        return sol
-
-    monkeypatch.setattr(colgen, "solve_lp", spy_lp)
     res = column_generation(net, vectors)
     assert res.status == "proven-optimal"
     assert res.v_int == pytest.approx(v_int, abs=1e-9)
-    assert pivots <= 25_000
+    assert res.pivots <= 25_000
 
 
 def test_contested_window19_extracts_the_integer_optimum_over_every_path():
@@ -754,6 +788,33 @@ def test_contested_window19_extracts_the_integer_optimum_over_every_path():
     assert res.v_lp == pytest.approx(168.8065202209866, abs=1e-9)
     assert res.v_int == pytest.approx(168.86628779093667, abs=1e-9)
     assert res.epsilon >= 0.0
+    check_flow_constraints(net, res.selection)
+
+
+def test_rerun_without_an_integer_solution_keeps_v_int(monkeypatch):
+    # Without the dummy's paths the enumerated columns meet no demand of the
+    # dummy: the rerun over them alone is infeasible, and the first MILP's
+    # v_int stands.
+    net, vectors = load_instance(FIXTURES / "contested_window19.instance")
+    real_bounded, real_extract = colgen._bounded_columns, colgen.extract_integer
+    reruns = []
+
+    def no_dummy(*args):
+        return [col for col in real_bounded(*args) if col.commodity != 0]
+
+    def extract(network, pool):
+        try:
+            return real_extract(network, pool)
+        except NoIntegerSolution:
+            reruns.append(len(pool))
+            raise
+
+    monkeypatch.setattr(colgen, "_bounded_columns", no_dummy)
+    monkeypatch.setattr(colgen, "extract_integer", extract)
+    res = column_generation(net, vectors)
+    assert len(reruns) == 1 and reruns[0] < len(res.columns)
+    assert res.status == "near-optimal"
+    assert res.v_int == pytest.approx(169.05355386010658, abs=1e-9)
     check_flow_constraints(net, res.selection)
 
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import master_lp, random_instance, random_lp, vertex_lp_oracle, wrap_cost_vectors
+from helpers import (
+    master_lp,
+    random_instance,
+    random_lp,
+    stacked,
+    vertex_lp_oracle,
+    wrap_cost_vectors,
+)
 from mcftrack import colgen
 from mcftrack import lp as lp_module
 from mcftrack.colgen import INT_TOL, column_generation
@@ -174,16 +181,6 @@ def test_solution_is_basic():
     assert int(np.sum(sol.x > 1e-9)) <= m
 
 
-def stacked(prob):
-    """[slacks | structural columns] over [coupling rows; convexity rows]."""
-    mi, me = prob.a_ub.shape[0], prob.a_eq.shape[0]
-    M = np.zeros((mi + me, mi + prob.num_cols))
-    M[:mi, :mi] = np.eye(mi)
-    M[:mi, mi:] = prob.a_ub
-    M[mi:, mi:] = prob.a_eq
-    return M
-
-
 def assert_block_inverse_matches_dense(prob, basis):
     M = stacked(prob)
     dense = np.linalg.inv(M[:, basis])
@@ -294,7 +291,7 @@ def test_refactorization_onto_a_singular_basis_raises(monkeypatch):
     M = stacked(prob)
     drifted = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(LPInternalError, match="singular basis during refactorization"):
-        lp_module._iterate(M, 0, prob.obj, prob.b_eq, [0, 1], drifted, 10)
+        lp_module._iterate(M, 0, prob.obj, prob.b_eq, np.array([0, 1]), drifted, 10)
 
 
 def test_long_solves_refactor_and_stay_optimal():
@@ -338,9 +335,9 @@ def test_forced_stalls_keep_column_generation_exact(monkeypatch):
     monkeypatch.setattr(lp_module, "DEGENERATE_RUN_LIMIT", 1)
     count = 0
 
-    def spy(prob, warm_basis=None):
+    def spy(prob, warm_basis=None, **carried):
         nonlocal count
-        sol = solve_lp(prob, warm_basis=warm_basis)
+        sol = solve_lp(prob, warm_basis=warm_basis, **carried)
         count += sol.status == "optimal" and perturbed(prob, sol)
         return sol
 
