@@ -59,7 +59,8 @@ A window whose only commodity is the dummy (every stream start, every window
 with no tracked target) skips all of this. It is a single-commodity
 min-cost flow of d0 units with unit capacity on the shared edges, whose LP
 is integral, so `_dummy_flow` at pi = 0 solves it exactly by one assignment
-solve: no master LP, no pricing round and no MILP. It reports
+solve: no pricing tables, no master LP, no pricing round and no MILP. The
+assignment reads the dummy's cost vector directly. It reports
 proven-optimal with epsilon 0, one iteration, no pivots and no duals.
 """
 
@@ -518,8 +519,7 @@ def _group_selection(
     ]
     for col, units in selection:
         grouped[col.commodity].append((col, units))
-        for e in col.edges:
-            flows[col.commodity][e] += units
+        flows[col.commodity][list(col.edges)] += units  # a path repeats no edge
     for k, dem in enumerate(network.demands):
         carried = sum(units for _, units in grouped[k])
         if carried != int(dem):
@@ -581,71 +581,75 @@ def _bounded_columns(
     return cols
 
 
-def _dummy_flow(tables: PricingTables, pi: np.ndarray | None = None) -> list[PathColumn]:
+def _dummy_flow(
+    network: FlowNetwork, values: np.ndarray, pi: np.ndarray | None = None
+) -> list[PathColumn]:
     """Route the dummy's d0 units by one assignment solve under pi-shifted costs.
 
-    The dummy's flow is a min-cost flow of d0 units with unit capacity on
-    the shared edges, each shifted by pi. Each detection carries at most one
-    unit and every transition advances in frame, so the flow is a min-cost
-    assignment, which `linear_sum_assignment` solves exactly. Rows are the
-    v nodes, then d0 source units; columns are the u nodes, then d0 sink
-    units. Row v_t picks u_j to leave along transition t -> j, a sink unit
-    to terminate, or its own u_t (at cost 0) to carry nothing; a source unit
-    picks u_j to start at j or a sink unit to take the bypass. A pick of u_j
-    adds j's shifted observation cost, and a pair with no edge costs +inf.
+    `values` is the dummy's cost vector: the shared edges, then its block of
+    start, termination and bypass edges from num_shared on. The dummy's flow
+    is a min-cost flow of d0 units with unit capacity on the shared edges,
+    each shifted by pi. Each detection carries at most one unit and every
+    transition advances in frame, so the flow is a min-cost assignment,
+    which `linear_sum_assignment` solves exactly. Rows are the v nodes, then
+    d0 source units; columns are the u nodes, then d0 sink units. Row v_t
+    picks u_j to leave along transition t -> j, a sink unit to terminate, or
+    its own u_t (at cost 0) to carry nothing; a source unit picks u_j to
+    start at j or a sink unit to take the bypass. A pick of u_j adds j's
+    shifted observation cost, and a pair with no edge costs +inf.
     Transitions admit no cycle, so the picks chain each source unit to a
     sink unit along one path, and the paths are detection-disjoint.
 
     Returns the paths as columns with their unshifted costs, ordered by
     first detection.
     """
-    net = tables.network
-    n, ns = net.num_detections, net.num_shared
-    d0 = int(net.demands[0])
-    vals = tables.values[0]
-    w = tables.shared[0] if pi is None else tables.shared[0] + pi
-    tails, heads = net.det_a[n:ns], net.det_b[n:ns]
+    n, ns = network.num_detections, network.num_shared
+    d0 = int(network.demands[0])
+    w = values[:ns] if pi is None else values[:ns] + pi
+    tails, heads = network.det_a[n:ns], network.det_b[n:ns]
     cost = np.full((n + d0, n + d0), np.inf)
     cost[tails, heads] = w[n:] + w[heads]
-    cost[n:, :n] = vals[ns : ns + n] + w[:n]
-    cost[:n, n:] = tables.term[0][:, None]
-    cost[n:, n:] = tables.bypass[0]
+    cost[n:, :n] = values[ns : ns + n] + w[:n]
+    cost[:n, n:] = values[ns + n : ns + 2 * n, None]
+    cost[n:, n:] = values[ns + 2 * n]
     cost[np.arange(n), np.arange(n)] = 0.0
     _, pick = linear_sum_assignment(cost)
     # the transition v_t -> u_pick[t], where there is one: keys sort as the ids
-    via = n + np.searchsorted(tails * n + heads, np.arange(n) * n + pick[:n])
+    via = (n + np.searchsorted(tails * n + heads, np.arange(n) * n + pick[:n])).tolist()
+    pick = pick.tolist()
 
     columns = []
-    for j in sorted(int(j) for j in pick[n:] if j < n):
-        edges = [net.start_edge(0, j), j]
+    for j in sorted(j for j in pick[n:] if j < n):
+        edges = [ns + j, j]  # the start edge into u_j, then j's observation edge
         while pick[j] < n:
-            edges += (int(via[j]), int(pick[j]))
-            j = int(pick[j])
-        edges.append(net.term_edge(0, j))
-        columns.append(PathColumn(0, tuple(edges), float(sum(vals[e] for e in edges))))
+            edges += (via[j], pick[j])
+            j = pick[j]
+        edges.append(ns + n + j)
+        columns.append(PathColumn(0, tuple(edges), sum(values[edges].tolist())))
     return columns
 
 
-def _flow_solve(tables: PricingTables) -> CGResult:
+def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:
     """Exact solve of a window whose only commodity is the dummy.
 
     With one commodity the master is the dummy's min-cost flow, which
-    `_dummy_flow` routes exactly at pi = 0; the units it leaves take the
-    bypass. The flow's LP is integral, so v_lp = v_int, epsilon is 0 and
+    `_dummy_flow` routes exactly at pi = 0 from the dummy's cost vector
+    `values` alone (no pricing tables); the units it leaves take the bypass.
+    The flow's LP is integral, so v_lp = v_int, epsilon is 0 and
     `iterations` is the one assignment solve. No duals are reported: pi,
-    sigma and zetas are None.
+    sigma and zetas are None. A cost that is not finite raises ValueError.
     """
-    net = tables.network
-    d0 = int(net.demands[0])
-    vals = tables.values[0]
-    columns = _dummy_flow(tables)
+    if not np.isfinite(values).all():
+        raise ValueError("pricing needs finite costs on every edge")
+    d0 = int(network.demands[0])
+    columns = _dummy_flow(network, values)
     selection = [(col, 1) for col in columns]
-    rest = net.bypass_edge(0)
-    columns.append(PathColumn(0, (rest,), float(vals[rest])))
+    rest = network.bypass_edge(0)
+    columns.append(PathColumn(0, (rest,), float(values[rest])))
     if len(selection) < d0:
         selection.append((columns[-1], d0 - len(selection)))
     v_int = float(sum(col.cost * u for col, u in selection))
-    grouped, flows = _group_selection(net, selection)
+    grouped, flows = _group_selection(network, selection)
     return CGResult(
         status="proven-optimal",
         v_lp=v_int,
@@ -684,9 +688,9 @@ def column_generation(
         if cv.values.shape[0] != network.num_edges:
             raise ValueError("cost vector length does not match edge count")
     values = [cv.values for cv in cost_vectors]
-    tables = PricingTables.build(network, values)
     if nc == 1:
-        return _flow_solve(tables)
+        return _flow_solve(network, values[0])
+    tables = PricingTables.build(network, values)
     ns = network.num_shared
 
     pool = _Pool(network)
@@ -704,7 +708,7 @@ def column_generation(
         negative = zetas < cutoffs
         if not negative[0] or negative[1:].any():
             return 0
-        flow = _dummy_flow(tables, pi)
+        flow = _dummy_flow(network, values[0], pi)
         return sum(
             pool.add(col) for col in flow
             if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoffs[0]

@@ -171,24 +171,25 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age=0):
     """
     m = M.shape[0]
     xb = b_inv @ rhs
+    c_b = c[basis]  # follows basis pivot by pivot
     degen_run = 0
     iters = 0
     while iters < max_iter:
         iters += 1
-        y = c[basis] @ b_inv
+        y = c_b @ b_inv
         reduced = c - y @ M
         reduced[basis] = 0.0
-        enter = int(np.argmin(reduced))
+        enter = int(reduced.argmin())
         if reduced[enter] >= -OPT_TOL:
             return _OPTIMAL, iters, age
         direction = b_inv @ M[:, enter]
-        pos = np.flatnonzero(direction > PIVOT_TOL)
+        pos = (direction > PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
             return _UNBOUNDED, iters, age
         ratios = xb[pos] / direction[pos]
         theta = ratios.min()
         ties = pos[ratios <= theta + 1e-12]
-        leave = int(ties[np.argmin(basis[ties])])  # lowest basis index on ties
+        leave = int(ties[basis[ties].argmin()])  # lowest basis index on ties
         theta = max(xb[leave] / direction[leave], 0.0)
 
         piv_row = b_inv[leave] / direction[leave]
@@ -197,8 +198,9 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age=0):
         b_inv[leave] = piv_row
         xb -= theta * direction
         xb[leave] = theta
-        np.clip(xb, 0.0, None, out=xb)
+        np.maximum(xb, 0.0, out=xb)
         basis[leave] = enter
+        c_b[leave] = c[enter]
 
         # A step within FEAS_TOL is rounding noise on a degenerate vertex, not
         # progress: it must not end the run in the middle of a stall.
@@ -219,7 +221,7 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age=0):
             xb = b_inv @ rhs
             if m and xb.min() < -1e-6:
                 raise LPInternalError("feasibility lost; basis update diverged")
-            np.clip(xb, 0.0, None, out=xb)
+            np.maximum(xb, 0.0, out=xb)
     return _ITERLIMIT, iters, age
 
 

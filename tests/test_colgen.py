@@ -657,9 +657,9 @@ def priced_rounds(monkeypatch, net, vectors):
         events.append(("lp", sol.sigma))
         return sol
 
-    def spy_flow(tables, pi=None):
+    def spy_flow(network, values, pi=None):
         events.append(("flow", None if pi is None else pi.copy()))
-        return real_flow(tables, pi)
+        return real_flow(network, values, pi)
 
     monkeypatch.setattr(colgen, "price", spy_price)
     monkeypatch.setattr(colgen._Pool, "master", spy_master)
@@ -693,7 +693,6 @@ def priced_rounds(monkeypatch, net, vectors):
 def check_dummy_rounds(net, vectors, res, rounds):
     """Assert the extra dummy columns' contract; returns how many there were."""
     ns, values = net.num_shared, [cv.values for cv in vectors]
-    tables = PricingTables.build(net, values)
     bypass = {(k, (net.bypass_edge(k),)) for k in range(net.num_commodities)}
     bypass_costs = np.array([values[k][net.bypass_edge(k)] for k in range(net.num_commodities)])
     extras = 0
@@ -721,7 +720,7 @@ def check_dummy_rounds(net, vectors, res, rounds):
         want = []
         if rnd["flows"]:
             pooled = {c.key for c in res.columns[: rnd["start"]]} | {first.key}
-            flow = _dummy_flow(tables, pi)
+            flow = _dummy_flow(net, values[0], pi)
             want = [c for c in flow if shifted(c) < cutoffs[0] and c.key not in pooled]
         assert [(c.key, c.cost) for c in extra] == [(c.key, c.cost) for c in want]
         claimed = set()
@@ -940,6 +939,48 @@ def test_flow_solve_matches_brute_force(monkeypatch):
     assert demands == set(range(9))
 
 
+def test_dummy_only_windows_build_no_pricing_tables(monkeypatch):
+    # The flow solve reads the dummy's cost vector alone.
+    def unused(*args, **kwargs):
+        raise AssertionError("a dummy-only window needs no pricing tables")
+
+    births = [(net, [cv.values for cv in vectors])
+              for net, vectors in births_windows(range(1, 110, 12))]
+    monkeypatch.setattr(colgen.PricingTables, "build", unused)
+    for case, (net, costs) in enumerate(dummy_only_cases() + births):
+        res = column_generation(net, wrap_cost_vectors(net, costs))
+        assert res.status == "proven-optimal" and res.iterations == 1, case
+        check_flow_constraints(net, res.selection)
+
+
+def per_edge_flows(net, selection):
+    """Per-commodity edge flows of (column, units) pairs, one edge at a time."""
+    flows = [np.zeros(net.num_edges, dtype=np.int64) for _ in range(net.num_commodities)]
+    for col, units in selection:
+        for e in col.edges:
+            flows[col.commodity][e] += units
+    return flows
+
+
+def test_group_selection_flows_match_a_per_edge_loop():
+    results = [(net, column_generation(net, vectors))
+               for net, vectors in births_windows(range(1, 110, 12))
+               + births_windows([1, 25], tracked=True)]
+    results += [(net, column_generation(net, wrap_cost_vectors(net, costs)))
+                for _, net, costs in tracked_instances(30, d0_max=8)]
+    tracked = several = 0
+    for net, res in results:
+        selection = [entry for group in res.selection for entry in group]
+        grouped, flows = colgen._group_selection(net, selection)
+        assert grouped == res.selection
+        want = per_edge_flows(net, selection)
+        for got, ref in zip(flows, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        tracked += any(flow.any() for flow in flows[1:])
+        several += any(len(col.edges) == 1 and units > 1 for col, units in selection)
+    assert tracked > 0 and several > 0
+
+
 def arc_lp_optimum(net, values):
     """Min-cost flow of d0 units over the dummy's edges: the arc LP, by HiGHS."""
     edges = np.arange(net.num_edges)
@@ -954,16 +995,15 @@ def arc_lp_optimum(net, values):
     return res.fun
 
 
-def check_dummy_flow(net, tables, pi):
+def check_dummy_flow(net, costs, pi):
     """Assert that `_dummy_flow` under pi routes d0 units at least pi-shifted cost.
 
-    Its paths must be detection-disjoint and carry their unshifted costs,
-    and with the rest on the bypass they must meet the arc LP's optimum.
-    Returns the paths.
+    `costs` is the dummy's cost vector. The flow's paths must be
+    detection-disjoint and carry their unshifted costs, and with the rest on
+    the bypass they must meet the arc LP's optimum. Returns the paths.
     """
     ns, d0 = net.num_shared, int(net.demands[0])
-    costs = tables.values[0]
-    flow = _dummy_flow(tables, pi)
+    flow = _dummy_flow(net, costs, pi)
     assert len(flow) <= d0
     dets = [i for col in flow for i in net.path_detections(col.edges)]
     assert len(dets) == len(set(dets))
@@ -987,7 +1027,7 @@ def test_dummy_flow_is_optimal_under_the_duals():
     for seed, net, costs in tracked_instances(60, d0_max=8):
         ns = net.num_shared
         pi = rng.uniform(0.0, 1.5, ns) * (rng.random(ns) < 0.6)
-        routed += len(check_dummy_flow(net, PricingTables.build(net, costs), pi)) > 1
+        routed += len(check_dummy_flow(net, costs[0], pi)) > 1
     assert routed > 0
 
 
@@ -1016,10 +1056,9 @@ def test_wide_dummy_only_window_matches_the_arc_lp():
     check_flow_constraints(net, res.selection)
 
     rng = np.random.default_rng(11)
-    tables = PricingTables.build(net, [values])
     for _ in range(3):
         pi = rng.uniform(0.0, 1.5, ns) * (rng.random(ns) < 0.6)
-        assert check_dummy_flow(net, tables, pi)
+        assert check_dummy_flow(net, values, pi)
 
 
 def test_flow_solve_refuses_bad_input():
