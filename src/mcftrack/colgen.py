@@ -3,11 +3,11 @@
 Each commodity's flow is a convex-integer combination of source-sink paths.
 The restricted master problem (RMLP) couples path columns through unit
 capacities on shared edges and per-commodity convexity rows at demand d_k.
-It carries a coupling row only for the shared edges that some pooled column
-uses; the row set grows as columns arrive. An untouched edge's slack sits at
-its capacity 1 > 0 in every basic solution, so it is always basic and
-complementary slackness makes its dual 0: reporting pi = 0 there is exact,
-and the RMLP optimum is that of the master with every row.
+It carries one coupling row per detection that a pooled column visits, and
+none for transitions: the only edge into v_i is u_i -> v_i, so a transition's
+load never exceeds its tail's, and an unvisited detection's slack stays at 1.
+Those rows are implied, so the RMLP duals with pi = 0 on every other shared
+edge are exact: optimal for the master with every row, at the same optimum.
 Pricing finds every commodity's shortest path under costs shifted by the
 coupling duals pi on shared edges, in one numpy sweep over the frame layers
 of the window (detections of one frame form a contiguous range, and every
@@ -81,7 +81,7 @@ INT_TOL = 1e-9
 ITER_MAX_DEFAULT = 200
 
 # A master solve that perturbed its right-hand side leaves lam off an integral
-# vertex by a few PERTURB per perturbation (up to 1e-5 on the stalling M
+# vertex by a few PERTURB per perturbation (up to about 2e-6 on the M scene's
 # windows); a fractional vertex of these masters sits far beyond this.
 ROUND_TOL = 1e3 * PERTURB
 
@@ -352,8 +352,8 @@ def lagrangian_lower_bound(
 class _Pool:
     """Pooled columns, each once, and what the master LP reads of each.
 
-    Per column it records the cost, the commodity, and the shared edges the
-    column uses (as parallel hit lists), so building the master walks no
+    Per column it records the cost, the commodity, and the detections the
+    column visits (as parallel hit lists), so building the master walks no
     column's edges again. Indexing and iteration give the columns.
     """
 
@@ -363,7 +363,7 @@ class _Pool:
         self.keys: set[tuple[int, tuple[int, ...]]] = set()
         self.costs: list[float] = []
         self.owners: list[int] = []
-        self.hit_edges: list[int] = []
+        self.hit_dets: list[int] = []
         self.hit_cols: list[int] = []
         for col in columns:
             self.add(col)
@@ -374,13 +374,13 @@ class _Pool:
             return False
         self.keys.add(col.key)
         j = len(self.columns)
-        ns = self.network.num_shared
+        n = self.network.num_detections
         self.columns.append(col)
         self.costs.append(col.cost)
         self.owners.append(col.commodity)
         for e in col.edges:
-            if e < ns:
-                self.hit_edges.append(e)
+            if e < n:  # the observation edge of detection e
+                self.hit_dets.append(e)
                 self.hit_cols.append(j)
         return True
 
@@ -396,17 +396,17 @@ class _Pool:
     def master(self) -> tuple[LPProblem, np.ndarray]:
         """Restricted master over the pooled columns, and its coupling rows.
 
-        Coupling row i is the capacity of shared edge rows[i], where `rows`
-        holds the sorted shared edges that some pooled column uses. Other
-        shared edges carry no row: no column can load them, so their slack
-        stays basic and their dual is 0.
+        Coupling row i is the capacity of detection rows[i], where `rows`
+        holds the sorted detections that some pooled column visits. Other
+        shared edges carry no row: their loads are bounded by these rows
+        (module docstring), so their dual is 0.
         """
         net = self.network
         n = len(self.columns)
         a_eq = np.zeros((net.num_commodities, n))
         a_eq[np.asarray(self.owners, dtype=np.intp), np.arange(n)] = 1.0
         obj = np.asarray(self.costs, dtype=np.float64)
-        rows, row_of = np.unique(np.asarray(self.hit_edges, dtype=np.intp), return_inverse=True)
+        rows, row_of = np.unique(np.asarray(self.hit_dets, dtype=np.intp), return_inverse=True)
         a_ub = np.zeros((len(rows), n))
         a_ub[row_of, np.asarray(self.hit_cols, dtype=np.intp)] = 1.0
         d = net.demands.astype(np.float64)
