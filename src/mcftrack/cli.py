@@ -118,6 +118,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if not 0.0 < args.iou <= 1.0:
+        raise ConfigError(f"--iou must be in (0, 1], got {args.iou}")
     gt = mio.read_tracks(_require_file(args.gt))
     hyp = mio.read_tracks(_require_file(args.hyp))
     report = clear_mot(gt, hyp, iou_threshold=args.iou)

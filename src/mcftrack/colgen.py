@@ -154,9 +154,10 @@ class _Layer:
 
 @dataclass
 class PricingTables:
-    """One window's edge costs gathered by kind, and its frame layers.
+    """One window's edge costs split by kind, and its frame layers.
 
-    shared is (nc x num_shared), term (nc x N), bypass (nc). The candidate
+    values stacks the cost vectors, one CostVector per row; shared (nc x
+    num_shared), term (nc x N) and bypass (nc) are its slices. The candidate
     buffer `buf` holds, per head u_j in detection order, a segment of its
     incoming transitions by edge id followed by its start edge; `seg` are
     the segment starts (then the end), `seg_of` each column's head and
@@ -166,7 +167,7 @@ class PricingTables:
     """
 
     network: FlowNetwork
-    values: list[np.ndarray]
+    values: np.ndarray
     shared: np.ndarray
     term: np.ndarray
     bypass: np.ndarray
@@ -179,27 +180,18 @@ class PricingTables:
 
     @classmethod
     def build(cls, network: FlowNetwork, values: Sequence[np.ndarray]) -> PricingTables:
-        """Tables for per-commodity dense cost arrays (ordered by commodity).
+        """Tables for the commodities' cost vectors, ordered by commodity.
 
         Detections are frame-sorted and transitions advance in frame
         (network_from_parts enforces both), so each frame is a contiguous
         detection range whose incoming transitions all leave earlier ones.
         """
         nc, n, ns = network.num_commodities, network.num_detections, network.num_shared
-        shared = np.empty((nc, ns))
-        start = np.empty((nc, n))
-        term = np.empty((nc, n))
-        bypass = np.empty(nc)
-        for k, vals in enumerate(values):
-            b = network.block_start(k)
-            shared[k] = vals[:ns]
-            start[k] = vals[b : b + n]
-            term[k] = vals[b + n : b + 2 * n]
-            bypass[k] = vals[b + 2 * n]
-        start += 0.0
-        bypass += 0.0
-        if not all(np.isfinite(a).all() for a in (shared, start, term, bypass)):
+        stack = np.stack(values)
+        if not np.isfinite(stack).all():
             raise ValueError("pricing needs finite costs on every edge")
+        shared, term = stack[:, :ns], stack[:, ns + n : ns + 2 * n]
+        start, bypass = stack[:, ns : ns + n] + 0.0, stack[:, -1] + 0.0
 
         order = np.argsort(network.det_b[n:ns], kind="stable")  # by head, then edge id
         t_tail, t_head, t_edge = network.det_a[n + order], network.det_b[n + order], n + order
@@ -221,8 +213,7 @@ class PricingTables:
                 pos=pos[a:b] - c0, tails=t_tail[a:b], ta=int(a), tb=int(b),
             ))
         seg_of = np.repeat(np.arange(n), into + 1)
-        return cls(network, list(values), shared, term, bypass, buf, seg, seg_of, edge,
-                   t_edge, layers)
+        return cls(network, stack, shared, term, bypass, buf, seg, seg_of, edge, t_edge, layers)
 
 
 def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[int]:
@@ -327,7 +318,7 @@ def price(
         else:
             edges = tuple(_path_to_v(net, pred[k].tolist(), k, i)) + (net.term_edge(k, i),)
         vals = tables.values[k]
-        columns.append(PathColumn(k, edges, float(sum(vals[e] for e in edges))))
+        columns.append(PathColumn(k, edges, float(sum(vals[net.cost_index(k, e)] for e in edges))))
     return columns, zetas
 
 
@@ -553,7 +544,7 @@ def _bounded_columns(
     for k in range(net.num_commodities):
         limit = float(zetas[k]) + gap
         w_k, dist_k = w[k].tolist(), dist[k].tolist()
-        start = tables.values[k][net.start_edge(k, 0) : net.start_edge(k, n)].tolist()
+        start = tables.values[k, net.num_shared : net.num_shared + n].tolist()
         term = tables.term[k].tolist()
         paths: list[tuple[int, ...]] = []
         budget = ENUM_COLUMN_CAP - len(cols)
@@ -577,7 +568,8 @@ def _bounded_columns(
         if len(paths) > budget:
             return None
         vals = tables.values[k]
-        cols.extend(PathColumn(k, p, float(sum(vals[e] for e in p))) for p in sorted(paths))
+        cols.extend(PathColumn(k, p, float(sum(vals[net.cost_index(k, e)] for e in p)))
+                    for p in sorted(paths))
     return cols
 
 
@@ -586,12 +578,11 @@ def _dummy_flow(
 ) -> list[PathColumn]:
     """Route the dummy's d0 units by one assignment solve under pi-shifted costs.
 
-    `values` is the dummy's cost vector: the shared edges, then its block of
-    start, termination and bypass edges from num_shared on. The dummy's flow
-    is a min-cost flow of d0 units with unit capacity on the shared edges,
-    each shifted by pi. Each detection carries at most one unit and every
-    transition advances in frame, so the flow is a min-cost assignment,
-    which `linear_sum_assignment` solves exactly. Rows are the v nodes, then
+    `values` is the dummy's cost vector. The dummy's flow is a min-cost flow
+    of d0 units with unit capacity on the shared edges, each shifted by pi.
+    Each detection carries at most one unit and every transition advances
+    in frame, so the flow is a min-cost assignment, which
+    `linear_sum_assignment` solves exactly. Rows are the v nodes, then
     d0 source units; columns are the u nodes, then d0 sink units. Row v_t
     picks u_j to leave along transition t -> j, a sink unit to terminate, or
     its own u_t (at cost 0) to carry nothing; a source unit picks u_j to
@@ -673,7 +664,7 @@ def column_generation(
 ) -> CGResult:
     """Run the full loop; see module docstring for the protocol.
 
-    cost_vectors must be ordered by commodity and cover every edge id. A
+    cost_vectors must be ordered by commodity, each in CostVector's layout. A
     network whose only commodity is the dummy is solved exactly by
     `_flow_solve` instead.
     """
@@ -685,8 +676,8 @@ def column_generation(
     for k, cv in enumerate(cost_vectors):
         if cv.commodity != k:
             raise ValueError(f"cost vector at position {k} labeled {cv.commodity}")
-        if cv.values.shape[0] != network.num_edges:
-            raise ValueError("cost vector length does not match edge count")
+        if cv.values.shape[0] != network.cost_size:
+            raise ValueError(f"cost vector {k}: {len(cv.values)} values, not {network.cost_size}")
     values = [cv.values for cv in cost_vectors]
     if nc == 1:
         return _flow_solve(network, values[0])
@@ -718,7 +709,7 @@ def column_generation(
     for k, col in enumerate(priced):
         pool.add(col)
         bypass = network.bypass_edge(k)
-        pool.add(PathColumn(commodity=k, edges=(bypass,), cost=float(values[k][bypass])))
+        pool.add(PathColumn(k, (bypass,), float(values[k][network.cost_index(k, bypass)])))
     pi = np.zeros(ns)
     add_dummy_paths(zetas, pi, tables.bypass)
 

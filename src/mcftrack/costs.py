@@ -53,7 +53,9 @@ class CostConfig:
 
 @dataclass(frozen=True)
 class CostVector:
-    """Dense per-edge costs for one commodity over a window network."""
+    """One commodity's costs: the shared edges in id order, then its own N starts,
+    N terminations and bypass. Edge e sits at FlowNetwork.cost_index(k, e).
+    """
 
     commodity: int
     values: np.ndarray
@@ -127,22 +129,15 @@ def assemble_cost_vector(
     trajectories: Sequence[TrackLike],
     config: CostConfig = CostConfig(),
 ) -> CostVector:
-    """Dense cost vector over every edge id for one commodity.
-
-    Entries on edges a commodity can never traverse (other commodities'
-    start/termination edges) are filled by the same kind-wise rules; they are
-    inert because pricing and path enumeration never visit them.
-    """
+    """Cost vector of one commodity, in CostVector's layout."""
     if not (0 <= commodity < network.num_commodities):
         raise ValueError(f"commodity {commodity} out of range")
     if len(trajectories) != network.num_tracked:
         raise ValueError(
             f"{len(trajectories)} trajectories for {network.num_tracked} tracked commodities"
         )
-    n = network.num_detections
-    ns = network.num_shared
-    values = np.zeros(network.num_edges, dtype=np.float64)
-    private = values[ns:].reshape(network.num_commodities, 2 * n + 1)
+    n, ns = network.num_detections, network.num_shared
+    values = np.zeros(network.cost_size, dtype=np.float64)
 
     if n:
         feats = network.features
@@ -158,10 +153,10 @@ def assemble_cost_vector(
             starts = _start_costs(traj, network.frames, network.boxes, config)
         values[:n] = obs
         values[n:ns] = -gram[network.det_a[n:ns], network.det_b[n:ns]]
-        private[:, :n] = starts
+        values[ns : ns + n] = starts
 
-    private[:, n:-1] = config.termination_cost
-    private[:, -1] = config.bypass_cost_dummy if commodity == 0 else config.bypass_cost_tracked
+    values[ns + n : -1] = config.termination_cost
+    values[-1] = config.bypass_cost_dummy if commodity == 0 else config.bypass_cost_tracked
     return CostVector(commodity=commodity, values=values)
 
 

@@ -13,6 +13,7 @@ detection order, then transition edges sorted by (i, j)), followed by one
 block of 2N+1 edges per commodity (starts, terminations, bypass). Unit
 coupling capacity applies to shared edge ids only; bypass edges are exempt
 from the binary flow constraint and may carry a commodity's full demand.
+Commodity k's costs cover the shared edges and its own block (cost_index).
 
 Node ids: u_i = 2i, v_i = 2i+1 for detection index i, then s_k = 2N+2k,
 n_k = 2N+2k+1, giving 2N + 2(K+1) nodes total.
@@ -180,6 +181,11 @@ class FlowNetwork:
     def num_edges(self) -> int:
         return len(self.tail)
 
+    @property
+    def cost_size(self) -> int:
+        """Length of each commodity's cost vector: the shared edges and one block."""
+        return self.num_shared + 2 * self.num_detections + 1
+
     # -- id arithmetic -------------------------------------------------------
 
     def u_node(self, i: int) -> int:
@@ -206,6 +212,10 @@ class FlowNetwork:
 
     def bypass_edge(self, k: int) -> int:
         return self.block_start(k) + 2 * self.num_detections
+
+    def cost_index(self, k: int, e: int) -> int:
+        """Position of edge e in commodity k's cost vector (e shared or k's own)."""
+        return e if e < self.num_shared else e - k * (2 * self.num_detections + 1)
 
     # -- traversal -----------------------------------------------------------
 

@@ -242,7 +242,7 @@ def extract_feature(region: np.ndarray, bins: int = HIST_BINS) -> np.ndarray:
     (renormalized if needed). A 2-D (grayscale) or HxWx3 raster is reduced to
     per-channel `bins`-bin intensity histograms, concatenated and
     L2-normalized; grayscale rasters are replicated to three channels.
-    Accepts uint8 in [0, 255] or floats in [0, 1].
+    Floating-point input is read as [0, 1], any other dtype as [0, 255].
     """
     arr = np.asarray(region)
     if arr.ndim == 1:
@@ -258,7 +258,7 @@ def extract_feature(region: np.ndarray, bins: int = HIST_BINS) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[-1] != 3:
         raise ValueError(f"expected HxWx3 region, got shape {arr.shape}")
     vals = arr.astype(np.float64)
-    if vals.max() <= 1.0:
+    if arr.dtype.kind == "f":
         vals = vals * 255.0
     parts = [
         np.histogram(vals[..., c], bins=bins, range=(0.0, 256.0))[0].astype(np.float64)
@@ -402,7 +402,7 @@ def synth_generate(
 
 
 def save_instance(network: FlowNetwork, cost_vectors: Sequence[CostVector]) -> str:
-    """Serialize one window instance (structure, demands, per-commodity costs)."""
+    """Serialize one window instance: structure, demands, each CostVector's values by repr."""
     lines = ["[meta]"]
     lines.append(f"commodities={network.num_commodities}")
     lines.append("demands=" + ",".join(str(int(d)) for d in network.demands))
@@ -508,10 +508,10 @@ def load_instance(source: Source) -> tuple[FlowNetwork, list[CostVector]]:
             raise ParseError(f"{origin}:{lineno}: commodity {k} out of range")
         if cost_vectors[k] is not None:
             raise ParseError(f"{origin}:{lineno}: duplicate costs for commodity {k}")
-        if values.shape[0] != network.num_edges:
+        if values.shape[0] != network.cost_size:
             raise ParseError(
-                f"{origin}:{lineno}: {values.shape[0]} costs for "
-                f"{network.num_edges} edges"
+                f"{origin}:{lineno}: commodity {k} has {values.shape[0]} costs, "
+                f"expected {network.cost_size} (shared edges, then its own block)"
             )
         cost_vectors[k] = CostVector(commodity=k, values=values)
     missing = [k for k, cv in enumerate(cost_vectors) if cv is None]

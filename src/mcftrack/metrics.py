@@ -101,7 +101,9 @@ def _as_tracks(tracks: TracksLike, label: str) -> Tracks:
 def clear_mot(
     gt: TracksLike, hyp: TracksLike, iou_threshold: float = 0.5
 ) -> MetricsReport:
-    """Evaluate hypothesis tracks against ground truth at an IoU threshold."""
+    """Evaluate hypothesis tracks against ground truth at an IoU threshold in (0, 1]."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_tracks = _as_tracks(gt, "ground truth")
     hyp_tracks = _as_tracks(hyp, "hypotheses")
     gt_total = sum(len(frames) for frames in gt_tracks.values())

@@ -74,8 +74,8 @@ def brute_force_ilp(
 ) -> tuple[float, list[list[tuple[tuple[int, ...], int]]]]:
     """Exact integer optimum by exhaustive combination search.
 
-    cost_values holds one dense edge-cost array per commodity. Tracked
-    commodities pick exactly one path (possibly the bypass); the dummy
+    cost_values holds each commodity's CostVector values, in commodity order.
+    Tracked commodities pick exactly one path (possibly the bypass); the dummy
     commodity picks a set of pairwise shared-edge-disjoint non-bypass paths
     of size at most d_0, padding with bypass units. Ties resolve to the
     lexicographically smallest tuple of per-commodity path-index choices.
@@ -94,7 +94,7 @@ def brute_force_ilp(
         paths = enumerate_paths(network, k, limit=path_limit)
         vals = np.asarray(cost_values[k], dtype=np.float64)
         all_paths.append(paths)
-        costs.append([float(sum(vals[e] for e in p)) for p in paths])
+        costs.append([float(sum(vals[network.cost_index(k, e)] for e in p)) for p in paths])
         masks.append([_shared_mask(network, p) for p in paths])
 
     bypass_idx: list[int] = []

@@ -96,7 +96,10 @@ def random_instance(seed: int, max_dets: int = 8, max_frames: int = 4,
     Costs are drawn directly rather than through the appearance model so the
     solver sees adversarial sign patterns. When ``oracle_budget`` is set,
     resamples until the brute-force combination count fits the budget, so
-    the exhaustive oracle never refuses. Returns (network, cost_arrays).
+    the exhaustive oracle never refuses. Each commodity's costs are drawn
+    over every edge id, which fixes the random stream that seeded tests
+    rely on, then cut to the edges it can use (its CostVector layout).
+    Returns (network, cost_arrays).
     """
     rng = np.random.default_rng(seed)
     while True:
@@ -126,12 +129,12 @@ def random_instance(seed: int, max_dets: int = 8, max_frames: int = 4,
             continue
 
         costs = []
-        for _k in range(net.num_commodities):
+        for k in range(net.num_commodities):
             vals = rng.uniform(-2.0, 1.0, size=net.num_edges)
             # keep bypasses non-negative so "do nothing" is never a free lunch
             for kk in range(net.num_commodities):
                 vals[net.bypass_edge(kk)] = rng.uniform(0.0, 3.0)
-            costs.append(vals)
+            costs.append(vals[np.isin(net.owner, (-1, k))])
         return net, costs
 
 

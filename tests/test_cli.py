@@ -180,6 +180,16 @@ def test_bad_scenario_exits_3(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.scenario"]
 
 
+@pytest.mark.parametrize("value", ["0", "-0.2", "1.01", "nan"])
+def test_eval_refuses_iou_outside_unit_interval_exits_3(tmp_path, capsys, value):
+    # refused before any file is read: these files do not exist
+    code = main(["eval", "--gt", str(tmp_path / "gt.txt"), "--hyp", str(tmp_path / "hyp.txt"),
+                 "--iou", value])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --iou") and err.count("\n") == 1
+
+
 def test_eval_identical_files_mota_one(scene, capsys):
     _, _, gt, _ = scene
     code = main(["eval", "--gt", str(gt), "--hyp", str(gt), "--csv"])

@@ -176,13 +176,14 @@ def test_shortest_path_tie_breaks_lexicographically():
     assert edges == (net.start_edge(0, 0), 0, via_0, 2, net.term_edge(0, 2))
 
 
-def first_cheapest_path(paths, weights):
-    """First of `paths` (lexicographic order) with the least left-to-right sum."""
+def first_cheapest_path(net, k, paths, weights):
+    """First of commodity k's `paths` (lexicographic order) with the least
+    left-to-right sum of `weights`, a cost vector of k."""
     best, best_val = None, float("inf")
     for p in paths:
         val = 0.0
         for e in p:
-            val += weights[e]
+            val += weights[net.cost_index(k, e)]
         if val < best_val:
             best, best_val = p, val
     return best, best_val
@@ -204,16 +205,17 @@ def test_price_matches_enumerated_paths():
                     weights = costs[k].copy()
                     if pi is not None:
                         weights[:ns] += pi
-                    best, best_val = first_cheapest_path(paths[k], weights)
+                    best, best_val = first_cheapest_path(net, k, paths[k], weights)
                     assert col.commodity == k
                     assert col.edges == best, (seed, k)
                     assert float(zeta).hex() == float(best_val).hex(), (seed, k)
-                    assert col.cost == float(sum(costs[k][e] for e in best)), (seed, k)
+                    cost = float(sum(costs[k][net.cost_index(k, e)] for e in best))
+                    assert col.cost == cost, (seed, k)
 
 
 def test_price_without_detections_takes_every_bypass():
     net = network_from_parts([], [], [2, 1])
-    costs = [np.array([1.5, 7.0]), np.array([3.0, 0.25])]
+    costs = [np.array([1.5]), np.array([0.25])]  # each commodity's bypass alone
     cols, zetas = price(PricingTables.build(net, costs), None)
     assert [c.edges for c in cols] == [(0,), (1,)]
     assert [c.cost for c in cols] == [1.5, 0.25]
@@ -253,14 +255,15 @@ def test_bounded_columns_are_the_paths_under_the_reduced_cost_limit(monkeypatch)
             weights[:ns] += pi
             limit = zetas[k] + gap
             for p in enumerate_paths(net, k):
-                shifted = float(sum(weights[e] for e in p))
+                shifted = float(sum(weights[net.cost_index(k, e)] for e in p))
                 if shifted < limit - 1e-9:
                     assert (k, p) in found, (seed, k, p)
                 elif shifted >= limit + 1e-9:
                     assert (k, p) not in found, (seed, k, p)
         assert len(found) == len(cols), seed  # each path once
         for c in cols:
-            assert c.cost == float(sum(costs[c.commodity][e] for e in c.edges)), seed
+            k = c.commodity
+            assert c.cost == float(sum(costs[k][net.cost_index(k, e)] for e in c.edges)), seed
         if len(cols) > 1:
             monkeypatch.setattr(colgen, "ENUM_COLUMN_CAP", len(cols))
             assert _bounded_columns(tables, pi, zetas, gap) == cols
@@ -370,7 +373,7 @@ def test_extract_integer_matches_brute_force_over_every_path():
     for seed in range(50):
         net, costs = random_instance(seed)
         costs = [np.round(2.0 * c) / 2.0 for c in costs]
-        pool = [PathColumn(k, p, float(sum(costs[k][e] for e in p)))
+        pool = [PathColumn(k, p, float(sum(costs[k][net.cost_index(k, e)] for e in p)))
                 for k in range(net.num_commodities) for p in enumerate_paths(net, k)]
         val, sel = extract_integer(net, pool)
         ref, _ = brute_force_ilp(net, costs)
@@ -639,7 +642,7 @@ def test_selected_paths_recompute_their_cost():
         total = 0.0
         for k, picks in enumerate(res.selection):
             for col, units in picks:
-                recomputed = float(sum(costs[k][e] for e in col.edges))
+                recomputed = float(sum(costs[k][net.cost_index(k, e)] for e in col.edges))
                 assert col.cost == pytest.approx(recomputed, abs=1e-12)
                 total += recomputed * units
         assert total == pytest.approx(res.v_int, abs=1e-9)
@@ -721,7 +724,8 @@ def check_dummy_rounds(net, vectors, res, rounds):
     """Assert the extra dummy columns' contract; returns how many there were."""
     ns, values = net.num_shared, [cv.values for cv in vectors]
     bypass = {(k, (net.bypass_edge(k),)) for k in range(net.num_commodities)}
-    bypass_costs = np.array([values[k][net.bypass_edge(k)] for k in range(net.num_commodities)])
+    bypass_costs = np.array([values[k][net.cost_index(k, net.bypass_edge(k))]
+                             for k in range(net.num_commodities)])
     extras = 0
     for r, rnd in enumerate(rounds):
         cutoffs = bypass_costs if r == 0 else rnd["sigma"] - CERT_TOL
@@ -780,7 +784,9 @@ def test_extra_dummy_columns_are_disjoint_and_price_negative(monkeypatch):
 
 
 def test_m_window1_is_proven_within_80_iterations():
-    # Dummy-only: the flow solve is one assignment solve. Column generation
+    # Window 1 (frames 1-10) of the Baseline M scene in ROADMAP.md (targets 5,
+    # frames 60, seed 3, window 10): dummy only, d0 8, 55 detections, 533
+    # shared edges. The flow solve is one assignment solve. Column generation
     # took 46 iterations here, and 200 (the limit, epsilon 3.51, about 20 s)
     # with one dummy path per round.
     net, vectors = load_instance(FIXTURES / "m_window1.instance")
@@ -1016,11 +1022,15 @@ def test_group_selection_flows_match_a_per_edge_loop():
 
 
 def arc_lp_optimum(net, values):
-    """Min-cost flow of d0 units over the dummy's edges: the arc LP, by HiGHS."""
-    edges = np.arange(net.num_edges)
-    conservation = np.zeros((net.num_nodes, net.num_edges))
-    conservation[net.head, edges] += 1.0
-    conservation[net.tail, edges] -= 1.0
+    """Min-cost flow of d0 units over the dummy's edges: the arc LP, by HiGHS.
+
+    `values` is the dummy's cost vector. Its block comes first, so the
+    dummy's edges are the ids 0 .. cost_size - 1, each at its own position.
+    """
+    edges = np.arange(net.cost_size)
+    conservation = np.zeros((net.num_nodes, net.cost_size))
+    conservation[net.head[edges], edges] += 1.0
+    conservation[net.tail[edges], edges] -= 1.0
     supply = np.zeros(net.num_nodes)
     supply[net.source(0)], supply[net.sink(0)] = -net.demands[0], net.demands[0]
     bounds = [(0.0, 1.0) if e < net.num_shared else (0.0, None) for e in edges]

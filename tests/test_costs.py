@@ -179,7 +179,7 @@ def test_assemble_dummy_constants():
     dets = [make_det(i, i + 1, box_at(3.0 * i, 0), score=0.5) for i in range(3)]
     net = build_network(dets, [], [2], GatingConfig())
     cv = assemble_cost_vector(net, 0, [], CostConfig())
-    assert cv.values.shape == (net.num_edges,)
+    assert cv.values.shape == (net.cost_size,)
     for e in range(net.num_edges):
         kind = EdgeKind(net.kind[e])
         if kind == EdgeKind.START:
@@ -198,9 +198,9 @@ def test_assemble_tracked_constants():
     for e in range(net.num_edges):
         kind = EdgeKind(net.kind[e])
         if kind == EdgeKind.TERMINATION and net.owner[e] == 1:
-            assert cv.values[e] == 10.0
+            assert cv.values[net.cost_index(1, e)] == 10.0
         if kind == EdgeKind.BYPASS and net.owner[e] == 1:
-            assert cv.values[e] == 5.0
+            assert cv.values[net.cost_index(1, e)] == 5.0
 
 
 def test_assemble_matches_scalar_rules():
@@ -237,7 +237,8 @@ def test_assemble_matches_scalar_rules():
                 want = cfg.bypass_cost_dummy if k == 0 else cfg.bypass_cost_tracked
             else:
                 continue
-            assert cv.values[e] == pytest.approx(want, abs=1e-12), (k, e, kind)
+            got = cv.values[net.cost_index(k, e)]
+            assert got == pytest.approx(want, abs=1e-12), (k, e, kind)
 
 
 def test_assemble_requires_known_commodity():
@@ -268,9 +269,8 @@ def test_assembled_starts_are_bitwise_start_cost():
             if k == 1:
                 assert any(w == 0.0 for w in want) and any(-1.0 < w < 0.0 for w in want)
             values = assemble_cost_vector(net, k, tracks, cfg).values
-            for block in range(net.num_commodities):
-                got = values[[net.start_edge(block, i) for i in range(len(dets))]]
-                assert np.array_equal(bits(got), bits(want)), (eta, k, block)
+            got = values[[net.cost_index(k, net.start_edge(k, i)) for i in range(len(dets))]]
+            assert np.array_equal(bits(got), bits(want)), (eta, k)
 
 
 def test_assembled_starts_bitwise_on_random_scenes():
@@ -288,7 +288,8 @@ def test_assembled_starts_bitwise_on_random_scenes():
         cfg = CostConfig(eta=float(rng.uniform(0.05, 1.0)))
         values = assemble_cost_vector(net, 1, [track], cfg).values
         want = [start_cost(track, d, cfg) for d in dets]
-        got = values[net.start_edge(1, 0) : net.start_edge(1, 0) + len(dets)]
+        first = net.cost_index(1, net.start_edge(1, 0))
+        got = values[first : first + len(dets)]
         assert np.array_equal(bits(got), bits(want))
 
 

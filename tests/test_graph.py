@@ -1,11 +1,12 @@
 """Network construction: gating, id layout, frame ranges, rebuild determinism."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import make_det, reference_transitions, unit_feature
+from helpers import make_det, random_instance, reference_transitions, unit_feature
 from mcftrack.graph import (
     Detection,
     EdgeKind,
@@ -364,6 +365,35 @@ def test_edge_arrays_agree_with_id_arithmetic():
                 visible = [e for e in range(net.num_edges)
                            if net.tail[e] == node and net.owner[e] in (-1, k)]
                 assert list(net.out_edges(node, k)) == visible, (seed, k, node)
+
+
+def test_cost_index_maps_each_commoditys_edges_onto_its_cost_vector():
+    for seed in range(60):
+        net, costs = random_instance(seed, max_dets=12, max_tracked=4, oracle_budget=None)
+        n, ns = net.num_detections, net.num_shared
+        assert net.cost_size == ns + 2 * n + 1
+        for k in range(net.num_commodities):
+            assert costs[k].shape == (net.cost_size,)
+            usable = np.flatnonzero(np.isin(net.owner, (-1, k))).tolist()
+            index = [net.cost_index(k, e) for e in usable]
+            assert index == list(range(net.cost_size)), (seed, k)  # one to one, in id order
+            for i in range(n):
+                assert net.cost_index(k, net.start_edge(k, i)) == ns + i
+                assert net.cost_index(k, net.term_edge(k, i)) == ns + n + i
+            assert net.cost_index(k, net.bypass_edge(k)) == ns + 2 * n
+
+
+def test_random_instance_cost_stream_is_unchanged():
+    # random_instance draws every commodity's costs over all edge ids and
+    # keeps the commodity's own entries. The digest pins the values that
+    # the seeds draw, on which every seeded expectation in the tests rests.
+    digest = hashlib.sha256()
+    for seed in range(40):
+        _, costs = random_instance(seed)
+        for values in costs:
+            digest.update(values.tobytes())
+    assert digest.hexdigest() == (
+        "206d7445b4d2b44a18401126e6c14c0b48cf825fc7e2c006eae245ab37e8568b")
 
 
 def test_detection_arrays_match_detections():

@@ -1,6 +1,7 @@
 """File formats, synthetic scenes, appearance features, instance files."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from mcftrack.io import (
 )
 
 from helpers import random_instance, wrap_cost_vectors
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_parse_single_detection_row():
@@ -224,6 +227,19 @@ def test_extract_feature_deterministic_and_scale_invariant():
     assert a == pytest.approx(scaled, abs=1e-12)
 
 
+def test_extract_feature_scales_by_dtype_not_by_value():
+    # uint8 pixels of value 1 are near black: bin 0, as for value 2. Read as
+    # [0, 1] floats they would put half the mass in the top bin.
+    ones = np.tile(np.array([0, 1], dtype=np.uint8), (4, 2))
+    twos = 2 * ones
+    a, b = extract_feature(ones), extract_feature(twos)
+    assert np.array_equal(a, b)
+    assert np.flatnonzero(a).tolist() == [0, 16, 32]
+    # a float patch of 0s and 1s is black and white
+    assert np.flatnonzero(extract_feature(ones.astype(np.float32))).tolist() == [
+        0, 15, 16, 31, 32, 47]
+
+
 def test_extract_feature_passthrough():
     v = np.array([3.0, 4.0])
     out = extract_feature(v)
@@ -263,6 +279,27 @@ def test_instance_file_round_trip_reproduces_edge_arrays():
             a, b = getattr(net, name), getattr(net2, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (seed, name)
         assert np.allclose(net2.boxes, net.boxes, rtol=0, atol=0.005)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.instance")))
+def test_committed_instance_files_round_trip_byte_for_byte(name):
+    text = (FIXTURES / name).read_text()
+    assert save_instance(*load_instance(io.StringIO(text))) == text
+
+
+def test_cost_row_over_every_edge_id_is_refused():
+    # A row spanning every edge id, other commodities' blocks included, is
+    # not a cost vector of the commodity.
+    net, costs = random_instance(13)
+    assert net.num_commodities > 1
+    text = save_instance(net, wrap_cost_vectors(net, costs))
+    lines = text.splitlines()
+    at = lines.index("[costs]") + 2  # commodity 1
+    dense = np.zeros(net.num_edges)
+    lines[at] = "1:" + ",".join(repr(float(v)) for v in dense)
+    with pytest.raises(ParseError, match=f":{at + 1}: commodity 1 has {net.num_edges} costs, "
+                                         f"expected {net.cost_size} "):
+        load_instance(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_instance_file_structure_errors():

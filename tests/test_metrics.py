@@ -104,6 +104,16 @@ def test_threshold_one_requires_exact_overlap():
     assert exact.mota == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_threshold_outside_unit_interval_rejected(threshold):
+    # At threshold 0 a box 500 px from its ground truth, with no overlap at
+    # all, would match it and score MOTA 1.
+    gt = {1: {1: box(0.0)}}
+    far = {1: {1: box(500.0)}}
+    with pytest.raises(ValueError, match="iou_threshold"):
+        clear_mot(gt, far, iou_threshold=threshold)
+
+
 def test_faf_is_fp_per_frame():
     gt = {1: straight_track(range(1, 5))}
     hyp = {1: dict(gt[1]), 2: {1: box(900.0), 2: box(900.0)}}

@@ -66,11 +66,11 @@ def test_two_commodity_contention_value():
     net = network_from_parts([make_det(0, 1, (0, 0, 2, 2))], [], [1, 1])
     costs = []
     for k in range(2):
-        v = np.zeros(net.num_edges)
+        v = np.zeros(net.cost_size)
         v[0] = 1.0  # observation
-        v[net.start_edge(k, 0)] = 0.0
-        v[net.term_edge(k, 0)] = 0.0
-        v[net.bypass_edge(k)] = 2.0
+        v[net.cost_index(k, net.start_edge(k, 0))] = 0.0
+        v[net.cost_index(k, net.term_edge(k, 0))] = 0.0
+        v[net.cost_index(k, net.bypass_edge(k))] = 2.0
         costs.append(v)
     val, assign = brute_force_ilp(net, costs)
     assert val == pytest.approx(3.0)
@@ -117,7 +117,7 @@ def test_assignment_respects_demands_and_disjointness():
             units = sum(u for _, u in picks)
             assert units == int(net.demands[k])
             for path, u in picks:
-                total += u * float(sum(costs[k][e] for e in path))
+                total += u * float(sum(costs[k][net.cost_index(k, e)] for e in path))
                 if path == (net.bypass_edge(k),):
                     continue
                 shared = {e for e in path if e < net.num_shared}
