@@ -22,6 +22,22 @@ prices negative joins the pool, so one round can add up to d0
 detection-disjoint dummy paths. The bound and the certificate read only the
 pricing sweep.
 
+Each time a tracked commodity's priced column joins the pool (in the initial
+pricing and in every round), its sub-path family joins with it
+(`_sub_paths`): for a path over detections d_1..d_m, the path without d_x
+for each x (an interior d_x only where the transition d_{x-1} -> d_{x+1}
+exists), and for m > 2 the single-detection paths [d_1] and [d_m]. The
+master's duals are degenerate: a round's vertex tends to put a track path's
+whole dual on one of its detections, and the next round then prices that
+path less the detection, round after round at an unchanged master value.
+Pooling the family up front is the primal side of the dual-optimal
+inequalities of Ben Amor, Desrosiers and Valerio de Carvalho (Operations
+Research 54(3), 2006). It is sound because every member is a real
+source-sink path of its commodity at its true cost: the master stays a
+restriction of the full path master, so v_lp, the certificate, L(pi) and
+the enumeration below keep their meaning. The dummy's columns, the
+enumerated columns and the members themselves bring no family.
+
 The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
 RMLP value v_rmlp or, when stopping early, the Lagrangian bound
 v_rmlp + sum_k d_k * min(0, zeta_k - sigma_k), which is dual-feasible and
@@ -66,6 +82,7 @@ proven-optimal with epsilon 0, one iteration, no pivots and no duals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,7 +174,8 @@ class PricingTables:
     """One window's edge costs split by kind, and its frame layers.
 
     values stacks the cost vectors, one CostVector per row; shared (nc x
-    num_shared), term (nc x N) and bypass (nc) are its slices. The candidate
+    num_shared), term (nc x N) and bypass (nc) are its slices, and rows
+    holds each row as a list, from which path costs are summed. The candidate
     buffer `buf` holds, per head u_j in detection order, a segment of its
     incoming transitions by edge id followed by its start edge; `seg` are
     the segment starts (then the end), `seg_of` each column's head and
@@ -168,6 +186,7 @@ class PricingTables:
 
     network: FlowNetwork
     values: np.ndarray
+    rows: list[list[float]]
     shared: np.ndarray
     term: np.ndarray
     bypass: np.ndarray
@@ -213,7 +232,21 @@ class PricingTables:
                 pos=pos[a:b] - c0, tails=t_tail[a:b], ta=int(a), tb=int(b),
             ))
         seg_of = np.repeat(np.arange(n), into + 1)
-        return cls(network, stack, shared, term, bypass, buf, seg, seg_of, edge, t_edge, layers)
+        return cls(network, stack, stack.tolist(), shared, term, bypass, buf, seg, seg_of, edge,
+                   t_edge, layers)
+
+
+def _path_cost(row: list[float], network: FlowNetwork, k: int, edges: Sequence[int]) -> float:
+    """Commodity k's cost of a path, summed in path order from its cost vector as a list.
+
+    Edge e sits at FlowNetwork.cost_index(k, e). Every column's cost is
+    summed here, so a path pooled twice carries the same cost both times.
+    """
+    ns, shift = network.num_shared, k * (2 * network.num_detections + 1)
+    total = 0.0
+    for e in edges:
+        total += row[e] if e < ns else row[e - shift]
+    return total
 
 
 def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[int]:
@@ -317,8 +350,7 @@ def price(
             edges: tuple[int, ...] = (net.bypass_edge(k),)
         else:
             edges = tuple(_path_to_v(net, pred[k].tolist(), k, i)) + (net.term_edge(k, i),)
-        vals = tables.values[k]
-        columns.append(PathColumn(k, edges, float(sum(vals[net.cost_index(k, e)] for e in edges))))
+        columns.append(PathColumn(k, edges, _path_cost(tables.rows[k], net, k, edges)))
     return columns, zetas
 
 
@@ -350,6 +382,7 @@ class _Pool:
 
     def __init__(self, network: FlowNetwork, columns: Sequence[PathColumn] = ()) -> None:
         self.network = network
+        self.num_detections = network.num_detections
         self.columns: list[PathColumn] = []
         self.keys: set[tuple[int, tuple[int, ...]]] = set()
         self.costs: list[float] = []
@@ -361,18 +394,18 @@ class _Pool:
 
     def add(self, col: PathColumn) -> bool:
         """Pool `col` unless the same path of its commodity is pooled; True if added."""
-        if col.key in self.keys:
+        key = col.key
+        if key in self.keys:
             return False
-        self.keys.add(col.key)
+        self.keys.add(key)
         j = len(self.columns)
-        n = self.network.num_detections
         self.columns.append(col)
         self.costs.append(col.cost)
         self.owners.append(col.commodity)
-        for e in col.edges:
-            if e < n:  # the observation edge of detection e
-                self.hit_dets.append(e)
-                self.hit_cols.append(j)
+        n = self.num_detections
+        hits = [e for e in col.edges if e < n]  # e < n: the observation edge of detection e
+        self.hit_dets += hits
+        self.hit_cols += [j] * len(hits)
         return True
 
     def __len__(self) -> int:
@@ -490,12 +523,9 @@ def _meets_rows(prob: LPProblem, units: np.ndarray) -> bool:
 def _decode_selection(
     pool: Sequence[PathColumn], lam: np.ndarray
 ) -> list[tuple[PathColumn, int]]:
-    out = []
-    for idx, val in enumerate(lam):
-        units = int(round(float(val)))
-        if units > 0:
-            out.append((pool[idx], units))
-    return out
+    """The pooled columns with a positive rounded value, and their units."""
+    units = np.round(lam)
+    return [(pool[j], int(units[j])) for j in np.flatnonzero(units > 0).tolist()]
 
 
 def _group_selection(
@@ -567,10 +597,36 @@ def _bounded_columns(
             paths.append((net.bypass_edge(k),))
         if len(paths) > budget:
             return None
-        vals = tables.values[k]
-        cols.extend(PathColumn(k, p, float(sum(vals[net.cost_index(k, e)] for e in p)))
-                    for p in sorted(paths))
+        row = tables.rows[k]
+        cols.extend(PathColumn(k, p, _path_cost(row, net, k, p)) for p in sorted(paths))
     return cols
+
+
+def _sub_paths(network: FlowNetwork, row: list[float], col: PathColumn) -> list[PathColumn]:
+    """The sub-path family of a tracked commodity's path over detections d_1..d_m.
+
+    It holds the path without d_x for each x (an interior d_x only where the
+    transition d_{x-1} -> d_{x+1} exists), then, for m > 2, the
+    single-detection paths [d_1] and [d_m]: each a source-sink path of the
+    commodity, costed from its cost list `row` as `price` costs it. A path
+    of fewer than two detections has none.
+    """
+    k, edges = col.commodity, col.edges
+    m = (len(edges) - 1) // 2  # d_x is edge 2x - 1, and d_x -> d_x+1 is edge 2x
+    if m < 2:
+        return []
+    trans = network.transitions
+    paths = [(network.start_edge(k, edges[3]),) + edges[3:]]
+    for x in range(2, m):
+        pair = (edges[2 * x - 3], edges[2 * x + 1])
+        p = bisect_left(trans, pair)
+        if p < len(trans) and trans[p] == pair:  # transition p is edge n + p
+            paths.append(edges[: 2 * x - 2] + (network.num_detections + p,) + edges[2 * x + 1 :])
+    paths.append(edges[: 2 * m - 2] + (network.term_edge(k, edges[2 * m - 3]),))
+    if m > 2:
+        paths.append(edges[:2] + (network.term_edge(k, edges[1]),))
+        paths.append((network.start_edge(k, edges[-2]),) + edges[-2:])
+    return [PathColumn(k, p, _path_cost(row, network, k, p)) for p in paths]
 
 
 def _dummy_flow(
@@ -607,7 +663,7 @@ def _dummy_flow(
     _, pick = linear_sum_assignment(cost)
     # the transition v_t -> u_pick[t], where there is one: keys sort as the ids
     via = (n + np.searchsorted(tails * n + heads, np.arange(n) * n + pick[:n])).tolist()
-    pick = pick.tolist()
+    pick, row = pick.tolist(), values.tolist()
 
     columns = []
     for j in sorted(j for j in pick[n:] if j < n):
@@ -616,7 +672,7 @@ def _dummy_flow(
             edges += (via[j], pick[j])
             j = pick[j]
         edges.append(ns + n + j)
-        columns.append(PathColumn(0, tuple(edges), sum(values[edges].tolist())))
+        columns.append(PathColumn(0, tuple(edges), _path_cost(row, network, 0, edges)))
     return columns
 
 
@@ -705,11 +761,23 @@ def column_generation(
             if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoffs[0]
         )
 
+    def add_priced(col: PathColumn) -> int:
+        """Pool a priced column and, for a tracked commodity, its sub-path family.
+
+        Returns the columns pooled: 0 when `col` is pooled already.
+        """
+        if not pool.add(col):
+            return 0
+        if col.commodity == 0:
+            return 1
+        family = _sub_paths(network, tables.rows[col.commodity], col)
+        return 1 + sum(pool.add(sub) for sub in family)
+
     priced, zetas = price(tables, None)
     for k, col in enumerate(priced):
-        pool.add(col)
-        bypass = network.bypass_edge(k)
-        pool.add(PathColumn(k, (bypass,), float(values[k][network.cost_index(k, bypass)])))
+        add_priced(col)
+        bypass = (network.bypass_edge(k),)
+        pool.add(PathColumn(k, bypass, _path_cost(tables.rows[k], network, k, bypass)))
     pi = np.zeros(ns)
     add_dummy_paths(zetas, pi, tables.bypass)
 
@@ -768,9 +836,9 @@ def column_generation(
         for k, (col, zeta) in enumerate(zip(priced, zetas)):
             if zeta >= sol.sigma[k] - CERT_TOL:
                 continue
-            if pool.add(col):
-                added += 1
-            elif zeta - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
+            pooled = add_priced(col)
+            added += pooled
+            if not pooled and zeta - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
                 raise ColgenError(
                     f"pricing repeated a pooled column for commodity {k} "
                     f"with violation {zeta - sol.sigma[k]:.3e}; duals inconsistent"

@@ -1,9 +1,12 @@
 """Online tracker: windowing, commit latency, spawn/terminate, determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mcftrack.io import Scenario, synth_generate
+from mcftrack import tracker as tracker_module
+from mcftrack.io import Scenario, parse_scenario, synth_generate
 from mcftrack.tracker import (
     CommitRecord,
     ConfigError,
@@ -38,6 +41,9 @@ def noiseless(targets=1, frames=10, **kw) -> Scenario:
     )
     base.update(kw)
     return Scenario(**base)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_single_target_noiseless_window3():
@@ -244,3 +250,27 @@ def test_diagnostics_lines_are_well_formed():
         int(parts[0]), int(parts[1])
         assert d.epsilon >= -1e-9
         assert d.v_lp <= d.v_int + 1e-9
+
+
+def test_long_windows_converge_below_the_iteration_cap(monkeypatch):
+    # The M scene at frames 30 and window 15, seed 3 (long.scenario and
+    # long.config, which CI also runs through the installed CLI). With one
+    # column per priced track path, 5 of its 16 windows stopped at the
+    # 200-iteration cap, after 139,068 master pivots in all; pooling each
+    # priced path's sub-paths took 13,178.
+    scene = parse_scenario(FIXTURES / "long.scenario")
+    config = TrackerConfig.from_text((FIXTURES / "long.config").read_text())
+    assert (scene.frames, config.window, config.iter_max) == (30, 15, 200)
+    real, results = tracker_module.column_generation, []
+
+    def solve(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tracker_module, "column_generation", solve)
+    dets, _ = synth_generate(scene, seed=3)
+    _, diags = run(dets, config, max_frame=scene.frames)
+    assert len(results) == len(diags) == 16
+    assert not [r for r in results if r.status == "iteration-limit"]
+    assert max(d.iterations for d in diags) < config.iter_max
+    assert sum(r.pivots for r in results) <= 40_000
