@@ -3,11 +3,16 @@
 Each commodity's flow is a convex-integer combination of source-sink paths.
 The restricted master problem (RMLP) couples path columns through unit
 capacities on shared edges and per-commodity convexity rows at demand d_k.
-It carries one coupling row per detection that a pooled column visits, and
-none for transitions: the only edge into v_i is u_i -> v_i, so a transition's
-load never exceeds its tail's, and an unvisited detection's slack stays at 1.
-Those rows are implied, so the RMLP duals with pi = 0 on every other shared
-edge are exact: optimal for the master with every row, at the same optimum.
+It carries one coupling row per detection of the window, in detection order
+and fixed from the first master solve, and none for transitions: the only
+edge into v_i is u_i -> v_i, so a transition's load never exceeds its tail's.
+Those rows are implied, so the RMLP duals with pi = 0 on every transition
+are exact: optimal for the master with every row, at the same optimum. A
+detection that no pooled column visits has an all-zero row, whose slack
+stays basic at 1 with dual 0; on the bench scenes 0.6-2.4% of the rows are
+such. Since the rows never change, a round only appends columns, and each
+master solve warm-starts from the previous one's basis and inverse as they
+are.
 Pricing finds every commodity's shortest path under costs shifted by the
 coupling duals pi on shared edges, in one numpy sweep over the frame layers
 of the window (detections of one frame form a contiguous range, and every
@@ -417,59 +422,26 @@ class _Pool:
     def __iter__(self):
         return iter(self.columns)
 
-    def master(self) -> tuple[LPProblem, np.ndarray]:
-        """Restricted master over the pooled columns, and its coupling rows.
+    def master(self) -> LPProblem:
+        """Restricted master over the pooled columns.
 
-        Coupling row i is the capacity of detection rows[i], where `rows`
-        holds the sorted detections that some pooled column visits. Other
-        shared edges carry no row: their loads are bounded by these rows
-        (module docstring), so their dual is 0.
+        Coupling row i is the capacity of detection i, for every detection
+        of the window, so the rows never change as columns join: a detection
+        that no pooled column visits has an all-zero row. Other shared edges
+        carry no row: their loads are bounded by these rows (module
+        docstring), so their dual is 0.
         """
         net = self.network
         n = len(self.columns)
         a_eq = np.zeros((net.num_commodities, n))
         a_eq[np.asarray(self.owners, dtype=np.intp), np.arange(n)] = 1.0
         obj = np.asarray(self.costs, dtype=np.float64)
-        rows, row_of = np.unique(np.asarray(self.hit_dets, dtype=np.intp), return_inverse=True)
-        a_ub = np.zeros((len(rows), n))
-        a_ub[row_of, np.asarray(self.hit_cols, dtype=np.intp)] = 1.0
+        hits = np.asarray(self.hit_dets, dtype=np.intp), np.asarray(self.hit_cols, dtype=np.intp)
+        a_ub = np.zeros((self.num_detections, n))
+        a_ub[hits] = 1.0
         d = net.demands.astype(np.float64)
-        return LPProblem(obj=obj, a_ub=a_ub, b_ub=np.ones(len(rows)), a_eq=a_eq, b_eq=d), rows
-
-
-def _grow_basis(
-    basis: tuple[int, ...] | None,
-    inverse: np.ndarray | None,
-    rows: np.ndarray,
-    grown: np.ndarray,
-) -> tuple[tuple[int, ...] | None, np.ndarray | None]:
-    """Carry a master basis and its inverse over from coupling rows `rows` to `grown`.
-
-    `grown` is sorted and contains `rows`; the rows it adds must be used
-    only by columns that are nonbasic in `basis` (columns appended since).
-    Each old slack follows its row to the row's new position, structural
-    columns shift by the number of added rows, and each added row enters
-    with its slack basic. The slacks of the added rows sit at b > 0, and the
-    basis matrix is the old one bordered by their unit columns, so the
-    result stays feasible and nonsingular, and its inverse is exact: the old
-    inverse (rows in basis order, columns in row order) with its columns
-    moved to the old rows' new positions, and a unit entry for each added
-    slack. With no row added both map to themselves.
-    """
-    if basis is None or len(grown) == len(rows):
-        return basis, inverse
-    mi, added = len(rows), len(grown) - len(rows)
-    slack_at = np.searchsorted(grown, rows)
-    fresh = np.ones(len(grown), dtype=bool)
-    fresh[slack_at] = False
-    fresh_rows = np.flatnonzero(fresh)
-    carried = [int(slack_at[j]) if j < mi else j + added for j in basis]
-    m_old = len(basis)
-    m = m_old + added
-    grown_inv = np.zeros((m, m))
-    grown_inv[:m_old, np.r_[slack_at, len(grown) : m]] = inverse
-    grown_inv[m_old + np.arange(added), fresh_rows] = 1.0
-    return tuple(carried) + tuple(fresh_rows.tolist()), grown_inv
+        b_ub = np.ones(self.num_detections)
+        return LPProblem(obj=obj, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=d)
 
 
 def extract_integer(
@@ -490,7 +462,7 @@ def extract_integer(
     """
     if not isinstance(pool, _Pool):
         pool = _Pool(network, pool)
-    prob, _ = pool.master()
+    prob = pool.master()
     res = milp(
         prob.obj,
         integrality=np.ones(len(pool)),
@@ -788,16 +760,13 @@ def column_generation(
     basis: tuple[int, ...] | None = None
     inverse: np.ndarray | None = None
     factor_age = 0
-    rows = np.zeros(0, dtype=np.intp)
     converged = False
     iterations = 0
     pivots = 0
 
     for _ in range(iter_max):
         iterations += 1
-        prob, grown = pool.master()
-        basis, inverse = _grow_basis(basis, inverse, rows, grown)
-        rows = grown
+        prob = pool.master()
         try:
             sol = solve_lp(prob, warm_basis=basis, warm_inverse=inverse, factor_age=factor_age)
         except LPInternalError:
@@ -813,7 +782,7 @@ def column_generation(
         basis, inverse, factor_age = sol.basis, sol.inverse, sol.factor_age
         pivots += sol.iterations
         pi = np.zeros(ns)
-        pi[rows] = sol.pi
+        pi[: network.num_detections] = sol.pi
         # Round, then check the true rows: after a perturbed solve an
         # integral vertex shows only to within ROUND_TOL.
         units = np.round(sol.x)

@@ -17,6 +17,7 @@ start entries are bitwise equal to start_cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -49,6 +50,11 @@ class CostConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        for name in ("termination_cost", "dummy_start_cost", "bypass_cost_tracked",
+                     "bypass_cost_dummy"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ class EdgeKind(IntEnum):
 class Detection:
     """One detector response: frame index, box geometry, score, appearance.
 
-    The feature vector must be unit-norm; similarity costs assume it.
+    The box and score must be finite, with a positive size, and the feature
+    vector unit-norm; similarity costs assume it.
     """
 
     det_id: int
@@ -57,13 +58,15 @@ class Detection:
 
     def __post_init__(self) -> None:
         x, y, w, h = self.box
+        if not all(map(math.isfinite, (x, y, w, h, self.score))):
+            raise ValueError(f"detection {self.det_id}: non-finite box or score")
         if not (w > 0 and h > 0):
             raise ValueError(f"detection {self.det_id}: nonpositive box size {w}x{h}")
         feat = np.asarray(self.feature, dtype=np.float64)
         if feat.ndim != 1:
             raise ValueError(f"detection {self.det_id}: feature must be 1-D")
         norm = float(np.linalg.norm(feat))
-        if abs(norm - 1.0) > FEATURE_NORM_TOL:
+        if not abs(norm - 1.0) <= FEATURE_NORM_TOL:  # a NaN norm fails too
             raise ValueError(
                 f"detection {self.det_id}: feature norm {norm!r} not unit within {FEATURE_NORM_TOL}"
             )
@@ -92,7 +95,7 @@ class GatingConfig:
     def __post_init__(self) -> None:
         if self.max_gap < 1:
             raise ValueError(f"max_gap must be >= 1, got {self.max_gap}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # inf is no spatial gate; NaN would gate out everything
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 

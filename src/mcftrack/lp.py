@@ -17,9 +17,7 @@ equality row, its lowest-index such column; that basis is diagonal, so
 x_B = (b_ub, b_eq / coef). The basis is kept as explicit column indices over
 the layout [slacks | structural columns], so appending structural columns
 never invalidates a previous basis: warm starts pivot on directly from the
-old optimal basis. A caller that also adds inequality rows must map the old
-basis, and its inverse, onto the new layout itself and enter each new row
-with its slack basic.
+old optimal basis.
 
 Numerics: an explicit basis inverse, updated in place by one rank-one step
 per pivot and rebuilt every REFACTOR_EVERY pivots. The inverse is carried
@@ -33,7 +31,9 @@ structural block: a basic slack column is a unit vector, so with S the rows
 whose slack is basic, R the other rows and J the basic structural columns
 (|R| = |J|), B^-1 is K^-1 at (J, R) for K = M[R, J], the identity at
 (slacks, S) and -M[S, J] K^-1 at (slacks, R).
-Only K is factored, and it is about half the rows of a master basis.
+Only K is factored. A cold start's K is one bypass column per commodity; a
+refactorization within a column-generation solve finds about 95% of the
+basis structural on the `wide` and M bench scenes, so K is then most of it.
 Pricing is Dantzig's rule. Each run of DEGENERATE_RUN_LIMIT pivots of step
 at most FEAS_TOL raises every basic value by a distinct amount near PERTURB
 and sets the right-hand side to B x_B, which breaks the ties and keeps B
@@ -237,12 +237,11 @@ def solve_lp(
     warm_basis is a basis returned by a previous call on the same row
     structure; extra structural columns may have been appended since.
     warm_inverse, when given, is that basis's inverse (a returned
-    `LPSolution.inverse`, carried onto the current rows) and factor_age its
-    pivots since factorization; the solve pivots on a copy of it. Without
-    it the warm basis is factored. A stale or infeasible warm basis falls
-    back to a cold start silently. A cold start raises ValueError naming an
-    equality row without a column whose only nonzero is a positive entry in
-    it.
+    `LPSolution.inverse`) and factor_age its pivots since factorization; the
+    solve pivots on a copy of it. Without it the warm basis is factored. A
+    stale or infeasible warm basis falls back to a cold start silently. A
+    cold start raises ValueError naming an equality row without a column
+    whose only nonzero is a positive entry in it.
     """
     mi = problem.a_ub.shape[0]
     me = problem.a_eq.shape[0]

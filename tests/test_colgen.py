@@ -26,7 +26,6 @@ from mcftrack.colgen import (
     _Pool,
     _bounded_columns,
     _dummy_flow,
-    _grow_basis,
     column_generation,
     extract_integer,
     lagrangian_lower_bound,
@@ -358,8 +357,9 @@ def test_extract_integer_odd_cycle_behind_an_untouched_row():
         path(3, 1, (obs_a, t_ac, obs_c), 3, -1.0),
         path(3, 1, (obs_a,), 1, -0.3),
     ] + [PathColumn(k, (net.bypass_edge(k),), 0.0) for k in range(4)]
-    prob, rows = _Pool(net, pool).master()
-    assert list(rows) == [1, 2, 3]  # visited detections: transitions get no row
+    prob = _Pool(net, pool).master()
+    # a row per detection, the unvisited one's all zero: transitions get no row
+    assert prob.a_ub.shape == (4, len(pool)) and not prob.a_ub[0].any()
     assert solve_lp(full_row_master(net, pool)).objective == pytest.approx(-1.6)
     assert solve_lp(prob).objective == pytest.approx(-1.6)
     val, sel = extract_integer(net, pool)
@@ -412,8 +412,8 @@ def test_pool_keeps_each_column_once():
     pool = _Pool(net, [path, rest, path])
     assert list(pool) == [path, rest]
     assert not pool.add(PathColumn(0, (1, 0, 2), -2.0)) and len(pool) == 2
-    prob, rows = pool.master()
-    assert prob.obj.tolist() == [-2.0, 5.0] and rows.tolist() == [0]
+    prob = pool.master()
+    assert prob.obj.tolist() == [-2.0, 5.0] and prob.a_ub.shape == (1, 2)
     assert extract_integer(net, [path, rest, path]) == (-2.0, [(path, 1)])
 
 
@@ -423,7 +423,9 @@ def test_master_over_touched_rows_is_exact():
     for seed, net, costs in tracked_instances(40):
         res = column_generation(net, wrap_cost_vectors(net, costs))
         pool, n, ns = res.columns, net.num_detections, net.num_shared
-        prob, rows = _Pool(net, pool).master()
+        prob = _Pool(net, pool).master()
+        assert prob.a_ub.shape[0] == n
+        rows = np.flatnonzero(prob.a_ub.any(axis=1))
         assert list(rows) == sorted({e for c in pool for e in c.edges if e < n})
         full = solve_lp(full_row_master(net, pool))
         pruned = solve_lp(prob)
@@ -460,57 +462,31 @@ def test_reported_duals_certify_the_full_row_master():
     assert proven >= len(cases) // 2
 
 
-def grown_masters():
-    """Masters whose added path columns add coupling rows, from 40 random instances.
+def test_every_master_solve_warm_starts_over_one_row_per_detection(monkeypatch):
+    # The coupling rows are fixed from the first master solve, so every later
+    # solve of the window receives the previous one's basis and inverse as
+    # that solve returned them.
+    real = colgen.solve_lp
+    for name in ("m_window8", "m_window15", "contested_window19"):
+        net, vectors = load_instance(FIXTURES / f"{name}.instance")
+        calls = []
 
-    Yields (seed, first master's solution, its rows, grown master, its rows):
-    the first master pools the bypasses and half the path columns of the
-    instance's column-generation pool, the grown one all of them.
-    """
-    for seed in range(40):
-        net, costs = random_instance(seed)
-        pool = column_generation(net, wrap_cost_vectors(net, costs)).columns
-        ns = net.num_shared
-        bypass = [c for c in pool if not any(e < ns for e in c.edges)]
-        paths = [c for c in pool if any(e < ns for e in c.edges)]
-        first_prob, rows = _Pool(net, bypass + paths[: len(paths) // 2]).master()
-        prob, more = _Pool(net, bypass + paths).master()
-        if more.size == rows.size:
-            continue
-        sol = solve_lp(first_prob)
-        assert sol.status == "optimal", seed
-        yield seed, sol, rows, prob, more
+        def spy(prob, warm_basis=None, warm_inverse=None, factor_age=0):
+            sol = real(prob, warm_basis=warm_basis, warm_inverse=warm_inverse,
+                       factor_age=factor_age)
+            calls.append((prob.a_ub.shape[0], warm_basis, warm_inverse, factor_age, sol,
+                          sol.inverse.copy()))
+            return sol
 
-
-def test_grow_basis_warm_starts_grown_master():
-    grown_cases = 0
-    for seed, sol, rows, prob, more in grown_masters():
-        grown_cases += 1
-        basis, _ = _grow_basis(sol.basis, sol.inverse, rows, more)
-
-        m = more.size + prob.a_eq.shape[0]
-        full = stacked(prob)
-        rhs = np.concatenate([prob.b_ub, prob.b_eq])
-        assert len(basis) == m and len(set(basis)) == m, seed
-        b_mat = full[:, list(basis)]
-        assert np.linalg.matrix_rank(b_mat) == m, seed
-        assert np.linalg.solve(b_mat, rhs).min() >= -1e-9, seed
-
-        warm = solve_lp(prob, warm_basis=basis)
-        cold = solve_lp(prob)
-        assert warm.status == cold.status == "optimal", seed
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9), seed
-    assert grown_cases >= 10
-
-
-def test_grow_basis_carries_the_exact_inverse():
-    grown_cases = 0
-    for seed, sol, rows, prob, more in grown_masters():
-        grown_cases += 1
-        basis, inverse = _grow_basis(sol.basis, sol.inverse, rows, more)
-        exact = lp_module._basis_inverse(stacked(prob), basis, more.size)
-        assert np.abs(inverse - exact).max() <= 1e-9, seed
-    assert grown_cases >= 10
+        monkeypatch.setattr(colgen, "solve_lp", spy)
+        res = column_generation(net, vectors)
+        monkeypatch.undo()
+        assert len(calls) == res.iterations >= 2, name
+        assert all(rows == net.num_detections for rows, *_ in calls), name
+        assert calls[0][1] is None and calls[0][2] is None, name
+        for (*_, prev, returned), (_, basis, inverse, age, _, _) in zip(calls, calls[1:]):
+            assert basis is prev.basis and inverse is prev.inverse, name
+            assert np.array_equal(inverse, returned) and age == prev.factor_age, name
 
 
 def test_carried_inverses_invert_their_bases(monkeypatch):
@@ -1008,20 +984,18 @@ def test_births_windows_take_few_iterations():
     assert sum(r.iterations for r in results) <= 120
 
 
-def touched_row_master(net, cols):
-    """Master LP over cols with one coupling row per detection they visit, by hand."""
+def detection_row_master(net, cols):
+    """Master LP over cols with one coupling row per detection, by hand."""
     n = net.num_detections
-    rows = sorted({e for c in cols for e in c.edges if e < n})
-    a_ub = np.zeros((len(rows), len(cols)))
+    a_ub = np.zeros((n, len(cols)))
     a_eq = np.zeros((net.num_commodities, len(cols)))
     for j, col in enumerate(cols):
         for e in col.edges:
             if e < n:
-                a_ub[rows.index(e), j] = 1.0
+                a_ub[e, j] = 1.0
         a_eq[col.commodity, j] = 1.0
-    prob = LPProblem(obj=np.array([c.cost for c in cols], dtype=float), a_ub=a_ub,
-                     b_ub=np.ones(len(rows)), a_eq=a_eq, b_eq=net.demands.astype(float))
-    return prob, rows
+    return LPProblem(obj=np.array([c.cost for c in cols], dtype=float), a_ub=a_ub,
+                     b_ub=np.ones(n), a_eq=a_eq, b_eq=net.demands.astype(float))
 
 
 def test_master_record_matches_a_from_scratch_build(monkeypatch):
@@ -1031,15 +1005,14 @@ def test_master_record_matches_a_from_scratch_build(monkeypatch):
     builds = []
 
     def checked(pool):
-        prob, rows = real(pool)
-        ref, ref_rows = touched_row_master(pool.network, list(pool))
+        prob = real(pool)
+        ref = detection_row_master(pool.network, list(pool))
         for name in ("obj", "a_ub", "b_ub", "a_eq", "b_eq"):
             got, want = getattr(prob, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-        assert rows.tolist() == ref_rows
         builds.append(len(pool))
-        return prob, rows
+        return prob
 
     monkeypatch.setattr(colgen._Pool, "master", checked)
     grown = 0

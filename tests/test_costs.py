@@ -19,6 +19,16 @@ from mcftrack.graph import EdgeKind, GatingConfig, build_network
 from mcftrack.simlearn import SimilarityModel
 
 
+@pytest.mark.parametrize("name", [
+    "termination_cost", "dummy_start_cost", "bypass_cost_tracked", "bypass_cost_dummy",
+])
+def test_cost_config_rejects_non_finite_costs(name):
+    # pricing needs a finite cost on every edge; refuse one at construction
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CostConfig(**{name: value})
+
+
 def box_at(cx, cy, w=10.0, h=10.0):
     return (cx - w / 2, cy - h / 2, w, h)
 

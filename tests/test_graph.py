@@ -24,6 +24,27 @@ def test_detection_rejects_bad_box():
         make_det(0, 1, (0, 0, 10, 0))
 
 
+def test_detection_rejects_non_finite_fields():
+    # read_detections refuses such rows; the Python API must refuse them too
+    nan, inf = float("nan"), float("inf")
+    for box, score in (((nan, 0, 2, 2), 0.5), ((0, inf, 2, 2), 0.5), ((0, 0, 2, -inf), 0.5),
+                       ((0, 0, inf, 2), 0.5), ((0, 0, 2, 2), nan), ((0, 0, 2, 2), inf)):
+        with pytest.raises(ValueError, match="detection 7: non-finite"):
+            make_det(7, 1, box, score)
+    with pytest.raises(ValueError, match="detection 7: feature norm nan"):
+        make_det(7, 1, (0, 0, 2, 2), feature=np.array([nan, 0.0, 0.0]))
+
+
+def test_gating_rejects_nan_gamma_and_keeps_inf_ungated():
+    # NaN compares false both ways, so a `gamma <= 0` check let it gate out
+    # every transition; an infinite gamma means no spatial gate at all.
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        GatingConfig(gamma=float("nan"))
+    a, b = make_det(0, 1, (0, 0, 2, 2)), make_det(1, 2, (1e6, 0, 2, 2))
+    assert permissible_transitions([a, b], GatingConfig(gamma=2.0)) == []
+    assert permissible_transitions([a, b], GatingConfig(gamma=float("inf"))) == [(0, 1)]
+
+
 def test_detection_rejects_non_unit_feature():
     with pytest.raises(ValueError):
         Detection(det_id=0, frame=1, box=(0, 0, 1, 1), score=0.5,

@@ -240,6 +240,17 @@ def test_config_from_text():
             TrackerConfig.from_text(text)
 
 
+def test_config_rejects_non_finite_costs_and_nan_gamma():
+    # Both used to pass: a NaN cost then failed the first window's pricing,
+    # and a NaN gamma gated out every transition and tracked nothing.
+    with pytest.raises(ConfigError, match="termination_cost must be finite"):
+        TrackerConfig(termination_cost=float("nan"))
+    with pytest.raises(ConfigError, match="bypass_cost_dummy must be finite"):
+        cfg(bypass_cost_dummy=float("inf"))
+    with pytest.raises(ConfigError, match="gamma must be positive"):
+        cfg(gamma=float("nan"))
+
+
 def test_diagnostics_lines_are_well_formed():
     dets, _ = synth_generate(noiseless(frames=8), seed=0)
     _, diags = run(dets, cfg())
