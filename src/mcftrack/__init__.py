@@ -17,7 +17,14 @@ from .colgen import (
     optimality_check,
     price,
 )
-from .costs import CostConfig, CostVector, assemble_cost_vector, iou, predict_box
+from .costs import (
+    CostConfig,
+    CostVector,
+    assemble_cost_vector,
+    assemble_cost_vectors,
+    iou,
+    predict_box,
+)
 from .graph import (
     Box,
     Detection,
@@ -100,6 +107,7 @@ __all__ = [
     "TripletSet",
     "WindowDiagnostics",
     "assemble_cost_vector",
+    "assemble_cost_vectors",
     "brute_force_ilp",
     "build_network",
     "build_triplets",

@@ -340,9 +340,10 @@ def price(
         wins = ends <= zetas
         zetas[wins] = ends[wins]
         via[~wins] = -1
+        preds = pred.tolist()
         tied = wins & ((cand == ends[:, None]).sum(axis=1) > 1)
         for k in np.flatnonzero(tied):
-            pred_k = pred[k].tolist()
+            pred_k = preds[k]
             via[k] = min(
                 np.flatnonzero(cand[k] == ends[k]).tolist(),
                 key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)],
@@ -354,7 +355,7 @@ def price(
         if i < 0:
             edges: tuple[int, ...] = (net.bypass_edge(k),)
         else:
-            edges = tuple(_path_to_v(net, pred[k].tolist(), k, i)) + (net.term_edge(k, i),)
+            edges = tuple(_path_to_v(net, preds[k], k, i)) + (net.term_edge(k, i),)
         columns.append(PathColumn(k, edges, _path_cost(tables.rows[k], net, k, edges)))
     return columns, zetas
 

@@ -9,10 +9,12 @@ flat constant. Termination is a flat constant for every commodity. Bypass
 costs are the price of leaving a commodity's demand unrouted; they are
 configuration, not part of the published cost model.
 
-The scalar rules below define each cost. assemble_cost_vector evaluates
-them with array operations over the network's per-detection arrays
-(frames, boxes, features), in the same float operations and order, so its
-start entries are bitwise equal to start_cost.
+The scalar rules below define each cost. assemble_cost_vectors evaluates
+them for every commodity of a window at once, into one matrix whose rows
+become the commodities' vectors: start costs for all trajectories in one set
+of array operations over the network's per-detection arrays (frames, boxes,
+features), in start_cost's float operations and order, so its start entries
+are bitwise equal to start_cost. The similarity products stay per commodity.
 """
 
 from __future__ import annotations
@@ -129,64 +131,106 @@ def start_cost(traj: TrackLike, det: Detection, config: CostConfig) -> float:
     return -(config.eta**gap) * overlap
 
 
+def assemble_cost_vectors(
+    network: FlowNetwork,
+    trajectories: Sequence[TrackLike],
+    config: CostConfig = CostConfig(),
+) -> list[CostVector]:
+    """Every commodity's cost vector, in CostVector's layout; entry k is commodity k's."""
+    rows = _cost_rows(network, trajectories, config, range(network.num_commodities))
+    return [CostVector(commodity=k, values=row) for k, row in enumerate(rows)]
+
+
 def assemble_cost_vector(
     network: FlowNetwork,
     commodity: int,
     trajectories: Sequence[TrackLike],
     config: CostConfig = CostConfig(),
 ) -> CostVector:
-    """Cost vector of one commodity, in CostVector's layout."""
+    """Commodity `commodity`'s entry of assemble_cost_vectors, assembled alone.
+
+    Only this commodity's costs are evaluated, so another trajectory that
+    could not start in the window does not raise here.
+    """
     if not (0 <= commodity < network.num_commodities):
         raise ValueError(f"commodity {commodity} out of range")
+    (row,) = _cost_rows(network, trajectories, config, range(commodity, commodity + 1))
+    return CostVector(commodity=commodity, values=row)
+
+
+def _cost_rows(
+    network: FlowNetwork,
+    trajectories: Sequence[TrackLike],
+    config: CostConfig,
+    commodities: range,
+) -> np.ndarray:
+    """One row of costs per commodity in `commodities`, filled into one matrix.
+
+    The matrix products stay per commodity: a stacked product gives the same
+    values but allocates every commodity's Gram matrix at once.
+    """
     if len(trajectories) != network.num_tracked:
         raise ValueError(
             f"{len(trajectories)} trajectories for {network.num_tracked} tracked commodities"
         )
     n, ns = network.num_detections, network.num_shared
-    values = np.zeros(network.cost_size, dtype=np.float64)
+    values = np.zeros((len(commodities), network.cost_size), dtype=np.float64)
+    dummy = commodities.start == 0
+    tracked = [trajectories[k - 1] for k in commodities if k > 0]
+    tracked_rows = values[int(dummy):]
 
     if n:
         feats = network.features
-        if commodity == 0:
-            obs = -np.array([d.score for d in network.detections], dtype=np.float64)
-            gram = feats @ feats.T
-            starts = config.dummy_start_cost
-        else:
-            traj = trajectories[commodity - 1]
+        pairs = network.det_a[n:ns] * n + network.det_b[n:ns]  # into a flattened Gram matrix
+        if dummy:
+            values[0, :n] = -np.array([d.score for d in network.detections], dtype=np.float64)
+            np.negative((feats @ feats.T).take(pairs), out=values[0, n:ns])
+            values[0, ns : ns + n] = config.dummy_start_cost
+        for row, traj in zip(tracked_rows, tracked):
             w = traj.model.W
-            obs = -(feats @ (w.T @ traj.template))
-            gram = feats @ w @ feats.T
-            starts = _start_costs(traj, network.frames, network.boxes, config)
-        values[:n] = obs
-        values[n:ns] = -gram[network.det_a[n:ns], network.det_b[n:ns]]
-        values[ns : ns + n] = starts
+            np.negative(feats @ (w.T @ traj.template), out=row[:n])
+            np.negative((feats @ w @ feats.T).take(pairs), out=row[n:ns])
+        if tracked:
+            tracked_rows[:, ns : ns + n] = _start_costs(
+                tracked, network.frames, network.boxes, config
+            )
 
-    values[ns + n : -1] = config.termination_cost
-    values[-1] = config.bypass_cost_dummy if commodity == 0 else config.bypass_cost_tracked
-    return CostVector(commodity=commodity, values=values)
+    values[:, ns + n : -1] = config.termination_cost
+    values[:, -1] = config.bypass_cost_tracked
+    if dummy:
+        values[0, -1] = config.bypass_cost_dummy
+    return values
 
 
 def _start_costs(
-    traj: TrackLike, frames: np.ndarray, boxes: np.ndarray, config: CostConfig
+    trajectories: Sequence[TrackLike], frames: np.ndarray, boxes: np.ndarray, config: CostConfig
 ) -> np.ndarray:
-    """start_cost for ascending frames, by the same float operations in the same order."""
-    gap = frames - traj.last_frame
-    if gap[0] < 1:
+    """start_cost of each trajectory (rows) at each of the ascending frames (columns).
+
+    Evaluated elementwise by start_cost's float operations in its order, so
+    every entry is bitwise equal to it.
+    """
+    last = np.array([t.last_frame for t in trajectories])
+    gap = frames - last[:, None]
+    early = gap[:, 0] < 1
+    if early.any():
         raise ValueError(
-            f"start candidate at frame {frames[0]} does not follow frame {traj.last_frame}"
+            f"start candidate at frame {frames[0]} does not follow frame "
+            f"{trajectories[int(early.argmax())].last_frame}"
         )
-    x, y, w, h = traj.last_box
-    vx, vy = traj.velocity
-    corner = np.array([x, y]) + np.array([vx, vy]) * gap[:, None]  # predict_box
+    last_box = np.array([t.last_box for t in trajectories], dtype=np.float64)
+    velocity = np.array([t.velocity for t in trajectories], dtype=np.float64)
+    corner = last_box[:, None, :2] + velocity[:, None, :] * gap[:, :, None]  # predict_box
     # iou: the intersection's width and height side by side
-    ixy = (np.minimum(corner + np.array([w, h]), boxes[:, :2] + boxes[:, 2:])
+    ixy = (np.minimum(corner + last_box[:, None, 2:], boxes[:, :2] + boxes[:, 2:])
            - np.maximum(corner, boxes[:, :2]))
-    ix, iy = ixy.T
+    ix, iy = ixy[..., 0], ixy[..., 1]
     inter = ix * iy
-    overlap = np.zeros(len(frames))
-    np.divide(inter, w * h + boxes[:, 2] * boxes[:, 3] - inter, out=overlap,
+    area = last_box[:, 2] * last_box[:, 3]
+    overlap = np.zeros(gap.shape)
+    np.divide(inter, area[:, None] + boxes[:, 2] * boxes[:, 3] - inter, out=overlap,
               where=(ix > 0) & (iy > 0))
     # Python's float pow once per gap in the span: numpy's vectorised power may round apart.
-    lo = int(gap[0])
-    decay = np.array([config.eta ** g for g in range(lo, int(gap[-1]) + 1)])
+    lo = int(gap[:, 0].min())
+    decay = np.array([config.eta ** g for g in range(lo, int(gap[:, -1].max()) + 1)])
     return -decay[gap - lo] * overlap

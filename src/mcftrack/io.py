@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence, TextIO, Union
+from typing import Collection, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -64,12 +64,14 @@ def parse_kv(text: str, origin: str = "<config>") -> dict[str, str]:
 
 
 def typed_fields(
-    cls: type, kv: dict[str, str], origin: str, kind: str, error: type[Exception]
+    cls: type, kv: dict[str, str], origin: str, kind: str, error: type[Exception],
+    unbounded: Collection[str] = (),
 ) -> dict[str, object]:
     """Keyword arguments for dataclass `cls` from parse_kv output.
 
     Values take the type of their field (int, float or str). An unknown key,
-    a value that does not parse or a non-finite float raises `error`.
+    a value that does not parse or a non-finite float raises `error`; the
+    float fields named in `unbounded` also take +inf.
     """
     types = {f.name: f.type for f in fields(cls)}
     kwargs: dict[str, object] = {}
@@ -81,7 +83,8 @@ def typed_fields(
                 kwargs[key] = int(value)
             elif types[key] == "float":
                 kwargs[key] = float(value)
-                if not np.isfinite(kwargs[key]):
+                if not (np.isfinite(kwargs[key])
+                        or (key in unbounded and kwargs[key] == np.inf)):
                     raise ValueError(value)
             else:
                 kwargs[key] = value

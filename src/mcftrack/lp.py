@@ -126,15 +126,14 @@ def _crash_basis(problem: LPProblem) -> np.ndarray:
     mi = problem.a_ub.shape[0]
     a_eq = problem.a_eq
     solo = ~problem.a_ub.any(axis=0) & (np.count_nonzero(a_eq, axis=0) == 1)
-    basis = list(range(mi))
-    for r in range(a_eq.shape[0]):
-        cols = np.flatnonzero(solo & (a_eq[r] > 0))
-        if cols.size == 0:
-            raise ValueError(
-                f"equality row {r} has no column whose only nonzero is a positive entry in it"
-            )
-        basis.append(mi + int(cols[0]))
-    return np.asarray(basis, dtype=np.intp)
+    usable = solo & (a_eq > 0)  # per equality row
+    found = usable.any(axis=1)
+    if not found.all():
+        raise ValueError(
+            f"equality row {int(np.argmin(found))} has no column whose only nonzero is a "
+            "positive entry in it"
+        )
+    return np.concatenate((np.arange(mi), mi + usable.argmax(axis=1))).astype(np.intp)
 
 
 def _basis_inverse(M: np.ndarray, basis: Sequence[int], mi: int) -> np.ndarray:

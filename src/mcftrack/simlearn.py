@@ -16,19 +16,23 @@ minimizer of ||W' - W||_F^2 / 2 subject to zero loss; the C clip bounds the
 step against noisy triplets.
 
 A frame's triplets for one trajectory share the anchor and the positive, so
-they travel as one TripletSet, applied negative by negative in order. The
-row u = a^T W and a^T W a_pos = u . a_pos are kept between triplets and
-recomputed only after an applied step, which is the only thing that changes
-W; most triplets already meet the margin and cost one dot product u . a_neg.
-Each step evaluates exactly the expressions of the single-triplet update
-(a @ W, then the dot products, the hinge, ||a||^2 ||delta||^2 and
-W += alpha outer(a, delta)) on the same arrays, and u.dot(n) runs numpy's
-same dot routine as u @ n, so a set leaves W and update_count bit for bit
-where the same triplets applied one by one would.
+they travel as one TripletSet, whose negatives are the rows of one array,
+applied in order. The row u = a^T W and a^T W a_pos = u . a_pos are kept
+between triplets and recomputed only after an applied step, which is the
+only thing that changes W. Most triplets already meet the margin, so the
+remaining negatives are screened by one product neg @ u, and only those the
+screen cannot show to have zero loss are evaluated, in order, by u.dot(n).
+The screen's cutoff leaves more room than the two products can round apart
+(_screen_margin), so every triplet it skips would have been a no-op. Each
+evaluated step computes exactly the expressions of the single-triplet
+update (a @ W, then the dot products, the hinge, ||a||^2 ||delta||^2 and
+W += alpha outer(a, delta)) on the same arrays, so a set leaves W and
+update_count bit for bit where the same triplets applied one by one would.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -47,15 +51,24 @@ def _as_unit_vector(name: str, vec: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
-def _checked(
-    anchor: np.ndarray, positive: np.ndarray, negatives: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+def _as_unit_rows(name: str, rows: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
+    """rows as one (m, dim) array, each row checked as _as_unit_vector checks a vector."""
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+    except ValueError:  # rows of different lengths
+        raise ValueError(f"{name} must be a 1-D vector of length {dim}") from None
+    if arr.ndim and not arr.shape[0]:
+        return arr.reshape(0, dim)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"{name} must be a 1-D vector of length {dim}")
+    return arr
+
+
+def _checked(anchor: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(anchor, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError("anchor must be a 1-D vector")
-    p = _as_unit_vector("positive", positive, a.shape[0])
-    ns = tuple(_as_unit_vector("negative", n, a.shape[0]) for n in negatives)
-    return a, p, ns
+    return a, _as_unit_vector("positive", positive, a.shape[0])
 
 
 @dataclass(frozen=True)
@@ -67,28 +80,29 @@ class Triplet:
     negative: np.ndarray
 
     def __post_init__(self) -> None:
-        a, p, (n,) = _checked(self.anchor, self.positive, (self.negative,))
+        a, p = _checked(self.anchor, self.positive)
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "positive", p)
-        object.__setattr__(self, "negative", n)
+        object.__setattr__(self, "negative", _as_unit_vector("negative", self.negative, a.shape[0]))
 
 
 @dataclass(frozen=True)
 class TripletSet:
-    """The triplets (anchor, positive, n) for n in negatives, in that order.
+    """The triplets (anchor, positive, n) for each row n of negatives, in order.
 
-    Validated as each Triplet would be; len() counts the triplets.
+    negatives is kept as one (m, d) array; any sequence of m vectors is
+    accepted. Validated as each Triplet would be; len() counts the triplets.
     """
 
     anchor: np.ndarray
     positive: np.ndarray
-    negatives: tuple[np.ndarray, ...]
+    negatives: np.ndarray
 
     def __post_init__(self) -> None:
-        a, p, ns = _checked(self.anchor, self.positive, self.negatives)
+        a, p = _checked(self.anchor, self.positive)
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "positive", p)
-        object.__setattr__(self, "negatives", ns)
+        object.__setattr__(self, "negatives", _as_unit_rows("negative", self.negatives, a.shape[0]))
 
     def __len__(self) -> int:
         return len(self.negatives)
@@ -130,37 +144,61 @@ def hinge_loss(model: SimilarityModel, triplet: Triplet) -> float:
     return max(0.0, 1.0 - margin)
 
 
-def _pa_steps(
-    model: SimilarityModel,
-    a: np.ndarray,
-    p: np.ndarray,
-    negatives: Sequence[np.ndarray],
-) -> float:
-    """PA steps on (a, p, n) for each n in order, in place; returns the last alpha."""
-    alpha = 0.0
-    if not negatives:
-        return alpha
-    u = a @ model.W
-    sp = float(u @ p)
-    for n in negatives:
-        # hinge_loss's expression; u.dot(n) is u @ n with less call overhead
-        loss = max(0.0, 1.0 - (sp - float(u.dot(n))))
-        if loss <= 0.0:
-            alpha = 0.0
-            continue
-        delta = p - n
-        # ||outer(a, delta)||_F^2 factorizes; no need to materialize V for the norm.
-        vnorm = float(a @ a) * float(delta @ delta)
-        if vnorm <= 0.0:
-            raise DegenerateTripletError(
-                "positive == negative: loss is positive but the step direction is zero"
-            )
-        alpha = min(model.aggressiveness, loss / vnorm)
-        model.W += alpha * np.outer(a, delta)
-        model.update_count += 1
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _screen_margin(u: np.ndarray, sp: float, frob2: float) -> float:
+    """More than neg @ u and u.dot(n) may round apart, and room to round sp - 1 - it.
+
+    Every row n of neg has ||n||^2 <= frob2 (its squared Frobenius norm),
+    so sum|u_i n_i| <= B = sqrt(u.u frob2). Either product lies within
+    gamma_d B of the exact u.n (gamma_d = d eps/2 / (1 - d eps/2) in any
+    summation order, d = len(u)). The returned (d + 4) eps (1 + |sp| + B)
+    exceeds twice that plus the rounding of the cutoff sp - 1 - margin for
+    any d < 10^6, so (neg @ u)[j] <= cutoff gives u.dot(n) <= sp - 1: a zero
+    hinge loss.
+    """
+    return (u.shape[0] + 4) * _EPS * (1.0 + abs(sp) + math.sqrt(float(u @ u) * frob2))
+
+
+def _pa_steps(model: SimilarityModel, a: np.ndarray, p: np.ndarray, neg: np.ndarray) -> float:
+    """PA steps on (a, p, n) for each row n of neg in order, in place; returns the last alpha.
+
+    Between steps the remaining rows are screened by one product; only the
+    rows it cannot show to be no-ops are evaluated, in order.
+    """
+    m = neg.shape[0]
+    if not m:
+        return 0.0
+    frob2 = float(np.vdot(neg, neg))
+    alpha, last = 0.0, -1  # the last applied step and its triplet
+    start = 0
+    while start < m:
         u = a @ model.W
         sp = float(u @ p)
-    return alpha
+        cutoff = sp - 1.0 - _screen_margin(u, sp, frob2)
+        # a NaN product compares false both ways, so it is evaluated, not screened out
+        rest = start + np.flatnonzero(~(neg[start:] @ u <= cutoff))
+        start = m
+        for j in rest.tolist():
+            n = neg[j]
+            # hinge_loss's expression; u.dot(n) is u @ n with less call overhead
+            loss = max(0.0, 1.0 - (sp - float(u.dot(n))))
+            if loss <= 0.0:
+                continue
+            delta = p - n
+            # ||outer(a, delta)||_F^2 factorizes; no need to materialize V for the norm.
+            vnorm = float(a @ a) * float(delta @ delta)
+            if vnorm <= 0.0:
+                raise DegenerateTripletError(
+                    "positive == negative: loss is positive but the step direction is zero"
+                )
+            alpha, last = min(model.aggressiveness, loss / vnorm), j
+            model.W += alpha * np.outer(a, delta)
+            model.update_count += 1
+            start = j + 1
+            break
+    return alpha if last == m - 1 else 0.0
 
 
 def pa_update(
@@ -172,7 +210,7 @@ def pa_update(
     Raises DegenerateTripletError when the loss is positive but the update
     direction vanishes (positive equals negative).
     """
-    return model, _pa_steps(model, triplet.anchor, triplet.positive, (triplet.negative,))
+    return model, _pa_steps(model, triplet.anchor, triplet.positive, triplet.negative[None, :])
 
 
 def update_model(model: SimilarityModel, triplets: TripletSet) -> SimilarityModel:
@@ -195,13 +233,16 @@ def build_triplets(
     than two associations yield empty sets.
     """
     keys = sorted(associations)
+    if not keys:
+        return {}
+    feats = np.array([associations[k] for k in keys], dtype=np.float64)
     return {
         k: TripletSet(
             anchor=trajectories[k].template,  # type: ignore[attr-defined]
-            positive=associations[k],
-            negatives=tuple(associations[l] for l in keys if l != k),
+            positive=feats[i],
+            negatives=np.concatenate((feats[:i], feats[i + 1 :])),
         )
-        for k in keys
+        for i, k in enumerate(keys)
     }
 
 

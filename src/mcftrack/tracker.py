@@ -29,7 +29,8 @@ import numpy as np
 
 from . import io as mio
 from .colgen import CGResult, column_generation
-from .costs import CostConfig, assemble_cost_vector
+# assemble_cost_vector is not called here, but perfbench/tracing.py rebinds it by name.
+from .costs import CostConfig, assemble_cost_vector, assemble_cost_vectors  # noqa: F401
 from .graph import Box, Detection, FlowNetwork, GatingConfig, build_network
 from .simlearn import SimilarityModel, build_triplets, update_model
 
@@ -102,7 +103,8 @@ class TrackerConfig:
             kv = mio.parse_kv(text, origin)
         except mio.ParseError as exc:
             raise ConfigError(str(exc)) from None
-        return cls(**mio.typed_fields(cls, kv, origin, "config", ConfigError))
+        # gamma=inf is no spatial gate, as in GatingConfig
+        return cls(**mio.typed_fields(cls, kv, origin, "config", ConfigError, ("gamma",)))
 
 
 @dataclass
@@ -292,11 +294,7 @@ class OnlineTracker:
         network = build_network(
             window_dets, active, demands, self.config.gating_config()
         )
-        cost_cfg = self.config.cost_config()
-        vectors = [
-            assemble_cost_vector(network, k, active, cost_cfg)
-            for k in range(network.num_commodities)
-        ]
+        vectors = assemble_cost_vectors(network, active, self.config.cost_config())
         begin = time.perf_counter()
         result = column_generation(network, vectors, iter_max=self.config.iter_max)
         elapsed_ms = (time.perf_counter() - begin) * 1000.0

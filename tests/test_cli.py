@@ -169,6 +169,16 @@ def test_bad_config_exits_3(scene, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma, code", [("inf", 0), ("-inf", 3), ("nan", 3)])
+def test_config_gamma_inf_tracks_and_other_non_finite_gammas_exit_3(scene, gamma, code):
+    tmp_path, det, _, _ = scene
+    config = tmp_path / "gamma.config"
+    config.write_text(CONFIG + f"gamma={gamma}\n")
+    out = tmp_path / "o.txt"
+    assert main(["track", "--det", str(det), "--out", str(out), "--config", str(config)]) == code
+    assert out.exists() == (code == 0)
+
+
 def test_bad_scenario_exits_3(tmp_path, capsys):
     sc = tmp_path / "bad.scenario"
     for text, named in (("no_such_knob=1\n", "no_such_knob"), ("lane_gap=inf\n", "lane_gap")):

@@ -7,6 +7,7 @@ from helpers import fake_track, make_det, unit_feature
 from mcftrack.costs import (
     CostConfig,
     assemble_cost_vector,
+    assemble_cost_vectors,
     dummy_observation_cost,
     dummy_transition_cost,
     iou,
@@ -310,3 +311,83 @@ def test_assemble_rejects_detection_not_after_last_frame():
     assemble_cost_vector(net, 0, [tr], CostConfig())  # the dummy has no prediction
     with pytest.raises(ValueError, match="does not follow frame 3"):
         assemble_cost_vector(net, 1, [tr], CostConfig())
+
+
+def reference_rows(net, tracks, cfg):
+    """Each commodity's vector by the scalar rules, one commodity at a time.
+
+    The similarity entries use the per-commodity matrix products that
+    assembly keeps (a scalar similarity() sums in another order); every
+    other entry is a scalar rule's value.
+    """
+    n, ns = net.num_detections, net.num_shared
+    a, b = net.det_a[n:ns], net.det_b[n:ns]
+    rows = []
+    for k in range(net.num_commodities):
+        row = np.zeros(net.cost_size)
+        if k == 0:
+            obs = [dummy_observation_cost(d) for d in net.detections]
+            gram = net.features @ net.features.T if n else None
+            starts = [cfg.dummy_start_cost] * n
+        else:
+            t = tracks[k - 1]
+            obs = -(net.features @ (t.model.W.T @ t.template)) if n else []
+            gram = net.features @ t.model.W @ net.features.T if n else None
+            starts = [start_cost(t, d, cfg) for d in net.detections]
+        row[:n] = obs
+        if n:
+            row[n:ns] = -gram[a, b]
+        row[ns : ns + n] = starts
+        row[ns + n : ns + 2 * n] = cfg.termination_cost
+        row[-1] = cfg.bypass_cost_dummy if k == 0 else cfg.bypass_cost_tracked
+        rows.append(row)
+    return rows
+
+
+def test_assembled_rows_are_the_scalar_rules_bitwise_on_random_scenes():
+    rng = np.random.default_rng(23)
+    seen = {"no tracks": 0, "no detections": 0, "gap span > 4": 0}
+    for trial in range(60):
+        dim = int(rng.integers(2, 7))
+        n_tracks = int(rng.integers(0, 5)) if trial % 6 else 0
+        lasts = rng.integers(0, 4, size=n_tracks)  # trajectories end in different frames
+        tracks = []
+        for last in lasts:
+            tr = fake_track((rng.uniform(0, 30), rng.uniform(0, 30), rng.uniform(5, 15),
+                             rng.uniform(5, 15)), int(last), feature=unit_feature(rng, dim),
+                            dim=dim, velocity=(rng.uniform(-4, 4), rng.uniform(-4, 4)))
+            tr.model.W = np.eye(dim) + rng.normal(scale=0.5, size=(dim, dim))
+            tracks.append(tr)
+        n_dets = int(rng.integers(1, 14)) if trial % 5 else 0
+        frames = np.sort(rng.integers(4, 9, size=n_dets))
+        dets = [make_det(i, int(f), (rng.uniform(0, 40), rng.uniform(0, 40),
+                                     rng.uniform(3, 20), rng.uniform(3, 20)),
+                         score=float(rng.uniform(0, 1)), feature=unit_feature(rng, dim))
+                for i, f in enumerate(frames)]
+        net = build_network(dets, tracks, None, GatingConfig(max_gap=3, gamma=float("inf")))
+        cfg = CostConfig(eta=float(rng.uniform(0.05, 1.0)),
+                         termination_cost=float(rng.uniform(0, 20)),
+                         bypass_cost_tracked=float(rng.uniform(0, 20)))
+        vectors = assemble_cost_vectors(net, tracks, cfg)
+        assert [cv.commodity for cv in vectors] == list(range(net.num_commodities))
+        for k, (cv, want) in enumerate(zip(vectors, reference_rows(net, tracks, cfg))):
+            assert np.array_equal(bits(cv.values), bits(want)), (trial, k)
+            alone = assemble_cost_vector(net, k, tracks, cfg).values
+            assert np.array_equal(bits(alone), bits(want)), (trial, k)
+        seen["no tracks"] += not tracks
+        seen["no detections"] += not dets
+        seen["gap span > 4"] += bool(dets and tracks and frames[-1] - lasts.min() > 4)
+    assert min(seen.values()) > 0, seen
+
+
+def test_assembled_rows_name_the_first_trajectory_a_detection_does_not_follow():
+    tracks = [fake_track(box_at(0, 0), 1), fake_track(box_at(0, 0), 4),
+              fake_track(box_at(0, 0), 5)]
+    dets = [make_det(0, 4, box_at(0, 0)), make_det(1, 6, box_at(0, 0))]
+    net = build_network(dets, tracks, None, GatingConfig())
+    with pytest.raises(ValueError, match="at frame 4 does not follow frame 4$"):
+        assemble_cost_vectors(net, tracks, CostConfig())
+    # each trajectory's own vector raises only for its own start candidates
+    assemble_cost_vector(net, 1, tracks, CostConfig())
+    with pytest.raises(ValueError, match="does not follow frame 5$"):
+        assemble_cost_vector(net, 3, tracks, CostConfig())

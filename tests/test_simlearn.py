@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import unit_feature
-from mcftrack import tracker
+from mcftrack import simlearn, tracker
 from mcftrack.io import Scenario, synth_generate
 from mcftrack.simlearn import (
     DegenerateTripletError,
@@ -285,6 +285,61 @@ def test_triplet_set_update_is_bit_identical_to_per_triplet_steps():
         assert np.array_equal(got.W, ref.W)
         assert got.update_count == ref.update_count
     assert min(kinds.values()) > 100, kinds
+
+
+def near_zero_loss_set(rng, w, dim, count, spread=1e-12):
+    """A set whose triplets' hinge losses under w lie within +-spread of zero."""
+    anchor, positive = unit_feature(rng, dim), unit_feature(rng, dim)
+    u = anchor @ w
+    sp = float(u @ positive)
+    negatives = []
+    for _ in range(count):
+        n = unit_feature(rng, dim)
+        # move n along u until 1 - (sp - u.n) equals a loss drawn within the spread
+        n = n + (sp - 1.0 + rng.uniform(-spread, spread) - float(u @ n)) / float(u @ u) * u
+        negatives.append(n)
+    return TripletSet(anchor, positive, tuple(negatives))
+
+
+@pytest.mark.parametrize("w_scale", [1.0, 1e6])
+def test_screened_steps_are_bit_identical_at_the_margin(w_scale):
+    # Losses within 1e-12 of zero are where a screen by neg @ u could disagree
+    # with u.dot(n); a tiny C keeps W (nearly) fixed, so every triplet of a set
+    # stays at the margin, and a large-norm W scales the rounding up.
+    rng = np.random.default_rng(20 + int(w_scale))
+    applied = skipped = 0
+    for trial in range(300):
+        dim = int(rng.integers(2, 25))
+        w0 = w_scale * (np.eye(dim) + rng.normal(scale=0.3, size=(dim, dim)))
+        c = 1e-300 if trial % 2 else float(rng.uniform(0.01, 1.0))
+        ts = near_zero_loss_set(rng, w0, dim, int(rng.integers(1, 31)))
+        got = model(w0, c)
+        got_alpha = simlearn._pa_steps(got, ts.anchor, ts.positive, ts.negatives)
+        one_by_one, alpha = model(w0, c), 0.0
+        for t in as_triplets(ts):
+            _, alpha = pa_update(one_by_one, t)
+        ref = reference_update(model(w0, c), as_triplets(ts))
+        for other in (one_by_one, ref):
+            assert np.array_equal(got.W, other.W)
+            assert got.update_count == other.update_count
+        assert got_alpha == alpha
+        applied += got.update_count
+        skipped += len(ts) - got.update_count
+    assert applied > 500 and skipped > 500, (applied, skipped)
+
+
+def test_build_triplets_gives_each_set_one_negatives_array():
+    rng = np.random.default_rng(21)
+    trajs = [_Traj(k, unit_feature(rng, 5)) for k in range(6)]
+    feats = {k: unit_feature(rng, 5) for k in (0, 2, 3, 5)}
+    out = build_triplets(trajs, feats)
+    for i, k in enumerate(sorted(feats)):
+        ts = out[k]
+        assert isinstance(ts.negatives, np.ndarray) and ts.negatives.shape == (3, 5)
+        others = [feats[j] for j in sorted(feats) if j != k]
+        assert np.array_equal(ts.negatives, others)
+        assert np.array_equal(ts.anchor, trajs[k].template)
+        assert np.array_equal(ts.positive, feats[k])
 
 
 def test_degenerate_negative_mid_set_keeps_the_steps_before_it():

@@ -1,11 +1,14 @@
 """Online tracker: windowing, commit latency, spawn/terminate, determinism."""
 
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcftrack import tracker as tracker_module
+from mcftrack.graph import GatingConfig
 from mcftrack.io import Scenario, parse_scenario, synth_generate
 from mcftrack.tracker import (
     CommitRecord,
@@ -249,6 +252,17 @@ def test_config_rejects_non_finite_costs_and_nan_gamma():
         cfg(bypass_cost_dummy=float("inf"))
     with pytest.raises(ConfigError, match="gamma must be positive"):
         cfg(gamma=float("nan"))
+
+
+def test_config_file_takes_gamma_inf_as_no_spatial_gate():
+    # TrackerConfig(gamma=inf) disables the spatial gate; a config file can now say so too
+    assert TrackerConfig.from_text("gamma=inf\n").gating_config() == GatingConfig(gamma=math.inf)
+    floats = [f.name for f in dataclasses.fields(TrackerConfig) if f.type == "float"]
+    assert "gamma" in floats and len(floats) > 1
+    for name in floats:
+        for value in ("nan", "-inf") + (() if name == "gamma" else ("inf",)):
+            with pytest.raises(ConfigError, match=f"bad value for '{name}'"):
+                TrackerConfig.from_text(f"{name}={value}\n")
 
 
 def test_diagnostics_lines_are_well_formed():
