@@ -11,8 +11,10 @@ are exact: optimal for the master with every row, at the same optimum. A
 detection that no pooled column visits has an all-zero row, whose slack
 stays basic at 1 with dual 0; on the bench scenes 0.6-2.4% of the rows are
 such. Since the rows never change, a round only appends columns, and each
-master solve warm-starts from the previous one's basis and inverse as they
-are.
+master solve warm-starts from the previous one's solution as it is
+(`solve_lp(prob, warm=sol)`: its basis, inverse and factor age). A warm
+solve that raises LPInternalError is retried once from a cold start, the
+loop's only fallback.
 Pricing finds every commodity's shortest path under costs shifted by the
 coupling duals pi on shared edges, in one numpy sweep over the frame layers
 of the window (detections of one frame form a contiguous range, and every
@@ -54,14 +56,14 @@ lower bound. epsilon <= 1e-9 proves the returned integer solution optimal.
 A bound above v_int by at most 1e-9 is rounding and reported as v_int, so
 epsilon >= 0; a larger excess raises.
 
-The integer solution is the retained integral RMLP incumbent when it already
-certifies (the best master solution whose rounding moves no value by more
-than ROUND_TOL and meets the true rows exactly), otherwise the exact integer
-optimum over the generated pool from one MILP solve (price-and-branch: no
-pricing happens after the LP phase, so v_lp stays the bound and v_int the
-cost of a checked selection). When that leaves v_int - v_lp > INT_TOL, the
-last pricing round's duals pi >= 0 and values zeta_k bound every selection
-x, with x_p units on path p of commodity k(p):
+The integer solution is the last master solution, rounded, when that
+certifies: the rounding moves no value by more than ROUND_TOL, meets the
+true rows exactly and costs at most v_lp + INT_TOL. Otherwise it is the
+exact integer optimum over the generated pool from one MILP solve
+(price-and-branch: no pricing happens after the LP phase, so v_lp stays the
+bound and v_int the cost of a checked selection). When that leaves
+v_int - v_lp > INT_TOL, the last pricing round's duals pi >= 0 and values
+zeta_k bound every selection x, with x_p units on path p of commodity k(p):
 
     cost(x) >= L(pi) + sum_p rc_p x_p,  L(pi) = -sum(pi) + sum_k d_k zeta_k,
 
@@ -755,12 +757,8 @@ def column_generation(
     add_dummy_paths(zetas, pi, tables.bypass)
 
     demands = network.demands
-    incumbent: list[tuple[PathColumn, int]] | None = None
-    v_incumbent = float("inf")
     best_bound = -float("inf")
-    basis: tuple[int, ...] | None = None
-    inverse: np.ndarray | None = None
-    factor_age = 0
+    sol = None
     converged = False
     iterations = 0
     pivots = 0
@@ -769,29 +767,18 @@ def column_generation(
         iterations += 1
         prob = pool.master()
         try:
-            sol = solve_lp(prob, warm_basis=basis, warm_inverse=inverse, factor_age=factor_age)
+            sol = solve_lp(prob, warm=sol)
         except LPInternalError:
-            if basis is None:
+            if sol is None:
                 raise
             # A long degenerate run from a warm basis can carry rounding
             # error through the rank-one inverse updates until a
             # refactorization finds the basis singular or infeasible; a cold
             # start from the slack-and-bypass basis takes another pivot path.
             sol = solve_lp(prob)
-        if sol.status != "optimal":
-            raise ColgenError(f"master LP ended with status {sol.status!r}")
-        basis, inverse, factor_age = sol.basis, sol.inverse, sol.factor_age
         pivots += sol.iterations
         pi = np.zeros(ns)
         pi[: network.num_detections] = sol.pi
-        # Round, then check the true rows: after a perturbed solve an
-        # integral vertex shows only to within ROUND_TOL.
-        units = np.round(sol.x)
-        if np.abs(sol.x - units).max() <= ROUND_TOL and _meets_rows(prob, units):
-            cand = _decode_selection(pool, units)
-            cand_val = float(sum(c.cost * u for c, u in cand))
-            if cand_val < v_incumbent:
-                incumbent, v_incumbent = cand, cand_val
 
         priced, zetas = price(tables, pi)
         best_bound = max(
@@ -822,14 +809,16 @@ def column_generation(
     else:
         v_lp = best_bound
 
-    if incumbent is not None and v_incumbent - v_lp <= INT_TOL:
-        v_int, selection = v_incumbent, incumbent
-    else:
-        mip_val, mip_sel = extract_integer(network, pool)
-        if incumbent is not None and v_incumbent <= mip_val:
-            v_int, selection = v_incumbent, incumbent
-        else:
-            v_int, selection = mip_val, mip_sel
+    # Round, then check the true rows: after a perturbed solve an integral
+    # vertex shows only to within ROUND_TOL. The columns of the last master
+    # solve are the first len(sol.x) of the pool.
+    units = np.round(sol.x)
+    v_int, selection = float("inf"), []
+    if np.abs(sol.x - units).max() <= ROUND_TOL and _meets_rows(prob, units):
+        selection = _decode_selection(pool, units)
+        v_int = float(sum(col.cost * u for col, u in selection))
+    if v_int - v_lp > INT_TOL:
+        v_int, selection = extract_integer(network, pool)
         if v_int - v_lp > INT_TOL:
             # Every column of a cheaper selection prices below
             # zeta_k + v_int - L(pi) (module docstring): pool them all.

@@ -343,18 +343,15 @@ def network_from_parts(
 def build_network(
     detections: Sequence[Detection],
     trajectories: Sequence[object],
-    demands: Sequence[int] | None = None,
+    demands: Sequence[int],
     gating: GatingConfig = GatingConfig(),
-    new_object_budget: int = 20,
 ) -> FlowNetwork:
     """Build the window network for K = len(trajectories) tracked commodities.
 
-    demands defaults to [new_object_budget, 1, ..., 1].
+    demands holds the dummy's demand d0, then one per trajectory.
     """
     k = len(trajectories)
-    if demands is None:
-        demands = [new_object_budget] + [1] * k
-    elif len(demands) != k + 1:
+    if len(demands) != k + 1:
         raise ValueError(
             f"demands length {len(demands)} != commodity count {k + 1}"
         )

@@ -16,15 +16,19 @@ begins at a known feasible basis with no phase 1: every slack plus, for each
 equality row, its lowest-index such column; that basis is diagonal, so
 x_B = (b_ub, b_eq / coef). The basis is kept as explicit column indices over
 the layout [slacks | structural columns], so appending structural columns
-never invalidates a previous basis: warm starts pivot on directly from the
-old optimal basis.
+never invalidates a previous basis.
+
+Warm starts: `solve_lp(problem, warm=sol)` pivots on from a previous
+solution `sol` over the same rows: from its basis, a copy of the basis
+inverse it ended on and that inverse's factor age (the pivots applied since
+it was factored), so the refactorization cadence spans solves. Nothing is
+factored on entry and nothing falls back: a warm start over another row
+count raises ValueError, and one whose basis is infeasible for the
+problem's right-hand side raises LPInternalError; the caller decides
+whether to start cold.
 
 Numerics: an explicit basis inverse, updated in place by one rank-one step
-per pivot and rebuilt every REFACTOR_EVERY pivots. The inverse is carried
-from one solve to the next: a solution returns the inverse it ended on and
-the pivots since that inverse was factored, and a warm start that passes
-both back pivots on from them, so the refactorization cadence spans solves.
-Only a warm basis that arrives without an inverse, and a cold start, are
+per pivot and rebuilt every REFACTOR_EVERY pivots. Only a cold start is
 factored on entry, and the optimum is read off the carried inverse with no
 final re-inversion. Every factorization is built through the basis's
 structural block: a basic slack column is a unit vector, so with S the rows
@@ -40,7 +44,8 @@ and sets the right-hand side to B x_B, which breaks the ties and keeps B
 feasible. A perturbed solve reports that problem's x and, as objective, the
 dual value -b^T pi + d^T sigma at the true b and d: a lower bound, since the
 final basis is dual feasible for any right-hand side. An unbounded master
-(impossible when every column lies in a convexity row) raises.
+(impossible when every column lies in a convexity row) raises
+LPInternalError, as does a solve that needs more than MAX_PIVOTS pivots.
 """
 
 from __future__ import annotations
@@ -57,10 +62,7 @@ PIVOT_TOL = 1e-10
 DEGENERATE_RUN_LIMIT = 50
 PERTURB = 1e-7
 REFACTOR_EVERY = 64
-
-_OPTIMAL = 0
-_UNBOUNDED = 1
-_ITERLIMIT = 2
+MAX_PIVOTS = 50_000
 
 
 class LPInternalError(RuntimeError):
@@ -100,25 +102,24 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Primal/dual solution; status is 'optimal' or 'iteration-limit'.
+    """An optimal primal/dual solution and the basis it ends on.
 
-    x, pi, sigma, basis and inverse are None unless status is 'optimal'.
     After a perturbed solve, x solves the perturbed problem and objective is
     a dual bound at the true right-hand side (module docstring). inverse is
     the basis inverse the solve ended on, rows in basis order, and
-    factor_age the pivots applied to it since it was last factored: pass
-    both back with basis to warm-start the next solve.
+    factor_age the pivots applied to it since it was last factored;
+    `solve_lp(problem, warm=sol)` pivots on from basis, inverse and
+    factor_age.
     """
 
-    status: str
     objective: float
-    x: np.ndarray | None
-    pi: np.ndarray | None
-    sigma: np.ndarray | None
-    basis: tuple[int, ...] | None
+    x: np.ndarray
+    pi: np.ndarray
+    sigma: np.ndarray
+    basis: tuple[int, ...]
     iterations: int
-    inverse: np.ndarray | None = None
-    factor_age: int = 0
+    inverse: np.ndarray
+    factor_age: int
 
 
 def _crash_basis(problem: LPProblem) -> np.ndarray:
@@ -161,30 +162,35 @@ def _basis_inverse(M: np.ndarray, basis: Sequence[int], mi: int) -> np.ndarray:
     return b_inv
 
 
-def _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age=0):
-    """Simplex loop from a feasible basis; returns (code, iters, age).
+def _iterate(M, mi, c, rhs, basis, b_inv, age):
+    """Simplex loop from a feasible basis to the optimum; returns (iters, age).
 
     basis is an np.intp array; it, b_inv and rhs are updated in place. age
     counts the pivots applied to b_inv since it was factored, and the
-    refactorization cadence continues from it.
+    refactorization cadence continues from it. iters counts the pricing
+    passes, the last of which finds no entering column.
     """
     m = M.shape[0]
     xb = b_inv @ rhs
     c_b = c[basis]  # follows basis pivot by pivot
     degen_run = 0
     iters = 0
-    while iters < max_iter:
+    while True:
         iters += 1
         y = c_b @ b_inv
         reduced = c - y @ M
         reduced[basis] = 0.0
         enter = int(reduced.argmin())
         if reduced[enter] >= -OPT_TOL:
-            return _OPTIMAL, iters, age
+            return iters, age
+        if iters > MAX_PIVOTS:
+            raise LPInternalError(f"no optimum within MAX_PIVOTS ({MAX_PIVOTS}) pivots")
         direction = b_inv @ M[:, enter]
         pos = (direction > PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
-            return _UNBOUNDED, iters, age
+            raise LPInternalError(
+                "unbounded master LP; every column must lie in a convexity row"
+            )
         ratios = xb[pos] / direction[pos]
         theta = ratios.min()
         ties = pos[ratios <= theta + 1e-12]
@@ -221,26 +227,18 @@ def _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age=0):
             if m and xb.min() < -1e-6:
                 raise LPInternalError("feasibility lost; basis update diverged")
             np.maximum(xb, 0.0, out=xb)
-    return _ITERLIMIT, iters, age
 
 
-def solve_lp(
-    problem: LPProblem,
-    warm_basis: Sequence[int] | None = None,
-    max_iter: int = 50_000,
-    warm_inverse: np.ndarray | None = None,
-    factor_age: int = 0,
-) -> LPSolution:
+def solve_lp(problem: LPProblem, warm: LPSolution | None = None) -> LPSolution:
     """Solve the master-shaped LP; see module docstring for conventions.
 
-    warm_basis is a basis returned by a previous call on the same row
-    structure; extra structural columns may have been appended since.
-    warm_inverse, when given, is that basis's inverse (a returned
-    `LPSolution.inverse`) and factor_age its pivots since factorization; the
-    solve pivots on a copy of it. Without it the warm basis is factored. A
-    stale or infeasible warm basis falls back to a cold start silently. A
-    cold start raises ValueError naming an equality row without a column
-    whose only nonzero is a positive entry in it.
+    warm is a solution returned by a previous call over the same rows;
+    extra structural columns may have been appended since. The solve pivots
+    on from its basis, a copy of its inverse and its factor age. A warm
+    start over another row count raises ValueError, and one whose basis is
+    infeasible for the right-hand side raises LPInternalError. A cold start
+    raises ValueError naming an equality row without a column whose only
+    nonzero is a positive entry in it.
     """
     mi = problem.a_ub.shape[0]
     me = problem.a_eq.shape[0]
@@ -254,35 +252,19 @@ def solve_lp(
     rhs = b.copy()
     c = np.concatenate([np.zeros(mi), problem.obj])
 
-    basis: np.ndarray | None = None
-    b_inv: np.ndarray | None = None
-    age = 0
-    if warm_basis is not None and len(warm_basis) == m:
-        cand = np.array(warm_basis, dtype=np.intp)  # _iterate pivots on it in place
-        if ((cand >= 0) & (cand < mi + n)).all() and np.unique(cand).size == m:
-            if warm_inverse is not None:
-                inv, age = np.array(warm_inverse), factor_age
-            else:
-                try:
-                    inv = _basis_inverse(M, cand, mi)
-                except np.linalg.LinAlgError:
-                    inv = None
-            if inv is not None and (m == 0 or (inv @ rhs).min() >= -FEAS_TOL):
-                basis, b_inv = cand, inv
-
-    if basis is None:
+    if warm is None:
         basis = _crash_basis(problem)
         b_inv = _basis_inverse(M, basis, mi)
         age = 0
+    else:
+        if len(warm.basis) != m:
+            raise ValueError(f"warm start over {len(warm.basis)} rows, the problem has {m}")
+        basis = np.array(warm.basis, dtype=np.intp)  # _iterate pivots on it in place
+        b_inv, age = warm.inverse.copy(), warm.factor_age
+        if m and (b_inv @ rhs).min() < -FEAS_TOL:
+            raise LPInternalError("warm basis is infeasible for the right-hand side")
 
-    code, iters, age = _iterate(M, mi, c, rhs, basis, b_inv, max_iter, age)
-    if code == _UNBOUNDED:
-        raise LPInternalError(
-            "unbounded master LP; every column must lie in a convexity row"
-        )
-    if code == _ITERLIMIT:
-        return LPSolution("iteration-limit", float("nan"), None, None, None, None, iters)
-
+    iters, age = _iterate(M, mi, c, rhs, basis, b_inv, age)
     xb = b_inv @ rhs
     if m and xb.min() < -1e-7:
         raise LPInternalError(f"infeasible optimum: min basic value {xb.min():.3e}")
@@ -305,7 +287,6 @@ def solve_lp(
     if (rhs != b).any():
         objective = float(-problem.b_ub @ pi + problem.b_eq @ sigma)
     return LPSolution(
-        status="optimal",
         objective=objective,
         x=x,
         pi=pi,

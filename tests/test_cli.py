@@ -254,7 +254,7 @@ def test_solve_rejects_malformed_instance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, module, error", [
-    ("solve", cli, ColgenError("master LP ended with status 'iteration-limit'")),
+    ("solve", cli, ColgenError("integer master solution violates the pool's rows")),
     ("track", tracker, LPInternalError("feasibility lost; basis update diverged")),
 ])
 def test_solver_failure_exits_1(scene, monkeypatch, capsys, command, module, error):

@@ -204,7 +204,7 @@ def test_assemble_dummy_constants():
 def test_assemble_tracked_constants():
     dets = [make_det(i, i + 1, box_at(3.0 * i, 0)) for i in range(2)]
     tr = fake_track(box_at(0, 0), 0)
-    net = build_network(dets, [tr], None, GatingConfig())
+    net = build_network(dets, [tr], [20, 1], GatingConfig())
     cv = assemble_cost_vector(net, 1, [tr], CostConfig())
     for e in range(net.num_edges):
         kind = EdgeKind(net.kind[e])
@@ -224,7 +224,7 @@ def test_assemble_matches_scalar_rules():
                              feature=unit_feature(rng, 4)))
     tracks = [fake_track(box_at(5, 5), 0, feature=unit_feature(rng, 4)),
               fake_track(box_at(30, 30), 0, feature=unit_feature(rng, 4))]
-    net = build_network(dets, tracks, None, GatingConfig())
+    net = build_network(dets, tracks, [20] + [1] * len(tracks), GatingConfig())
     cfg = CostConfig()
     for k in range(net.num_commodities):
         cv = assemble_cost_vector(net, k, tracks, cfg)
@@ -254,7 +254,7 @@ def test_assemble_matches_scalar_rules():
 
 def test_assemble_requires_known_commodity():
     dets = [make_det(0, 1, box_at(0, 0))]
-    net = build_network(dets, [], None, GatingConfig())
+    net = build_network(dets, [], [20], GatingConfig())
     with pytest.raises(ValueError):
         assemble_cost_vector(net, 1, [], CostConfig())
 
@@ -272,7 +272,7 @@ def test_assembled_starts_are_bitwise_start_cost():
         dets += [make_det(len(dets), gap, (3.0 * gap, 1.5 * gap, 10, 10)),
                  make_det(len(dets) + 1, gap, (3.0 * gap + 4.3, 1.5 * gap - 2.1, 7, 13)),
                  make_det(len(dets) + 2, gap, (500, 500, 10, 10))]
-    net = build_network(dets, tracks, None, GatingConfig())
+    net = build_network(dets, tracks, [20] + [1] * len(tracks), GatingConfig())
     for eta in (0.95, 0.3, 1.0):
         cfg = CostConfig(eta=eta)
         for k in (1, 2):
@@ -295,7 +295,7 @@ def test_assembled_starts_bitwise_on_random_scenes():
         dets = [make_det(i, int(f), (rng.uniform(0, 40), rng.uniform(0, 40),
                                      rng.uniform(3, 20), rng.uniform(3, 20)))
                 for i, f in enumerate(frames)]
-        net = build_network(dets, [track], None, GatingConfig())
+        net = build_network(dets, [track], [20, 1], GatingConfig())
         cfg = CostConfig(eta=float(rng.uniform(0.05, 1.0)))
         values = assemble_cost_vector(net, 1, [track], cfg).values
         want = [start_cost(track, d, cfg) for d in dets]
@@ -307,7 +307,7 @@ def test_assembled_starts_bitwise_on_random_scenes():
 def test_assemble_rejects_detection_not_after_last_frame():
     tr = fake_track(box_at(0, 0), 3)
     dets = [make_det(0, 3, box_at(0, 0)), make_det(1, 4, box_at(0, 0))]
-    net = build_network(dets, [tr], None, GatingConfig())
+    net = build_network(dets, [tr], [20, 1], GatingConfig())
     assemble_cost_vector(net, 0, [tr], CostConfig())  # the dummy has no prediction
     with pytest.raises(ValueError, match="does not follow frame 3"):
         assemble_cost_vector(net, 1, [tr], CostConfig())
@@ -364,7 +364,8 @@ def test_assembled_rows_are_the_scalar_rules_bitwise_on_random_scenes():
                                      rng.uniform(3, 20), rng.uniform(3, 20)),
                          score=float(rng.uniform(0, 1)), feature=unit_feature(rng, dim))
                 for i, f in enumerate(frames)]
-        net = build_network(dets, tracks, None, GatingConfig(max_gap=3, gamma=float("inf")))
+        net = build_network(dets, tracks, [20] + [1] * len(tracks),
+                            GatingConfig(max_gap=3, gamma=float("inf")))
         cfg = CostConfig(eta=float(rng.uniform(0.05, 1.0)),
                          termination_cost=float(rng.uniform(0, 20)),
                          bypass_cost_tracked=float(rng.uniform(0, 20)))
@@ -384,7 +385,7 @@ def test_assembled_rows_name_the_first_trajectory_a_detection_does_not_follow():
     tracks = [fake_track(box_at(0, 0), 1), fake_track(box_at(0, 0), 4),
               fake_track(box_at(0, 0), 5)]
     dets = [make_det(0, 4, box_at(0, 0)), make_det(1, 6, box_at(0, 0))]
-    net = build_network(dets, tracks, None, GatingConfig())
+    net = build_network(dets, tracks, [20] + [1] * len(tracks), GatingConfig())
     with pytest.raises(ValueError, match="at frame 4 does not follow frame 4$"):
         assemble_cost_vectors(net, tracks, CostConfig())
     # each trajectory's own vector raises only for its own start candidates

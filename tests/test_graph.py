@@ -199,7 +199,7 @@ def test_unsorted_frames_raise():
 
 
 def test_empty_window_network():
-    net = build_network([], [], None, GatingConfig())
+    net = build_network([], [], [20], GatingConfig())
     assert net.num_commodities == 1
     assert net.num_nodes == 2
     assert net.num_edges == 1
@@ -209,7 +209,7 @@ def test_empty_window_network():
 def test_counts_three_dets_two_tracked():
     # one-frame gating: exactly the 2 consecutive transitions
     dets = [make_det(i, i + 1, (5.0 * i, 0, 10, 10)) for i in range(3)]
-    net = build_network(dets, [object(), object()], None, GatingConfig(max_gap=1))
+    net = build_network(dets, [object(), object()], [20, 1, 1], GatingConfig(max_gap=1))
     assert net.num_commodities == 3
     assert net.num_nodes == 2 * 3 + 2 * 3
     n_obs = sum(1 for e in range(net.num_edges)
@@ -229,7 +229,7 @@ def test_counts_three_dets_two_tracked():
 
 def test_edge_id_layout():
     dets = [make_det(i, i + 1, (5.0 * i, 0, 10, 10)) for i in range(3)]
-    net = build_network(dets, [object()], None, GatingConfig())
+    net = build_network(dets, [object()], [20, 1], GatingConfig())
     # shared edges first: observation 0..2 then transitions
     for i in range(3):
         assert EdgeKind(net.kind[i]) == EdgeKind.OBSERVATION
@@ -247,19 +247,21 @@ def test_edge_id_layout():
         assert net.head[net.bypass_edge(k)] == net.sink(k)
 
 
-def test_demands_default_and_explicit():
+def test_demands_are_taken_as_given():
     dets = [make_det(0, 1, (0, 0, 10, 10))]
-    net = build_network(dets, [object(), object()], None, GatingConfig())
+    net = build_network(dets, [object(), object()], [20, 1, 1], GatingConfig())
     assert list(net.demands) == [20, 1, 1]
     net2 = build_network(dets, [object()], [3, 1], GatingConfig())
     assert list(net2.demands) == [3, 1]
+    with pytest.raises(ValueError, match="demands length 1 != commodity count 2"):
+        build_network(dets, [object()], [3], GatingConfig())
 
 
 def test_duplicate_det_id_rejected():
     a = make_det(0, 1, (0, 0, 10, 10))
     b = make_det(0, 2, (0, 0, 10, 10))
     with pytest.raises(ValueError):
-        build_network([a, b], [], None, GatingConfig())
+        build_network([a, b], [], [20], GatingConfig())
 
 
 def frame_ranges(net):
@@ -291,8 +293,8 @@ def test_frame_ranges_all_edges_forward():
         dets.sort(key=lambda d: d.frame)
         dets = [make_det(i, d.frame, d.box, d.score, np.asarray(d.feature))
                 for i, d in enumerate(dets)]
-        net = build_network(dets, [object()] * int(rng.integers(0, 3)),
-                            None, GatingConfig())
+        tracked = int(rng.integers(0, 3))
+        net = build_network(dets, [object()] * tracked, [20] + [1] * tracked, GatingConfig())
         rank = frame_ranges(net)
         for i, j in net.transitions:
             assert rank[i] < rank[j]
@@ -302,7 +304,7 @@ def test_frame_ranges_all_edges_forward():
 
 def test_every_commodity_has_a_path():
     dets = [make_det(0, 1, (0, 0, 10, 10))]
-    net = build_network(dets, [object(), object()], None, GatingConfig())
+    net = build_network(dets, [object(), object()], [20, 1, 1], GatingConfig())
     for k in range(net.num_commodities):
         # bypass alone reaches the sink
         e = net.bypass_edge(k)
@@ -316,8 +318,8 @@ def test_rebuild_bit_identical():
             for i in range(6)]
     dets.sort(key=lambda d: d.frame)
     dets = [make_det(i, d.frame, d.box) for i, d in enumerate(dets)]
-    a = build_network(dets, [object()], None, GatingConfig())
-    b = build_network(dets, [object()], None, GatingConfig())
+    a = build_network(dets, [object()], [20, 1], GatingConfig())
+    b = build_network(dets, [object()], [20, 1], GatingConfig())
     assert np.array_equal(a.tail, b.tail)
     assert np.array_equal(a.head, b.head)
     assert np.array_equal(a.kind, b.kind)
@@ -338,7 +340,7 @@ def test_network_from_parts_validates():
 
 def test_out_edges_ascending():
     dets = [make_det(i, i + 1, (4.0 * i, 0, 10, 10)) for i in range(3)]
-    net = build_network(dets, [object()], None, GatingConfig())
+    net = build_network(dets, [object()], [20, 1], GatingConfig())
     for k in range(net.num_commodities):
         for node in range(net.num_nodes):
             out = list(net.out_edges(node, k))
