@@ -21,13 +21,12 @@ of the window (detections of one frame form a contiguous range, and every
 transition leaves an earlier one); the loop stops when every priced value
 zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
 an iteration cap, or when pricing can only repeat pooled columns. The dummy
-commodity carries up to d0 units, so when its shortest path is the only one
-that prices negative, the round also routes all d0 of them under the
-pi-shifted costs as one min-cost assignment (`_dummy_flow`, the routine that
-solves dummy-only windows below). Every path of that flow whose shifted cost
-prices negative joins the pool, so one round can add up to d0
-detection-disjoint dummy paths. The bound and the certificate read only the
-pricing sweep.
+commodity carries up to d0 units, so whenever its shortest path prices
+negative, the round also routes all d0 of them under the pi-shifted costs as
+one min-cost assignment (`_dummy_flow`, the routine that solves dummy-only
+windows below). Every path of that flow whose shifted cost prices negative
+joins the pool, so one round can add up to d0 detection-disjoint dummy
+paths. The bound and the certificate read only the pricing sweep.
 
 Each time a tracked commodity's priced column joins the pool (in the initial
 pricing and in every round), its sub-path family joins with it
@@ -72,11 +71,11 @@ add pi_e times each shared edge's load, which is at most 1, and each
 commodity's x_p sum to d_k. So every column of a selection cheaper than
 v_int has rc_p < v_int - L(pi). `_bounded_columns` enumerates exactly those
 paths, and when one of them is new to the pool extraction reruns over the
-enumerated paths alone: a cheaper selection uses no other column, and when
-they admit no integer solution v_int stands. Either way v_int is then the
-integer optimum over all paths, and an epsilon left is a true integrality
-gap against the LP bound. Past ENUM_COLUMN_CAP columns the enumeration gives
-up and the certified gap stands.
+enumerated paths and the incumbent selection's columns: a cheaper selection
+uses no other column, and the incumbent keeps the rerun feasible. v_int is
+then the integer optimum over all paths, and an epsilon left is a true
+integrality gap against the LP bound. Past ENUM_COLUMN_CAP columns the
+enumeration gives up and the certified gap stands.
 
 A window whose only commodity is the dummy (every stream start, every window
 with no tracked target) skips all of this. It is a single-commodity
@@ -120,10 +119,6 @@ DUPLICATE_GUARD_TOL = 1e-6
 
 class ColgenError(RuntimeError):
     pass
-
-
-class NoIntegerSolution(ColgenError):
-    """The column pool admits no integer solution."""
 
 
 @dataclass(frozen=True)
@@ -459,8 +454,7 @@ def extract_integer(
     is whichever HiGHS returns, which may differ from the one a depth-first
     branch and bound would reach first. Raises ColgenError when the check
     fails, the solver does not finish, or the pool admits no integer
-    solution (NoIntegerSolution; unreachable when every commodity's bypass
-    column is pooled).
+    solution (unreachable when every commodity's bypass column is pooled).
     A plain sequence is pooled first, which drops repeated columns.
     """
     if not isinstance(pool, _Pool):
@@ -476,7 +470,7 @@ def extract_integer(
         options={"mip_rel_gap": 0.0},
     )
     if res.status == 2:
-        raise NoIntegerSolution("column pool admits no integer solution")
+        raise ColgenError("column pool admits no integer solution")
     if res.status != 0:
         raise ColgenError(f"integer master ended with status {res.status}: {res.message}")
     units = np.round(res.x)
@@ -717,23 +711,19 @@ def column_generation(
 
     pool = _Pool(network)
 
-    def add_dummy_paths(zetas: np.ndarray, pi: np.ndarray, cutoffs: np.ndarray) -> int:
-        """Pool the dummy's flow paths under `pi` that price below its cutoff.
+    def add_dummy_paths(zeta: float, pi: np.ndarray, cutoff: float) -> int:
+        """Pool the dummy's flow paths under `pi` that price below `cutoff`.
 
-        Only when the dummy alone has a zeta below its cutoff: while a
-        tracked commodity still prices negatively, the duals on the
-        detections it contests keep moving, and extra dummy paths through
-        them mostly go unused. The flow's paths are detection-disjoint, and
-        each one's pi-shifted cost is its reduced cost. Returns the paths
-        pooled.
+        Only when the dummy's zeta is below the cutoff. The flow's paths are
+        detection-disjoint, and each one's pi-shifted cost is its reduced
+        cost. Returns the paths pooled.
         """
-        negative = zetas < cutoffs
-        if not negative[0] or negative[1:].any():
+        if zeta >= cutoff:
             return 0
         flow = _dummy_flow(network, values[0], pi)
         return sum(
             pool.add(col) for col in flow
-            if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoffs[0]
+            if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoff
         )
 
     def add_priced(col: PathColumn) -> int:
@@ -754,7 +744,7 @@ def column_generation(
         bypass = (network.bypass_edge(k),)
         pool.add(PathColumn(k, bypass, _path_cost(tables.rows[k], network, k, bypass)))
     pi = np.zeros(ns)
-    add_dummy_paths(zetas, pi, tables.bypass)
+    add_dummy_paths(zetas[0], pi, tables.bypass[0])
 
     demands = network.demands
     best_bound = -float("inf")
@@ -800,7 +790,7 @@ def column_generation(
                     f"pricing repeated a pooled column for commodity {k} "
                     f"with violation {zeta - sol.sigma[k]:.3e}; duals inconsistent"
                 )
-        added += add_dummy_paths(zetas, pi, sol.sigma - CERT_TOL)
+        added += add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
         if added == 0:
             # Only within-noise duplicates: fall back to the bound.
             v_lp = best_bound
@@ -825,11 +815,11 @@ def column_generation(
             lower = float(demands @ zetas - pi.sum())
             extra = _bounded_columns(tables, pi, zetas, v_int - lower)
             if extra is not None and sum(pool.add(col) for col in extra):
-                # a cheaper selection uses enumerated columns alone
-                try:
-                    rich_val, rich_sel = extract_integer(network, extra)
-                except NoIntegerSolution:
-                    rich_val = v_int
+                # a cheaper selection uses enumerated columns alone; the
+                # incumbent's columns keep the rerun feasible
+                rich_val, rich_sel = extract_integer(
+                    network, extra + [col for col, _ in selection]
+                )
                 if rich_val < v_int:
                     v_int, selection = rich_val, rich_sel
 

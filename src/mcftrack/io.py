@@ -315,6 +315,9 @@ class Scenario:
             )
         if self.box_w <= 0 or self.box_h <= 0:
             raise ScenarioError("box sizes must be positive")
+        for key in ("pos_noise", "feature_noise", "target_score_std", "clutter_score_std"):
+            if getattr(self, key) < 0:
+                raise ScenarioError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 def parse_scenario(source: Source) -> Scenario:

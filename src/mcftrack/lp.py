@@ -105,11 +105,11 @@ class LPSolution:
     """An optimal primal/dual solution and the basis it ends on.
 
     After a perturbed solve, x solves the perturbed problem and objective is
-    a dual bound at the true right-hand side (module docstring). inverse is
-    the basis inverse the solve ended on, rows in basis order, and
-    factor_age the pivots applied to it since it was last factored;
-    `solve_lp(problem, warm=sol)` pivots on from basis, inverse and
-    factor_age.
+    a dual bound at the true right-hand side (module docstring). iterations
+    counts the solve's pivots. inverse is the basis inverse the solve ended
+    on, rows in basis order, and factor_age the pivots applied to it since
+    it was last factored; `solve_lp(problem, warm=sol)` pivots on from
+    basis, inverse and factor_age.
     """
 
     objective: float
@@ -163,27 +163,26 @@ def _basis_inverse(M: np.ndarray, basis: Sequence[int], mi: int) -> np.ndarray:
 
 
 def _iterate(M, mi, c, rhs, basis, b_inv, age):
-    """Simplex loop from a feasible basis to the optimum; returns (iters, age).
+    """Simplex loop from a feasible basis to the optimum; returns (pivots, age).
 
     basis is an np.intp array; it, b_inv and rhs are updated in place. age
     counts the pivots applied to b_inv since it was factored, and the
-    refactorization cadence continues from it. iters counts the pricing
-    passes, the last of which finds no entering column.
+    refactorization cadence continues from it. pivots counts the pivots
+    taken: the pricing pass that finds no entering column takes none.
     """
     m = M.shape[0]
     xb = b_inv @ rhs
     c_b = c[basis]  # follows basis pivot by pivot
     degen_run = 0
-    iters = 0
+    pivots = 0
     while True:
-        iters += 1
         y = c_b @ b_inv
         reduced = c - y @ M
         reduced[basis] = 0.0
         enter = int(reduced.argmin())
         if reduced[enter] >= -OPT_TOL:
-            return iters, age
-        if iters > MAX_PIVOTS:
+            return pivots, age
+        if pivots >= MAX_PIVOTS:
             raise LPInternalError(f"no optimum within MAX_PIVOTS ({MAX_PIVOTS}) pivots")
         direction = b_inv @ M[:, enter]
         pos = (direction > PIVOT_TOL).nonzero()[0]
@@ -206,6 +205,7 @@ def _iterate(M, mi, c, rhs, basis, b_inv, age):
         np.maximum(xb, 0.0, out=xb)
         basis[leave] = enter
         c_b[leave] = c[enter]
+        pivots += 1
 
         # A step within FEAS_TOL is rounding noise on a degenerate vertex, not
         # progress: it must not end the run in the middle of a stall.
@@ -264,7 +264,7 @@ def solve_lp(problem: LPProblem, warm: LPSolution | None = None) -> LPSolution:
         if m and (b_inv @ rhs).min() < -FEAS_TOL:
             raise LPInternalError("warm basis is infeasible for the right-hand side")
 
-    iters, age = _iterate(M, mi, c, rhs, basis, b_inv, age)
+    pivots, age = _iterate(M, mi, c, rhs, basis, b_inv, age)
     xb = b_inv @ rhs
     if m and xb.min() < -1e-7:
         raise LPInternalError(f"infeasible optimum: min basic value {xb.min():.3e}")
@@ -292,7 +292,7 @@ def solve_lp(problem: LPProblem, warm: LPSolution | None = None) -> LPSolution:
         pi=pi,
         sigma=sigma,
         basis=tuple(basis.tolist()),
-        iterations=iters,
+        iterations=pivots,
         inverse=b_inv,
         factor_age=age,
     )

@@ -190,6 +190,20 @@ def test_bad_scenario_exits_3(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.scenario"]
 
 
+@pytest.mark.parametrize("key", [
+    "pos_noise", "feature_noise", "target_score_std", "clutter_score_std",
+])
+def test_negative_scenario_noise_exits_3_and_names_the_key(tmp_path, capsys, key):
+    # each is a normal scale: negative, numpy's sampler would refuse it mid-scene
+    sc = tmp_path / "bad.scenario"
+    sc.write_text(f"clutter_rate=2.0\n{key}=-0.5\n")
+    code = main(["synth", "--scenario", str(sc), "--out-det",
+                 str(tmp_path / "d.txt"), "--out-gt", str(tmp_path / "g.txt")])
+    assert code == 3
+    assert f"{key} must be >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.scenario"]
+
+
 @pytest.mark.parametrize("value", ["0", "-0.2", "1.01", "nan"])
 def test_eval_refuses_iou_outside_unit_interval_exits_3(tmp_path, capsys, value):
     # refused before any file is read: these files do not exist

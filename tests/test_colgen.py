@@ -20,7 +20,6 @@ from mcftrack.colgen import (
     CERT_TOL,
     CGResult,
     ColgenError,
-    NoIntegerSolution,
     PathColumn,
     PricingTables,
     _Pool,
@@ -529,9 +528,9 @@ def test_carried_inverses_invert_their_bases(monkeypatch):
         basis_matrix = stacked(prob)[:, list(sol.basis)]
         assert np.abs(sol.inverse @ basis_matrix - np.eye(len(sol.basis))).max() <= 1e-9
         seen["perturbed"] += np.abs(prob.a_eq @ sol.x - prob.b_eq).max() > FEAS_TOL
-        # every iteration but the last pivots, and ages the inverse unless it refactors
+        # every pivot ages the inverse unless it refactors
         seen["refactored"] += (
-            warm is not None and sol.factor_age < warm.factor_age + sol.iterations - 1
+            warm is not None and sol.factor_age < warm.factor_age + sol.iterations
         )
         return sol
 
@@ -807,9 +806,9 @@ def check_dummy_rounds(net, vectors, res, rounds):
         cutoffs = bypass_costs if r == 0 else rnd["sigma"] - CERT_TOL
         pi = np.zeros(ns) if rnd["pi"] is None else rnd["pi"]
         negative = rnd["zetas"] < cutoffs
-        # one flow, at the round's duals, exactly when the dummy is the one
-        # commodity pricing negatively
-        assert len(rnd["flows"]) == int(negative[0] and not negative[1:].any())
+        # one flow, at the round's duals, exactly when the dummy prices
+        # negatively
+        assert len(rnd["flows"]) == int(negative[0])
         assert all(np.array_equal(flow_pi, pi) for flow_pi in rnd["flows"])
         # the initial round also pools every commodity's bypass column
         added = [c for c in rnd["added"] if r > 0 or c.key not in bypass]
@@ -859,6 +858,20 @@ def test_extra_dummy_columns_are_disjoint_and_price_negative(monkeypatch):
     assert extras > 0 and births_extras > 0
 
 
+@pytest.mark.parametrize("name", ["m_window15.instance", "contested_window19.instance"])
+def test_dummy_flow_is_pooled_while_a_tracked_commodity_prices_negative(monkeypatch, name):
+    net, vectors = load_instance(FIXTURES / name)
+    res, rounds = priced_rounds(monkeypatch, net, vectors)
+    assert check_dummy_rounds(net, vectors, res, rounds) > 0
+    shared = 0
+    for rnd in rounds[1:]:
+        tracked = (rnd["zetas"][1:] < rnd["sigma"][1:] - CERT_TOL).any()
+        first = rnd["first"][0]
+        extra = [c for c in rnd["added"] if c.commodity == 0 and c.key != first.key]
+        shared += bool(tracked and rnd["flows"] and extra)
+    assert shared > 0
+
+
 @pytest.mark.parametrize("name", [
     "m_window8.instance", "m_window15.instance", "m_window29.instance",
     "contested_window19.instance",
@@ -904,7 +917,9 @@ def test_m_stall_windows_are_proven_within_1000_pivots(name, v_int):
     # With a row for every transition as well as every detection the masters
     # were about 4x taller and took 11,638 and 11,535; one row per visited
     # detection took 1,631 and 2,351. Pooling each priced track path's
-    # sub-paths takes 239 and 560.
+    # sub-paths took 239 and 560 pricing passes; routing the dummy's whole
+    # flow in every round where it prices negatively takes 188 and 258
+    # pivots.
     net, vectors = load_instance(FIXTURES / name)
     res = column_generation(net, vectors)
     assert res.status == "proven-optimal"
@@ -927,35 +942,39 @@ def test_contested_window19_extracts_the_integer_optimum_over_every_path():
     check_flow_constraints(net, res.selection)
 
 
-def test_rerun_without_an_integer_solution_keeps_v_int(monkeypatch):
-    # Random instance 6: the first MILP over the pool reads v_int
-    # -7.699624384273512, and the rerun over the enumerated columns lowers it
-    # to -8.000624539915947. Without the dummy's paths those columns meet no
-    # demand of the dummy: the rerun over them alone is infeasible, and the
-    # first MILP's v_int stands.
-    net, costs = random_instance(6)
+def test_rerun_over_the_incumbent_keeps_v_int_without_the_dummys_columns(monkeypatch):
+    # Random instance 228: the first MILP over the pool reads v_int
+    # -13.318560902679545, and the rerun over the enumerated columns and the
+    # incumbent's lowers it to -13.618788331757742. Without the dummy's
+    # enumerated paths a cheaper selection has no dummy column to use: the
+    # rerun, which meets the dummy's demand only through the incumbent's
+    # columns, finds the incumbent again, and its v_int stands.
+    net, costs = random_instance(228)
     assert net.demands[0] > 0
     vectors = wrap_cost_vectors(net, costs)
-    assert column_generation(net, vectors).v_int == pytest.approx(-8.000624539915947, abs=1e-9)
+    assert column_generation(net, vectors).v_int == pytest.approx(-13.618788331757742, abs=1e-9)
     real_bounded, real_extract = colgen._bounded_columns, colgen.extract_integer
-    reruns = []
+    extractions = []
 
     def no_dummy(*args):
         return [col for col in real_bounded(*args) if col.commodity != 0]
 
     def extract(network, pool):
-        try:
-            return real_extract(network, pool)
-        except NoIntegerSolution:
-            reruns.append(len(pool))
-            raise
+        val, sel = real_extract(network, pool)
+        extractions.append(({col.key for col in pool}, val, sel))
+        return val, sel
 
     monkeypatch.setattr(colgen, "_bounded_columns", no_dummy)
     monkeypatch.setattr(colgen, "extract_integer", extract)
     res = column_generation(net, vectors)
-    assert len(reruns) == 1 and reruns[0] < len(res.columns)
+    assert len(extractions) == 2
+    (_, first, incumbent), (rerun_keys, rerun, _) = extractions
+    assert first == pytest.approx(-13.318560902679545, abs=1e-9)
+    assert {col.key for col, _ in incumbent} <= rerun_keys
+    assert any(col.commodity == 0 for col, _ in incumbent)
+    assert rerun == pytest.approx(first, abs=1e-12)
     assert res.status == "near-optimal"
-    assert res.v_int == pytest.approx(-7.699624384273512, abs=1e-9)
+    assert res.v_int == first
     check_flow_constraints(net, res.selection)
 
 

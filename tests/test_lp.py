@@ -81,13 +81,33 @@ def test_iteration_limit_status(monkeypatch):
     # A solve that needs more than MAX_PIVOTS pivots raises; random LP 0
     # takes 4 pivots from the cold start.
     prob = random_lp(0)
-    assert solve_lp(prob).iterations == 5  # 4 pivots and the pricing pass that ends
+    assert solve_lp(prob).iterations == 4
     monkeypatch.setattr(lp_module, "MAX_PIVOTS", 4)
-    assert solve_lp(prob).iterations == 5
+    assert solve_lp(prob).iterations == 4
     for limit in (1, 3):
         monkeypatch.setattr(lp_module, "MAX_PIVOTS", limit)
         with pytest.raises(LPInternalError, match="MAX_PIVOTS"):
             solve_lp(prob)
+
+
+def test_iterations_count_the_pivots(monkeypatch):
+    # one rank-one update of the basis inverse per pivot, and none in the
+    # pricing pass that finds no entering column
+    calls = []
+    real_dger = lp_module.dger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_dger(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "dger", counted)
+    for seed in range(20):
+        prob = random_lp(seed)
+        calls.clear()
+        cold = solve_lp(prob)
+        assert cold.iterations == len(calls), seed
+        calls.clear()
+        assert solve_lp(prob, warm=cold).iterations == len(calls) == 0, seed
 
 
 def reversed_columns(prob):
@@ -297,10 +317,10 @@ def test_infeasible_warm_start_raises_and_column_generation_retries_cold(monkeyp
 
 
 def test_feasible_warm_basis_is_used():
-    # warm from the cold solve's own optimum: one pricing pass and no pivot
+    # warm from the cold solve's own optimum: no pivot
     cold = solve_lp(TWINS)
     warm = solve_lp(TWINS, warm=cold)
-    assert cold.iterations > 1 and warm.iterations == 1
+    assert cold.iterations > 0 and warm.iterations == 0
     assert (warm.objective, warm.basis) == (cold.objective, cold.basis)
     assert warm.inverse is not cold.inverse  # the solve pivots on a copy
 
