@@ -13,8 +13,8 @@ stays basic at 1 with dual 0; on the bench scenes 0.6-2.4% of the rows are
 such. Since the rows never change, a round only appends columns, and each
 master solve warm-starts from the previous one's solution as it is
 (`solve_lp(prob, warm=sol)`: its basis, inverse and factor age). A warm
-solve that raises LPInternalError is retried once from a cold start, the
-loop's only fallback.
+solve that raises LPInternalError is retried once from a cold start at the
+slack-and-bypass basis (`solve_lp(prob)`), the loop's only fallback.
 Pricing finds every commodity's shortest path under costs shifted by the
 coupling duals pi on shared edges, in one numpy sweep over the frame layers
 of the window (detections of one frame form a contiguous range, and every
@@ -43,6 +43,22 @@ source-sink path of its commodity at its true cost: the master stays a
 restriction of the full path master, so v_lp, the certificate, L(pi) and
 the enumeration below keep their meaning. The dummy's columns, the
 enumerated columns and the members themselves bring no family.
+
+The first master starts from a basis built of those columns
+(`solve_lp(prob, basis=start)`; Lübbecke and Desrosiers, "Selected Topics
+in Column Generation", Operations Research 53(6), 2005). Tracked
+commodities are taken in order. Write P_x for path P without d_x. Commodity
+k >= 1 whose initially priced path P over d_1..d_m shares no detection with
+an earlier start path, and whose drop-one members P_1..P_m are all pooled
+(for m = 1 the member is k's bypass), puts P, P_1, ..., P_m at the rows of
+d_1, ..., d_m and k's convexity row. Every other row keeps its slack, or
+its commodity's bypass; the dummy's row always does. The start is feasible
+and nonsingular: P - P_x is the unit vector of d_x, so the basis is
+block-triangular, and x_P = 1 fills each d_x exactly with every member at
+0. Its duals are the drop-one prices pi(d_x) = c(P_x) - c(P) >= 0 (P is the
+shortest path at pi = 0), which a solve from the slack-and-bypass basis
+reaches only through a run of degenerate pivots that install the members
+at 0. P alone, without its members, would leave pi = 0 on its rows.
 
 The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
 RMLP value v_rmlp or, when stopping early, the Lagrangian bound
@@ -380,14 +396,15 @@ class _Pool:
 
     Per column it records the cost, the commodity, and the detections the
     column visits (as parallel hit lists), so building the master walks no
-    column's edges again. Indexing and iteration give the columns.
+    column's edges again. Indexing and iteration give the columns, and
+    `index` maps each column's key to its position.
     """
 
     def __init__(self, network: FlowNetwork, columns: Sequence[PathColumn] = ()) -> None:
         self.network = network
         self.num_detections = network.num_detections
         self.columns: list[PathColumn] = []
-        self.keys: set[tuple[int, tuple[int, ...]]] = set()
+        self.index: dict[tuple[int, tuple[int, ...]], int] = {}
         self.costs: list[float] = []
         self.owners: list[int] = []
         self.hit_dets: list[int] = []
@@ -398,10 +415,9 @@ class _Pool:
     def add(self, col: PathColumn) -> bool:
         """Pool `col` unless the same path of its commodity is pooled; True if added."""
         key = col.key
-        if key in self.keys:
+        if key in self.index:
             return False
-        self.keys.add(key)
-        j = len(self.columns)
+        j = self.index[key] = len(self.columns)
         self.columns.append(col)
         self.costs.append(col.cost)
         self.owners.append(col.commodity)
@@ -574,8 +590,8 @@ def _bounded_columns(
 def _sub_paths(network: FlowNetwork, row: list[float], col: PathColumn) -> list[PathColumn]:
     """The sub-path family of a tracked commodity's path over detections d_1..d_m.
 
-    It holds the path without d_x for each x (an interior d_x only where the
-    transition d_{x-1} -> d_{x+1} exists), then, for m > 2, the
+    It holds the path without d_x for each x in order (an interior d_x only
+    where the transition d_{x-1} -> d_{x+1} exists), then, for m > 2, the
     single-detection paths [d_1] and [d_m]: each a source-sink path of the
     commodity, costed from its cost list `row` as `price` costs it. A path
     of fewer than two detections has none.
@@ -738,11 +754,33 @@ def column_generation(
         family = _sub_paths(network, tables.rows[col.commodity], col)
         return 1 + sum(pool.add(sub) for sub in family)
 
+    # The first master's start basis over [slacks | columns], by row: slack i
+    # at detection i and commodity k's bypass at row n + k, except where a
+    # priced path P over d_1..d_m and its drop-one members P_1..P_m take rows
+    # d_1..d_m and n + k (module docstring).
+    n = network.num_detections
+    start = list(range(n + nc))
+    started: set[int] = set()  # the detections of the start paths
     priced, zetas = price(tables, None)
     for k, col in enumerate(priced):
-        add_priced(col)
-        bypass = (network.bypass_edge(k),)
-        pool.add(PathColumn(k, bypass, _path_cost(tables.rows[k], network, k, bypass)))
+        pool.add(col)
+        family = _sub_paths(network, tables.rows[k], col) if k else []
+        for sub in family:
+            pool.add(sub)
+        edges = (network.bypass_edge(k),)
+        bypass = PathColumn(k, edges, _path_cost(tables.rows[k], network, k, edges))
+        pool.add(bypass)
+        start[n + k] = n + pool.index[bypass.key]
+        dets = col.edges[1:-1:2]
+        m = len(dets)
+        # the family's drop-one members precede its two single-detection
+        # paths; an interior one is missing where its skip transition is, and
+        # for m = 1 the member is the bypass
+        drop_one = [bypass] if m == 1 else family[: len(family) - 2 * (m > 2)]
+        if k and m and len(drop_one) == m and started.isdisjoint(dets):
+            started.update(dets)
+            for row, member in zip(dets + (n + k,), [col] + drop_one):
+                start[row] = n + pool.index[member.key]
     pi = np.zeros(ns)
     add_dummy_paths(zetas[0], pi, tables.bypass[0])
 
@@ -757,7 +795,7 @@ def column_generation(
         iterations += 1
         prob = pool.master()
         try:
-            sol = solve_lp(prob, warm=sol)
+            sol = solve_lp(prob, basis=start) if sol is None else solve_lp(prob, warm=sol)
         except LPInternalError:
             if sol is None:
                 raise

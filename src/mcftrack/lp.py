@@ -18,14 +18,19 @@ x_B = (b_ub, b_eq / coef). The basis is kept as explicit column indices over
 the layout [slacks | structural columns], so appending structural columns
 never invalidates a previous basis.
 
-Warm starts: `solve_lp(problem, warm=sol)` pivots on from a previous
-solution `sol` over the same rows: from its basis, a copy of the basis
-inverse it ended on and that inverse's factor age (the pivots applied since
-it was factored), so the refactorization cadence spans solves. Nothing is
-factored on entry and nothing falls back: a warm start over another row
-count raises ValueError, and one whose basis is infeasible for the
-problem's right-hand side raises LPInternalError; the caller decides
-whether to start cold.
+Starts: `solve_lp(problem, basis=ids)` starts cold from a caller's basis
+instead, one column id over [slacks | structural columns] per row, in basis
+order. Both cold starts take one path: the basis is factored on entry and
+must be feasible, so no phase 1 is needed. A start of another length, or a
+singular one, raises ValueError, and one that is infeasible for the
+right-hand side raises LPInternalError. `solve_lp(problem, warm=sol)`
+pivots on from a previous solution `sol` over the same rows: from its
+basis, a copy of the basis inverse it ended on and that inverse's factor
+age (the pivots applied since it was factored), so the refactorization
+cadence spans solves. Nothing is factored on entry and nothing falls back:
+a warm start over another row count raises ValueError, and one whose basis
+is infeasible for the problem's right-hand side raises LPInternalError; the
+caller decides whether to start cold.
 
 Numerics: an explicit basis inverse, updated in place by one rank-one step
 per pivot and rebuilt every REFACTOR_EVERY pivots. Only a cold start is
@@ -35,9 +40,10 @@ structural block: a basic slack column is a unit vector, so with S the rows
 whose slack is basic, R the other rows and J the basic structural columns
 (|R| = |J|), B^-1 is K^-1 at (J, R) for K = M[R, J], the identity at
 (slacks, S) and -M[S, J] K^-1 at (slacks, R).
-Only K is factored. A cold start's K is one bypass column per commodity; a
-refactorization within a column-generation solve finds about 95% of the
-basis structural on the `wide` and M bench scenes, so K is then most of it.
+Only K is factored. The slack-and-bypass start's K is one bypass column per
+commodity; a refactorization within a column-generation solve finds about
+95% of the basis structural on the `wide` and M bench scenes, so K is then
+most of it.
 Pricing is Dantzig's rule. Each run of DEGENERATE_RUN_LIMIT pivots of step
 at most FEAS_TOL raises every basic value by a distinct amount near PERTURB
 and sets the right-hand side to B x_B, which breaks the ties and keeps B
@@ -229,16 +235,26 @@ def _iterate(M, mi, c, rhs, basis, b_inv, age):
             np.maximum(xb, 0.0, out=xb)
 
 
-def solve_lp(problem: LPProblem, warm: LPSolution | None = None) -> LPSolution:
+def solve_lp(
+    problem: LPProblem,
+    warm: LPSolution | None = None,
+    basis: Sequence[int] | None = None,
+) -> LPSolution:
     """Solve the master-shaped LP; see module docstring for conventions.
 
     warm is a solution returned by a previous call over the same rows;
     extra structural columns may have been appended since. The solve pivots
     on from its basis, a copy of its inverse and its factor age. A warm
     start over another row count raises ValueError, and one whose basis is
-    infeasible for the right-hand side raises LPInternalError. A cold start
-    raises ValueError naming an equality row without a column whose only
-    nonzero is a positive entry in it.
+    infeasible for the right-hand side raises LPInternalError.
+
+    Without warm the solve starts cold from basis: one column id over
+    [slacks | structural columns] per row, which is factored on entry. It
+    defaults to the slack-and-bypass basis, and then an equality row without
+    a column whose only nonzero is a positive entry in it raises ValueError.
+    A basis of another length, with an id out of range, or singular raises
+    ValueError; an infeasible one raises LPInternalError. Passing both warm
+    and basis raises ValueError.
     """
     mi = problem.a_ub.shape[0]
     me = problem.a_eq.shape[0]
@@ -253,16 +269,27 @@ def solve_lp(problem: LPProblem, warm: LPSolution | None = None) -> LPSolution:
     c = np.concatenate([np.zeros(mi), problem.obj])
 
     if warm is None:
-        basis = _crash_basis(problem)
-        b_inv = _basis_inverse(M, basis, mi)
+        basis = _crash_basis(problem) if basis is None else np.array(basis, dtype=np.intp)
+        if basis.shape != (m,) or not ((basis >= 0) & (basis < mi + n)).all():
+            raise ValueError(
+                f"a start basis holds one column id below {mi + n} for each of {m} rows"
+            )
+        try:
+            b_inv = _basis_inverse(M, basis, mi)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("the start basis is singular") from exc
         age = 0
+        kind = "start"
     else:
+        if basis is not None:
+            raise ValueError("a warm start carries its own basis")
         if len(warm.basis) != m:
             raise ValueError(f"warm start over {len(warm.basis)} rows, the problem has {m}")
         basis = np.array(warm.basis, dtype=np.intp)  # _iterate pivots on it in place
         b_inv, age = warm.inverse.copy(), warm.factor_age
-        if m and (b_inv @ rhs).min() < -FEAS_TOL:
-            raise LPInternalError("warm basis is infeasible for the right-hand side")
+        kind = "warm"
+    if m and (b_inv @ rhs).min() < -FEAS_TOL:
+        raise LPInternalError(f"{kind} basis is infeasible for the right-hand side")
 
     pivots, age = _iterate(M, mi, c, rhs, basis, b_inv, age)
     xb = b_inv @ rhs

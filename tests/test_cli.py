@@ -232,12 +232,23 @@ def test_solve_certified_instance(capsys):
     assert "status proven-optimal" in out
     assert "v_int 24.3" in out
     assert "epsilon 0.000e+00" in out
-    # the window's master pivots, on the line after the iterations
+    # tiny's first master starts at its optimum and takes no pivot
+    assert printed_pivots(out, "tiny.instance") == 0
+
+
+def printed_pivots(out: str, name: str) -> int:
+    """The pivots line of `mcftrack solve` output, checked against CGResult.pivots."""
     lines = out.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("iterations "))
-    pivots = column_generation(*load_instance(FIXTURES / "tiny.instance")).pivots
-    assert pivots > 0
+    pivots = column_generation(*load_instance(FIXTURES / name)).pivots
+    # the window's master pivots, on the line after the iterations
     assert lines[at + 1] == f"pivots {pivots}"
+    return pivots
+
+
+def test_solve_prints_the_master_pivots(capsys):
+    assert main(["solve", "--network", str(FIXTURES / "m_window8.instance")]) == 0
+    assert printed_pivots(capsys.readouterr().out, "m_window8.instance") > 0
 
 
 def test_solve_dummy_only_window_by_one_assignment(capsys):

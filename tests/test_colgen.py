@@ -470,8 +470,8 @@ def test_every_master_solve_warm_starts_over_one_row_per_detection(monkeypatch):
         net, vectors = load_instance(FIXTURES / f"{name}.instance")
         calls = []
 
-        def spy(prob, warm=None):
-            sol = real(prob, warm=warm)
+        def spy(prob, warm=None, basis=None):
+            sol = real(prob, warm=warm, basis=basis)
             calls.append((prob.a_ub.shape[0], warm, sol, sol.inverse.copy()))
             return sol
 
@@ -500,9 +500,9 @@ def test_frozen_fixtures_take_no_cold_retry_and_extract_only_uncertified(monkeyp
     real_solve, real_extract = colgen.solve_lp, colgen.extract_integer
     warm_starts, extractions = [], []
 
-    def solve(prob, warm=None):
+    def solve(prob, warm=None, basis=None):
         warm_starts.append(warm is not None)
-        return real_solve(prob, warm=warm)
+        return real_solve(prob, warm=warm, basis=basis)
 
     def extract(network, pool):
         extractions.append(len(pool))
@@ -523,8 +523,8 @@ def test_carried_inverses_invert_their_bases(monkeypatch):
     net, vectors = load_instance(FIXTURES / "contested_window19.instance")
     seen = {"perturbed": 0, "refactored": 0}
 
-    def checked(prob, warm=None):
-        sol = solve_lp(prob, warm=warm)
+    def checked(prob, warm=None, basis=None):
+        sol = solve_lp(prob, warm=warm, basis=basis)
         basis_matrix = stacked(prob)[:, list(sol.basis)]
         assert np.abs(sol.inverse @ basis_matrix - np.eye(len(sol.basis))).max() <= 1e-9
         seen["perturbed"] += np.abs(prob.a_eq @ sol.x - prob.b_eq).max() > FEAS_TOL
@@ -547,11 +547,11 @@ def test_failed_warm_master_solve_retries_cold(monkeypatch):
     assert ref.iterations >= 2 and ref.status == "proven-optimal"
     calls = []
 
-    def warm_fails_once(prob, warm=None):
+    def warm_fails_once(prob, warm=None, basis=None):
         calls.append(warm is not None)
         if warm is not None and calls.count(True) == 1:
             raise LPInternalError("injected")
-        return solve_lp(prob, warm=warm)
+        return solve_lp(prob, warm=warm, basis=basis)
 
     monkeypatch.setattr(colgen, "solve_lp", warm_fails_once)
     res = column_generation(net, vectors)
@@ -559,12 +559,99 @@ def test_failed_warm_master_solve_retries_cold(monkeypatch):
     assert res.v_lp == pytest.approx(ref.v_lp, abs=1e-9)
     assert res.v_int == pytest.approx(ref.v_int, abs=1e-9)
 
-    def cold_fails(prob, warm=None):
+    def cold_fails(prob, warm=None, basis=None):
         raise LPInternalError("injected")
 
     monkeypatch.setattr(colgen, "solve_lp", cold_fails)
     with pytest.raises(LPInternalError):
         column_generation(net, vectors)
+
+
+def first_master(monkeypatch, net, vectors):
+    """Run column generation; return its result, first master and start basis."""
+    real, firsts = colgen.solve_lp, []
+
+    def spy(prob, warm=None, basis=None):
+        if warm is None:
+            firsts.append((prob, basis))
+        return real(prob, warm=warm, basis=basis)
+
+    monkeypatch.setattr(colgen, "solve_lp", spy)
+    res = column_generation(net, vectors)
+    monkeypatch.undo()
+    return (res, *firsts[0])
+
+
+def test_tiny_first_master_starts_at_its_optimum():
+    res = column_generation(*load_instance(FIXTURES / "tiny.instance"))
+    assert (res.status, res.iterations, res.pivots) == ("proven-optimal", 1, 0)
+
+
+def test_start_holds_disjoint_priced_paths_and_their_drop_one_members(monkeypatch):
+    # Detections 0, 1, 2 in frames 1-3 with every forward transition, and 3
+    # alone in frame 3. Observations cost -5 and transitions 0; a start or
+    # termination edge costs 0 where a commodity's path should begin or end
+    # and 20 elsewhere. Commodity 1 prices 0-1-2, commodity 2 prices 1-2,
+    # which meets commodity 1's path, and commodity 3 prices 3 alone.
+    dets = [make_det(i, f, (0, 0, 10, 10)) for i, f in enumerate((1, 2, 3, 3))]
+    net = network_from_parts(dets, [(0, 1), (0, 2), (1, 2)], [1, 1, 1, 1])
+    n, ns = net.num_detections, net.num_shared
+
+    def vector(k, first, last, bypass=12.0):
+        values = np.full(net.cost_size, 20.0)
+        values[:n], values[n:ns], values[-1] = -5.0, 0.0, bypass
+        if first is not None:
+            values[ns + first] = values[ns + n + last] = 0.0
+        return CostVector(k, values)
+
+    vectors = [vector(0, None, None, 19.5), vector(1, 0, 2), vector(2, 1, 2), vector(3, 3, 3)]
+    res, prob, start = first_master(monkeypatch, net, vectors)
+
+    def named(j):
+        if j < n:
+            return "slack", j
+        col = res.columns[j - n]
+        return col.commodity, tuple(e for e in col.edges if e < n)
+
+    # P over rows d_1..d_m, then its drop-one members over rows d_2..d_m and
+    # n + k; commodity 2 keeps its slacks and its bypass
+    assert [named(j) for j in start] == [
+        (1, (0, 1, 2)), (1, (1, 2)), (1, (0, 2)), (3, (3,)),
+        (0, ()), (1, (0, 1)), (2, ()), (3, ()),
+    ]
+    # the start's duals are the drop-one prices c(P without d_x) - c(P)
+    c = np.concatenate([np.zeros(n), prob.obj])
+    pi = -(c[start] @ np.linalg.inv(stacked(prob)[:, start]))[:n]
+    cost = {named(j): c[j] for j in start}
+    assert pi == pytest.approx([cost[1, (1, 2)] - cost[1, (0, 1, 2)],
+                                cost[1, (0, 2)] - cost[1, (0, 1, 2)],
+                                cost[1, (0, 1)] - cost[1, (0, 1, 2)],
+                                cost[3, ()] - cost[3, (3,)]], abs=1e-12)
+    assert (pi > 0).all() and res.status == "proven-optimal"
+
+
+def test_the_start_basis_keeps_converged_bounds_and_proven_values(monkeypatch):
+    # Against runs forced onto the slack-and-bypass start for every first master.
+    def default_start(prob, warm=None, basis=None):
+        return solve_lp(prob, warm=warm)
+
+    cases = [(seed, net, wrap_cost_vectors(net, costs)) for seed, net, costs in tracked_instances(40)]
+    cases += [(path.name, *load_instance(path)) for path in sorted(FIXTURES.glob("*.instance"))]
+    started = 0
+    for case, net, vectors in cases:
+        if net.num_commodities == 1:
+            continue
+        res, _, start = first_master(monkeypatch, net, vectors)
+        started += max(start[: net.num_detections]) >= net.num_detections
+        monkeypatch.setattr(colgen, "solve_lp", default_start)
+        ref = column_generation(net, vectors)
+        monkeypatch.undo()
+        if "iteration-limit" not in (res.status, ref.status):
+            assert abs(res.v_lp - ref.v_lp) <= 1e-9, case
+        if ref.status == "proven-optimal":
+            assert res.status == "proven-optimal", case
+            assert abs(res.v_int - ref.v_int) <= 1e-9, case
+    assert started >= 40
 
 
 def test_single_commodity_converges_in_one_iteration():
@@ -686,8 +773,8 @@ def priced_rounds(monkeypatch, net, vectors):
         events.append(("pool", len(pool)))
         return real_master(pool)
 
-    def spy_lp(prob, warm=None):
-        sol = real_lp(prob, warm=warm)
+    def spy_lp(prob, warm=None, basis=None):
+        sol = real_lp(prob, warm=warm, basis=basis)
         events.append(("lp", sol.sigma))
         return sol
 

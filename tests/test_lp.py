@@ -127,8 +127,8 @@ def test_duals_match_vertex_oracle():
             check_optimal_duals(prob, ref, seed)
 
 
-def check_optimal_duals(prob, ref, seed):
-    sol = solve_lp(prob)
+def check_optimal_duals(prob, ref, seed, basis=None):
+    sol = solve_lp(prob, basis=basis)
     assert sol.objective == pytest.approx(ref, abs=1e-6), seed
 
     # strong duality: c'x == -b'pi + d'sigma
@@ -141,6 +141,7 @@ def check_optimal_duals(prob, ref, seed):
 
     # pi sign convention
     assert (sol.pi >= -1e-12).all(), seed
+    return sol
 
 
 def test_complementary_slackness():
@@ -298,9 +299,9 @@ def test_infeasible_warm_start_raises_and_column_generation_retries_cold(monkeyp
     ref = column_generation(net, vectors)
     raised = []
 
-    def negated(prob, warm=None):
+    def negated(prob, warm=None, basis=None):
         if warm is None:
-            return solve_lp(prob)
+            return solve_lp(prob, basis=basis)
         try:
             return solve_lp(prob, warm=replace(warm, inverse=-warm.inverse))
         except LPInternalError as exc:
@@ -323,6 +324,65 @@ def test_feasible_warm_basis_is_used():
     assert cold.iterations > 0 and warm.iterations == 0
     assert (warm.objective, warm.basis) == (cold.objective, cold.basis)
     assert warm.inverse is not cold.inverse  # the solve pivots on a copy
+
+
+def path_start(prob, rng, per_commodity):
+    """The slack-and-bypass start with detection-disjoint paths in it.
+
+    Each path takes the place of the slack of its first coupling row, up to
+    `per_commodity` paths per convexity row. Its row then holds the path at
+    1, so the start is feasible while no commodity takes more paths than its
+    demand; the bypasses carry the rest.
+    """
+    mi = prob.a_ub.shape[0]
+    basis = lp_module._crash_basis(prob)
+    taken, used = np.zeros(prob.a_eq.shape[0], dtype=int), set()
+    for j in rng.permutation(prob.num_cols).tolist():
+        rows = np.flatnonzero(prob.a_ub[:, j])
+        k = int(np.flatnonzero(prob.a_eq[:, j])[0])
+        if rows.size and taken[k] < per_commodity and used.isdisjoint(rows.tolist()):
+            used.update(rows.tolist())
+            taken[k] += 1
+            basis[rows[0]] = mi + j
+    return basis
+
+
+def test_a_feasible_start_basis_reaches_the_optimum_with_certifying_duals():
+    rng = np.random.default_rng(5)
+    for seed in range(8):
+        prob = master_lp(seed)
+        ref = solve_lp(prob)
+        start = path_start(prob, rng, per_commodity=1)
+        assert (start >= prob.a_ub.shape[0]).sum() > prob.a_eq.shape[0], seed
+        sol = check_optimal_duals(prob, ref.objective, seed, basis=start)
+        assert abs(sol.objective - ref.objective) <= 1e-9, seed
+        # the default start is the slack-and-bypass basis
+        default = solve_lp(prob, basis=lp_module._crash_basis(prob))
+        assert (default.objective, default.basis) == (ref.objective, ref.basis), seed
+        # an optimal basis as start: no pivot
+        assert solve_lp(prob, basis=ref.basis).iterations == 0, seed
+
+
+def test_an_infeasible_start_basis_raises():
+    # Two paths of one demand-1 commodity leave its bypass at -1.
+    prob = master_lp(0)
+    start = path_start(prob, np.random.default_rng(5), per_commodity=2)
+    with pytest.raises(LPInternalError, match="start basis is infeasible"):
+        solve_lp(prob, basis=start)
+    # slack and twin: the twin takes 2 units of row 0
+    with pytest.raises(LPInternalError, match="start basis is infeasible"):
+        solve_lp(TWINS, basis=[0, 2])
+
+
+def test_a_start_basis_of_the_wrong_length_or_singular_raises():
+    for bad in ([0], [0, 1, 2], [0, 4]):  # too short, too long, no column 4
+        with pytest.raises(ValueError, match="one column id below 4 for each of 2 rows"):
+            solve_lp(TWINS, basis=bad)
+    for singular in ([2, 3], [0, 0]):  # the twins; a slack twice
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(TWINS, basis=singular)
+    with pytest.raises(ValueError, match="carries its own basis"):
+        solve_lp(TWINS, warm=solve_lp(TWINS), basis=[0, 1])
 
 
 def test_refactorization_onto_a_singular_basis_raises(monkeypatch):
@@ -377,9 +437,9 @@ def test_forced_stalls_keep_column_generation_exact(monkeypatch):
     monkeypatch.setattr(lp_module, "DEGENERATE_RUN_LIMIT", 1)
     count = 0
 
-    def spy(prob, warm=None):
+    def spy(prob, warm=None, basis=None):
         nonlocal count
-        sol = solve_lp(prob, warm=warm)
+        sol = solve_lp(prob, warm=warm, basis=basis)
         count += perturbed(prob, sol)
         return sol
 
