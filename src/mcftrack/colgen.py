@@ -20,7 +20,11 @@ coupling duals pi on shared edges, in one numpy sweep over the frame layers
 of the window (detections of one frame form a contiguous range, and every
 transition leaves an earlier one); the loop stops when every priced value
 zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
-an iteration cap, or when pricing can only repeat pooled columns. The dummy
+an iteration cap, or when pricing can only repeat pooled columns. The sweep
+gives every zeta_k, but a commodity's column (its path, walked back from
+the sweep, with the exact-tie rules, and its cost) is decoded only when
+read: every one in the initial pricing, and in a round only those with
+zeta_k < sigma_k - CERT_TOL, the columns that join the pool. The dummy
 commodity carries up to d0 units, so whenever its shortest path prices
 negative, the round also routes all d0 of them under the pi-shifted costs as
 one min-cost assignment (`_dummy_flow`, the routine that solves dummy-only
@@ -59,6 +63,15 @@ block-triangular, and x_P = 1 fills each d_x exactly with every member at
 shortest path at pi = 0), which a solve from the slack-and-bypass basis
 reaches only through a run of degenerate pivots that install the members
 at 0. P alone, without its members, would leave pi = 0 on its rows.
+
+The start's inverse is written down, not factored
+(`solve_lp(prob, basis=start, inverse=...)`, which checks it against the
+basis). A slack or bypass in the start has its unit row. In a block, the
+unit vector of d_x is P - P_x, and that of k's convexity row is
+P_1 + ... + P_m - (m - 1) P. So P's row of the inverse (at d_1's position)
+has 1 at every d_x and 1 - m at k's convexity row, and P_x's row (at its
+position) has 1 at the convexity row and -1 at d_x. Every entry is an
+integer, so the basis times the inverse is the identity exactly.
 
 The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
 RMLP value v_rmlp or, when stopping early, the Lagrangian bound
@@ -106,6 +119,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -160,11 +174,20 @@ class CGResult:
     pivots: int  # master LP pivots, summed over the window's solves
     columns: list[PathColumn]
     selection: list[list[tuple[PathColumn, int]]]  # per commodity: (path, units)
-    flows: list[np.ndarray]  # per commodity integer edge flows
+    num_edges: int  # the window network's edges, the length of each flow
     # the last pricing round's duals and values; None for a dummy-only window
     pi: np.ndarray | None
     sigma: np.ndarray | None
     zetas: np.ndarray | None
+
+    @cached_property
+    def flows(self) -> list[np.ndarray]:
+        """Per commodity integer edge flows of the selection, built when first read."""
+        flows = [np.zeros(self.num_edges, dtype=np.int64) for _ in self.selection]
+        for flow, group in zip(flows, self.selection):
+            for col, units in group:
+                flow[list(col.edges)] += units  # a path repeats no edge
+        return flows
 
 
 @dataclass
@@ -191,15 +214,18 @@ class _Layer:
 class PricingTables:
     """One window's edge costs split by kind, and its frame layers.
 
-    values stacks the cost vectors, one CostVector per row; shared (nc x
+    values holds the cost vectors, one CostVector per row: the window's cost
+    matrix itself when the vectors are its rows in order (as
+    `assemble_cost_vectors` returns them), else a stacked copy. shared (nc x
     num_shared), term (nc x N) and bypass (nc) are its slices, and rows
     holds each row as a list, from which path costs are summed. The candidate
     buffer `buf` holds, per head u_j in detection order, a segment of its
-    incoming transitions by edge id followed by its start edge; `seg` are
-    the segment starts (then the end), `seg_of` each column's head and
-    `edge` each column's edge id (-1 for a start). Start columns hold
-    0.0 + start cost, as does bypass: the first step of a sum from the
-    source. trans_edges lists the transition edge ids by head, then edge id.
+    incoming transitions by edge id followed by its start edge. Start
+    columns hold 0.0 + start cost, as does bypass: the first step of a sum
+    from the source.
+    trans_edges lists the transition edge ids by head, then edge id;
+    trans_pos are their columns in `buf` and trans_heads their heads. The
+    transitions into u_j are entries into[j] to into[j + 1] of these.
     """
 
     network: FlowNetwork
@@ -209,10 +235,10 @@ class PricingTables:
     term: np.ndarray
     bypass: np.ndarray
     buf: np.ndarray
-    seg: np.ndarray
-    seg_of: np.ndarray
-    edge: np.ndarray
     trans_edges: np.ndarray
+    trans_pos: np.ndarray
+    trans_heads: np.ndarray
+    into: list[int]
     layers: list[_Layer]
 
     @classmethod
@@ -224,7 +250,10 @@ class PricingTables:
         detection range whose incoming transitions all leave earlier ones.
         """
         nc, n, ns = network.num_commodities, network.num_detections, network.num_shared
-        stack = np.stack(values)
+        stack = values[0].base if len(values) else None
+        if not (isinstance(stack, np.ndarray) and stack.shape == (nc, network.cost_size)
+                and _rows_in_order(stack, values)):
+            stack = np.stack(values)
         if not np.isfinite(stack).all():
             raise ValueError("pricing needs finite costs on every edge")
         shared, term = stack[:, :ns], stack[:, ns + n : ns + 2 * n]
@@ -236,8 +265,6 @@ class PricingTables:
         before = np.r_[0, np.cumsum(into)]  # transitions into earlier heads
         seg = np.arange(n + 1) + before
         pos = np.arange(t_head.size) + t_head
-        edge = np.full(seg[-1], -1, dtype=np.intp)
-        edge[pos] = t_edge
         buf = np.empty((nc, seg[-1]))
         buf[:, seg[1:] - 1] = start
 
@@ -249,9 +276,23 @@ class PricingTables:
                 lo=int(lo), hi=int(hi), buf=buf[:, c0:c1], seg=seg[lo:hi] - c0,
                 pos=pos[a:b] - c0, tails=t_tail[a:b], ta=int(a), tb=int(b),
             ))
-        seg_of = np.repeat(np.arange(n), into + 1)
-        return cls(network, stack, stack.tolist(), shared, term, bypass, buf, seg, seg_of, edge,
-                   t_edge, layers)
+        return cls(network, stack, stack.tolist(), shared, term, bypass, buf, t_edge, pos, t_head,
+                   before.tolist(), layers)
+
+
+def _rows_in_order(stack: np.ndarray, values: Sequence[np.ndarray]) -> bool:
+    """Whether each of `values` is the row of `stack` at its position, as a view of it.
+
+    A contiguous view of a row's length that holds both the first and the
+    last entry of row k of a C-ordered matrix is row k.
+    """
+    return (
+        stack.dtype == np.float64 and stack.flags.c_contiguous
+        and all(v.base is stack and v.flags.c_contiguous and v.shape == stack.shape[1:]
+                for v in values)
+        and all(map(np.may_share_memory, values, stack[:, :1]))
+        and all(map(np.may_share_memory, values, stack[:, -1:]))
+    )
 
 
 def _path_cost(row: list[float], network: FlowNetwork, k: int, edges: Sequence[int]) -> float:
@@ -306,9 +347,84 @@ def _sweep(tables: PricingTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return reach, dist
 
 
+class _PricedColumns(Sequence[PathColumn]):
+    """One priced column per commodity, decoded and costed when first read.
+
+    Entry k is commodity k's shortest path, with its unshifted cost: the
+    bypass where `via[k]` is -1, else the path that terminates from
+    detection via[k]. `hit` holds, per commodity and transition (by head,
+    then edge id), whether the transition reaches its head at the head's
+    distance; it is the pricing call's own, so a later sweep changes no
+    column. Where several detections end at zeta_k (`ends_tied`), and at a
+    head that several transitions reach, paths are compared.
+    """
+
+    def __init__(self, tables: PricingTables, via: list[int], hit: np.ndarray,
+                 cand: np.ndarray, ends_tied: list[bool]) -> None:
+        self.tables, self.via, self.hit, self.cand, self.ends_tied = (
+            tables, via, hit, cand, ends_tied)
+        self.columns: list[PathColumn | None] = [None] * len(via)
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, k: int) -> PathColumn:
+        col = self.columns[k]
+        if col is None:
+            k %= len(self.columns)
+            col = self.columns[k] = self._decode(k)
+        return col
+
+    @cached_property
+    def _preds(self) -> tuple[np.ndarray, dict[int, list[int]]]:
+        """The edge into each u node per commodity (-1: start), and the tied heads.
+
+        A start loses every tie: a path through a transition begins at the
+        start edge of a lower detection. So a head takes its one hitting
+        transition, else the start; the heads that several transitions hit
+        are listed per commodity, in detection order, and their entries are
+        left to `_decode`.
+        """
+        t = self.tables
+        rows, cols = np.nonzero(self.hit)  # by commodity, then head
+        heads = t.trans_heads[cols]
+        pred = np.full((len(self.via), t.network.num_detections), -1)
+        pred[rows, heads] = t.trans_edges[cols]
+        tied: dict[int, list[int]] = {}
+        again = (rows[1:] == rows[:-1]) & (heads[1:] == heads[:-1])
+        for k, h in zip(rows[1:][again].tolist(), heads[1:][again].tolist()):
+            hs = tied.setdefault(k, [])
+            if not hs or hs[-1] != h:  # a head that three transitions hit comes twice
+                hs.append(h)
+        return pred, tied
+
+    def _decode(self, k: int) -> PathColumn:
+        t = self.tables
+        net = t.network
+        n = net.num_detections
+        i = self.via[k]
+        if i < 0:
+            edges: tuple[int, ...] = (net.bypass_edge(k),)
+        else:
+            pred, tied = self._preds
+            pred_k = pred[k].tolist()
+            # in detection order, so that every tail's path is settled first
+            for h in tied.get(k, ()):
+                a, b = t.into[h], t.into[h + 1]
+                pred_k[h] = min(
+                    t.trans_edges[a:b][self.hit[k, a:b]].tolist(),
+                    key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
+                )
+            if self.ends_tied[k]:
+                i = min(np.flatnonzero(self.cand[k] == self.cand[k, i]).tolist(),
+                        key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)])
+            edges = tuple(_path_to_v(net, pred_k, k, i)) + (net.term_edge(k, i),)
+        return PathColumn(k, edges, _path_cost(t.rows[k], net, k, edges))
+
+
 def price(
     tables: PricingTables, pi: np.ndarray | None
-) -> tuple[list[PathColumn], np.ndarray]:
+) -> tuple[Sequence[PathColumn], np.ndarray]:
     """Price every commodity: shortest pi-shifted path and its value zeta_k.
 
     One sweep over the frame layers relaxes all commodities at once under
@@ -316,61 +432,29 @@ def price(
     lexicographically smallest edge-id sequence; only truly tied
     (commodity, node) entries compare paths. Returns one column per
     commodity, carrying its unshifted path cost, and the zetas; the bypass
-    makes every sink reachable.
+    makes every sink reachable. The columns come as a sequence that decodes
+    and costs a commodity's column when it is first read, so the tie rules
+    run only for the commodities read.
     """
-    net = tables.network
-    n = net.num_detections
+    n = tables.network.num_detections
     nc = tables.shared.shape[0]
     reach, dist = _sweep(tables, tables.shared if pi is None else tables.shared + pi)
+    # whether each transition's candidate is its head's distance
+    hit = tables.buf[:, tables.trans_pos] == reach[:, tables.trans_heads]
 
     via = np.full(nc, -1)  # detection each commodity terminates from, -1: bypass
+    ends_tied = np.zeros(nc, dtype=bool)  # several detections end at zeta_k
     zetas = tables.bypass.copy()
+    cand = dist + tables.term
     if n:
-        # The edge into each u node (-1: start). A start loses every tie: a
-        # path through a transition begins at the start edge of a lower
-        # detection. So a head takes its one minimizing transition, else
-        # the start; where several transitions tie, paths are compared, in
-        # detection order so that every tail's path is settled first.
-        hit_edge = np.where(tables.buf == reach[:, tables.seg_of], tables.edge, -1)
-        pred = np.maximum.reduceat(hit_edge, tables.seg[:-1], axis=1)
-        hits = hit_edge >= 0
-        if np.count_nonzero(hits) > np.count_nonzero(pred >= 0):
-            tied = np.add.reduceat(hits, tables.seg[:-1], axis=1, dtype=np.intp) > 1
-            for k in np.flatnonzero(tied.any(axis=1)):
-                pred_k = pred[k].tolist()
-                for h in np.flatnonzero(tied[k]).tolist():
-                    c0, c1 = tables.seg[h], tables.seg[h + 1]
-                    pred_k[h] = min(
-                        tables.edge[c0:c1][hits[k, c0:c1]].tolist(),
-                        key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
-                    )
-                pred[k] = pred_k
-
-        cand = dist + tables.term
         via = cand.argmin(axis=1)
         ends = cand[np.arange(nc), via]
         # on an exact tie a detection path precedes the bypass edge
         wins = ends <= zetas
         zetas[wins] = ends[wins]
         via[~wins] = -1
-        preds = pred.tolist()
-        tied = wins & ((cand == ends[:, None]).sum(axis=1) > 1)
-        for k in np.flatnonzero(tied):
-            pred_k = preds[k]
-            via[k] = min(
-                np.flatnonzero(cand[k] == ends[k]).tolist(),
-                key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)],
-            )
-
-    columns = []
-    for k in range(nc):
-        i = int(via[k])
-        if i < 0:
-            edges: tuple[int, ...] = (net.bypass_edge(k),)
-        else:
-            edges = tuple(_path_to_v(net, preds[k], k, i)) + (net.term_edge(k, i),)
-        columns.append(PathColumn(k, edges, _path_cost(tables.rows[k], net, k, edges)))
-    return columns, zetas
+        ends_tied = wins & (np.count_nonzero(cand == ends[:, None], axis=1) > 1)
+    return _PricedColumns(tables, via.tolist(), hit, cand, ends_tied.tolist()), zetas
 
 
 def optimality_check(
@@ -515,24 +599,20 @@ def _decode_selection(
 
 def _group_selection(
     network: FlowNetwork, selection: Sequence[tuple[PathColumn, int]]
-) -> tuple[list[list[tuple[PathColumn, int]]], list[np.ndarray]]:
+) -> list[list[tuple[PathColumn, int]]]:
+    """The selection by commodity; raises ColgenError unless each meets its demand."""
     grouped: list[list[tuple[PathColumn, int]]] = [
         [] for _ in range(network.num_commodities)
     ]
-    flows = [
-        np.zeros(network.num_edges, dtype=np.int64)
-        for _ in range(network.num_commodities)
-    ]
     for col, units in selection:
         grouped[col.commodity].append((col, units))
-        flows[col.commodity][list(col.edges)] += units  # a path repeats no edge
     for k, dem in enumerate(network.demands):
         carried = sum(units for _, units in grouped[k])
         if carried != int(dem):
             raise ColgenError(
                 f"commodity {k} carries {carried} units, demand is {int(dem)}"
             )
-    return grouped, flows
+    return grouped
 
 
 def _bounded_columns(
@@ -681,7 +761,6 @@ def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:
     if len(selection) < d0:
         selection.append((columns[-1], d0 - len(selection)))
     v_int = float(sum(col.cost * u for col, u in selection))
-    grouped, flows = _group_selection(network, selection)
     return CGResult(
         status="proven-optimal",
         v_lp=v_int,
@@ -690,8 +769,8 @@ def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:
         iterations=1,
         pivots=0,
         columns=columns,
-        selection=grouped,
-        flows=flows,
+        selection=_group_selection(network, selection),
+        num_edges=network.num_edges,
         pi=None,
         sigma=None,
         zetas=None,
@@ -757,10 +836,13 @@ def column_generation(
     # The first master's start basis over [slacks | columns], by row: slack i
     # at detection i and commodity k's bypass at row n + k, except where a
     # priced path P over d_1..d_m and its drop-one members P_1..P_m take rows
-    # d_1..d_m and n + k (module docstring).
+    # d_1..d_m and n + k. Its inverse is the identity but for those blocks'
+    # rows, whose entries are written down as (row, column, value) (module
+    # docstring).
     n = network.num_detections
     start = list(range(n + nc))
     started: set[int] = set()  # the detections of the start paths
+    entries: tuple[list[int], list[int], list[float]] = ([], [], [])
     priced, zetas = price(tables, None)
     for k, col in enumerate(priced):
         pool.add(col)
@@ -779,8 +861,17 @@ def column_generation(
         drop_one = [bypass] if m == 1 else family[: len(family) - 2 * (m > 2)]
         if k and m and len(drop_one) == m and started.isdisjoint(dets):
             started.update(dets)
-            for row, member in zip(dets + (n + k,), [col] + drop_one):
+            rows = dets + (n + k,)
+            for row, member in zip(rows, [col] + drop_one):
                 start[row] = n + pool.index[member.key]
+            # P's row: 1 at each d_x, 1 - m at n + k; P_x's row (at rows[x]):
+            # 1 at n + k, -1 at d_x, and 0 on the diagonal unless it is n + k
+            members = rows[1:]
+            entries[0].extend((dets[0],) * (m + 1) + members * 2 + members[:-1])
+            entries[1].extend(rows + (n + k,) * m + dets + members[:-1])
+            entries[2].extend([1.0] * m + [1.0 - m] + [1.0] * m + [-1.0] * m + [0.0] * (m - 1))
+    inverse = np.eye(n + nc)
+    inverse[entries[0], entries[1]] = entries[2]
     pi = np.zeros(ns)
     add_dummy_paths(zetas[0], pi, tables.bypass[0])
 
@@ -795,7 +886,10 @@ def column_generation(
         iterations += 1
         prob = pool.master()
         try:
-            sol = solve_lp(prob, basis=start) if sol is None else solve_lp(prob, warm=sol)
+            if sol is None:
+                sol = solve_lp(prob, basis=start, inverse=inverse)
+            else:
+                sol = solve_lp(prob, warm=sol)
         except LPInternalError:
             if sol is None:
                 raise
@@ -818,15 +912,14 @@ def column_generation(
             converged = True
             break
         added = 0
-        for k, (col, zeta) in enumerate(zip(priced, zetas)):
-            if zeta >= sol.sigma[k] - CERT_TOL:
-                continue
-            pooled = add_priced(col)
+        # only these commodities' columns are decoded
+        for k in np.flatnonzero(zetas < sol.sigma - CERT_TOL).tolist():
+            pooled = add_priced(priced[k])
             added += pooled
-            if not pooled and zeta - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
+            if not pooled and zetas[k] - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
                 raise ColgenError(
                     f"pricing repeated a pooled column for commodity {k} "
-                    f"with violation {zeta - sol.sigma[k]:.3e}; duals inconsistent"
+                    f"with violation {zetas[k] - sol.sigma[k]:.3e}; duals inconsistent"
                 )
         added += add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
         if added == 0:
@@ -873,7 +966,6 @@ def column_generation(
         status = "near-optimal"
     else:
         status = "iteration-limit"
-    grouped, flows = _group_selection(network, selection)
     return CGResult(
         status=status,
         v_lp=v_lp,
@@ -882,8 +974,8 @@ def column_generation(
         iterations=iterations,
         pivots=pivots,
         columns=pool.columns,
-        selection=grouped,
-        flows=flows,
+        selection=_group_selection(network, selection),
+        num_edges=network.num_edges,
         pi=pi,
         sigma=sol.sigma,
         zetas=zetas,

@@ -23,23 +23,27 @@ instead, one column id over [slacks | structural columns] per row, in basis
 order. Both cold starts take one path: the basis is factored on entry and
 must be feasible, so no phase 1 is needed. A start of another length, or a
 singular one, raises ValueError, and one that is infeasible for the
-right-hand side raises LPInternalError. `solve_lp(problem, warm=sol)`
-pivots on from a previous solution `sol` over the same rows: from its
-basis, a copy of the basis inverse it ended on and that inverse's factor
-age (the pivots applied since it was factored), so the refactorization
-cadence spans solves. Nothing is factored on entry and nothing falls back:
-a warm start over another row count raises ValueError, and one whose basis
-is infeasible for the problem's right-hand side raises LPInternalError; the
-caller decides whether to start cold.
+right-hand side raises LPInternalError. `solve_lp(problem, basis=ids,
+inverse=b_inv)` gives the start's inverse too (rows in basis order), which
+is then checked, not factored: B b_inv must be the identity within
+INVERSE_TOL, or ValueError is raised, as for a singular start.
+
+`solve_lp(problem, warm=sol)` pivots on from a previous solution `sol` over
+the same rows: from its basis, a copy of the basis inverse it ended on and
+that inverse's factor age (the pivots applied since it was factored), so
+the refactorization cadence spans solves. Nothing is factored on entry and
+nothing falls back: a warm start over another row count raises ValueError,
+and one whose basis is infeasible for the problem's right-hand side raises
+LPInternalError; the caller decides whether to start cold.
 
 Numerics: an explicit basis inverse, updated in place by one rank-one step
-per pivot and rebuilt every REFACTOR_EVERY pivots. Only a cold start is
-factored on entry, and the optimum is read off the carried inverse with no
-final re-inversion. Every factorization is built through the basis's
-structural block: a basic slack column is a unit vector, so with S the rows
-whose slack is basic, R the other rows and J the basic structural columns
-(|R| = |J|), B^-1 is K^-1 at (J, R) for K = M[R, J], the identity at
-(slacks, S) and -M[S, J] K^-1 at (slacks, R).
+per pivot and rebuilt every REFACTOR_EVERY pivots. Only a cold start
+without a given inverse is factored on entry, and the optimum is read off
+the carried inverse with no final re-inversion. Every factorization is
+built through the basis's structural block: a basic slack column is a unit
+vector, so with S the rows whose slack is basic, R the other rows and J the
+basic structural columns (|R| = |J|), B^-1 is K^-1 at (J, R) for
+K = M[R, J], the identity at (slacks, S) and -M[S, J] K^-1 at (slacks, R).
 Only K is factored. The slack-and-bypass start's K is one bypass column per
 commodity; a refactorization within a column-generation solve finds about
 95% of the basis structural on the `wide` and M bench scenes, so K is then
@@ -69,6 +73,8 @@ DEGENERATE_RUN_LIMIT = 50
 PERTURB = 1e-7
 REFACTOR_EVERY = 64
 MAX_PIVOTS = 50_000
+# Largest entry of B @ inverse - I that a start basis given with its inverse may leave.
+INVERSE_TOL = 1e-9
 
 
 class LPInternalError(RuntimeError):
@@ -239,6 +245,7 @@ def solve_lp(
     problem: LPProblem,
     warm: LPSolution | None = None,
     basis: Sequence[int] | None = None,
+    inverse: np.ndarray | None = None,
 ) -> LPSolution:
     """Solve the master-shaped LP; see module docstring for conventions.
 
@@ -253,8 +260,14 @@ def solve_lp(
     defaults to the slack-and-bypass basis, and then an equality row without
     a column whose only nonzero is a positive entry in it raises ValueError.
     A basis of another length, with an id out of range, or singular raises
-    ValueError; an infeasible one raises LPInternalError. Passing both warm
-    and basis raises ValueError.
+    ValueError; an infeasible one raises LPInternalError.
+
+    inverse, given with basis, is the start's inverse, rows in basis order.
+    Nothing is then factored: the solve checks that the basis matrix times
+    inverse is the identity within INVERSE_TOL, and a copy of it is carried.
+    One of another shape, or one that fails the check (as every matrix
+    does for a singular basis), raises ValueError. Passing warm with basis
+    or inverse, or inverse without basis, raises ValueError.
     """
     mi = problem.a_ub.shape[0]
     me = problem.a_eq.shape[0]
@@ -269,19 +282,30 @@ def solve_lp(
     c = np.concatenate([np.zeros(mi), problem.obj])
 
     if warm is None:
+        if basis is None and inverse is not None:
+            raise ValueError("an inverse is given with its start basis")
         basis = _crash_basis(problem) if basis is None else np.array(basis, dtype=np.intp)
         if basis.shape != (m,) or not ((basis >= 0) & (basis < mi + n)).all():
             raise ValueError(
                 f"a start basis holds one column id below {mi + n} for each of {m} rows"
             )
-        try:
-            b_inv = _basis_inverse(M, basis, mi)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("the start basis is singular") from exc
+        if inverse is None:
+            try:
+                b_inv = _basis_inverse(M, basis, mi)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("the start basis is singular") from exc
+        else:
+            b_inv = np.array(inverse, dtype=np.float64)  # _iterate updates it in place
+            if b_inv.shape != (m, m):
+                raise ValueError(f"a start basis's inverse is {m} x {m}")
+            residual = M[:, basis] @ b_inv
+            residual.flat[:: m + 1] -= 1.0  # B B^-1 - I
+            if m and np.abs(residual).max() > INVERSE_TOL:
+                raise ValueError("the given inverse does not invert the start basis")
         age = 0
         kind = "start"
     else:
-        if basis is not None:
+        if basis is not None or inverse is not None:
             raise ValueError("a warm start carries its own basis")
         if len(warm.basis) != m:
             raise ValueError(f"warm start over {len(warm.basis)} rows, the problem has {m}")

@@ -329,7 +329,7 @@ class OnlineTracker:
             if not traj.active:
                 continue
             for col, _ in frozen.result.selection[k]:
-                for pos in net.path_detections(col.edges):
+                for pos in col.edges[1:-1:2]:  # every other edge, from d_1 to d_m
                     if net.detections[pos].frame == frame:
                         associations[k - 1] = net.detections[pos]
         return associations
@@ -353,7 +353,7 @@ class OnlineTracker:
         spawn_min = min(self.config.spawn_min_length, frozen.window_hi - frozen.window_lo + 1)
         spawns = []
         for col, _ in frozen.result.selection[0]:
-            positions = net.path_detections(col.edges)
+            positions = col.edges[1:-1:2]  # its detections, as in _associations
             for pos in positions:
                 det = net.detections[pos]
                 if det.frame != frame:

@@ -31,7 +31,7 @@ from mcftrack.colgen import (
     optimality_check,
     price,
 )
-from mcftrack.costs import CostVector, assemble_cost_vector
+from mcftrack.costs import CostVector, assemble_cost_vector, assemble_cost_vectors
 from mcftrack.graph import build_network, network_from_parts
 from mcftrack import colgen
 from mcftrack import lp as lp_module
@@ -470,8 +470,8 @@ def test_every_master_solve_warm_starts_over_one_row_per_detection(monkeypatch):
         net, vectors = load_instance(FIXTURES / f"{name}.instance")
         calls = []
 
-        def spy(prob, warm=None, basis=None):
-            sol = real(prob, warm=warm, basis=basis)
+        def spy(prob, warm=None, basis=None, inverse=None):
+            sol = real(prob, warm=warm, basis=basis, inverse=inverse)
             calls.append((prob.a_ub.shape[0], warm, sol, sol.inverse.copy()))
             return sol
 
@@ -500,9 +500,9 @@ def test_frozen_fixtures_take_no_cold_retry_and_extract_only_uncertified(monkeyp
     real_solve, real_extract = colgen.solve_lp, colgen.extract_integer
     warm_starts, extractions = [], []
 
-    def solve(prob, warm=None, basis=None):
+    def solve(prob, warm=None, basis=None, inverse=None):
         warm_starts.append(warm is not None)
-        return real_solve(prob, warm=warm, basis=basis)
+        return real_solve(prob, warm=warm, basis=basis, inverse=inverse)
 
     def extract(network, pool):
         extractions.append(len(pool))
@@ -523,8 +523,8 @@ def test_carried_inverses_invert_their_bases(monkeypatch):
     net, vectors = load_instance(FIXTURES / "contested_window19.instance")
     seen = {"perturbed": 0, "refactored": 0}
 
-    def checked(prob, warm=None, basis=None):
-        sol = solve_lp(prob, warm=warm, basis=basis)
+    def checked(prob, warm=None, basis=None, inverse=None):
+        sol = solve_lp(prob, warm=warm, basis=basis, inverse=inverse)
         basis_matrix = stacked(prob)[:, list(sol.basis)]
         assert np.abs(sol.inverse @ basis_matrix - np.eye(len(sol.basis))).max() <= 1e-9
         seen["perturbed"] += np.abs(prob.a_eq @ sol.x - prob.b_eq).max() > FEAS_TOL
@@ -547,11 +547,11 @@ def test_failed_warm_master_solve_retries_cold(monkeypatch):
     assert ref.iterations >= 2 and ref.status == "proven-optimal"
     calls = []
 
-    def warm_fails_once(prob, warm=None, basis=None):
+    def warm_fails_once(prob, warm=None, basis=None, inverse=None):
         calls.append(warm is not None)
         if warm is not None and calls.count(True) == 1:
             raise LPInternalError("injected")
-        return solve_lp(prob, warm=warm, basis=basis)
+        return solve_lp(prob, warm=warm, basis=basis, inverse=inverse)
 
     monkeypatch.setattr(colgen, "solve_lp", warm_fails_once)
     res = column_generation(net, vectors)
@@ -559,7 +559,7 @@ def test_failed_warm_master_solve_retries_cold(monkeypatch):
     assert res.v_lp == pytest.approx(ref.v_lp, abs=1e-9)
     assert res.v_int == pytest.approx(ref.v_int, abs=1e-9)
 
-    def cold_fails(prob, warm=None, basis=None):
+    def cold_fails(prob, warm=None, basis=None, inverse=None):
         raise LPInternalError("injected")
 
     monkeypatch.setattr(colgen, "solve_lp", cold_fails)
@@ -571,10 +571,10 @@ def first_master(monkeypatch, net, vectors):
     """Run column generation; return its result, first master and start basis."""
     real, firsts = colgen.solve_lp, []
 
-    def spy(prob, warm=None, basis=None):
+    def spy(prob, warm=None, basis=None, inverse=None):
         if warm is None:
             firsts.append((prob, basis))
-        return real(prob, warm=warm, basis=basis)
+        return real(prob, warm=warm, basis=basis, inverse=inverse)
 
     monkeypatch.setattr(colgen, "solve_lp", spy)
     res = column_generation(net, vectors)
@@ -630,17 +630,20 @@ def test_start_holds_disjoint_priced_paths_and_their_drop_one_members(monkeypatc
     assert (pi > 0).all() and res.status == "proven-optimal"
 
 
-def test_the_start_basis_keeps_converged_bounds_and_proven_values(monkeypatch):
-    # Against runs forced onto the slack-and-bypass start for every first master.
-    def default_start(prob, warm=None, basis=None):
-        return solve_lp(prob, warm=warm)
-
+def tracked_cases():
+    """tracked_instances(40) and the tracked fixtures, as (case, network, vectors)."""
     cases = [(seed, net, wrap_cost_vectors(net, costs)) for seed, net, costs in tracked_instances(40)]
     cases += [(path.name, *load_instance(path)) for path in sorted(FIXTURES.glob("*.instance"))]
+    return [case for case in cases if case[1].num_commodities > 1]
+
+
+def test_the_start_basis_keeps_converged_bounds_and_proven_values(monkeypatch):
+    # Against runs forced onto the slack-and-bypass start for every first master.
+    def default_start(prob, warm=None, basis=None, inverse=None):
+        return solve_lp(prob, warm=warm)
+
     started = 0
-    for case, net, vectors in cases:
-        if net.num_commodities == 1:
-            continue
+    for case, net, vectors in tracked_cases():
         res, _, start = first_master(monkeypatch, net, vectors)
         started += max(start[: net.num_detections]) >= net.num_detections
         monkeypatch.setattr(colgen, "solve_lp", default_start)
@@ -652,6 +655,121 @@ def test_the_start_basis_keeps_converged_bounds_and_proven_values(monkeypatch):
             assert res.status == "proven-optimal", case
             assert abs(res.v_int - ref.v_int) <= 1e-9, case
     assert started >= 40
+
+
+def test_the_written_start_inverse_is_the_factored_one(monkeypatch):
+    # Column generation hands the first master its start basis with the
+    # inverse written down from the start's blocks; it must be the inverse
+    # that factoring the same start gives.
+    real, written = colgen.solve_lp, 0
+    for case, net, vectors in tracked_cases():
+        firsts = []
+
+        def spy(prob, warm=None, basis=None, inverse=None):
+            if warm is None:
+                firsts.append((prob, basis, inverse))
+            return real(prob, warm=warm, basis=basis, inverse=inverse)
+
+        monkeypatch.setattr(colgen, "solve_lp", spy)
+        column_generation(net, vectors)
+        monkeypatch.undo()
+        prob, basis, inverse = firsts[0]
+        factored = lp_module._basis_inverse(stacked(prob), basis, prob.a_ub.shape[0])
+        assert np.abs(inverse - factored).max() <= 1e-12, case
+        written += not np.array_equal(inverse, np.eye(len(basis)))
+    assert written >= 40
+
+
+def decoded_rounds(monkeypatch, net, vectors):
+    """Run column generation; per pricing call, its pi, sigma, zetas, columns and the
+    commodities whose paths were walked (`_path_to_v`) before the next call."""
+    real_price, real_walk, real_lp = colgen.price, colgen._path_to_v, colgen.solve_lp
+    rounds, sigma = [], [None]
+
+    def spy_price(tables, pi):
+        cols, zetas = real_price(tables, pi)
+        rounds.append(dict(pi=pi, sigma=sigma[0], zetas=zetas, cols=cols, walked=set()))
+        return cols, zetas
+
+    def spy_walk(network, pred, k, i):
+        rounds[-1]["walked"].add(k)
+        return real_walk(network, pred, k, i)
+
+    def spy_lp(prob, warm=None, basis=None, inverse=None):
+        sol = real_lp(prob, warm=warm, basis=basis, inverse=inverse)
+        sigma[0] = sol.sigma
+        return sol
+
+    monkeypatch.setattr(colgen, "price", spy_price)
+    monkeypatch.setattr(colgen, "_path_to_v", spy_walk)
+    monkeypatch.setattr(colgen, "solve_lp", spy_lp)
+    res = column_generation(net, vectors)
+    monkeypatch.undo()
+    return res, rounds
+
+
+def test_a_round_decodes_only_the_columns_that_price_below_sigma(monkeypatch):
+    # The initial pricing decodes every commodity's column; a round decodes
+    # exactly those with zeta_k < sigma_k - CERT_TOL (a bypass column walks
+    # no path), and a converged round none.
+    converged = partial = 0
+    for case, net, vectors in tracked_cases():
+        res, rounds = decoded_rounds(monkeypatch, net, vectors)
+        for r, rnd in enumerate(rounds):
+            read = (np.ones(net.num_commodities, dtype=bool) if r == 0
+                    else rnd["zetas"] < rnd["sigma"] - CERT_TOL)
+            want = {k for k in np.flatnonzero(read).tolist() if len(rnd["cols"][k].edges) > 1}
+            assert rnd["walked"] == want, (case, r)
+            if r and not read.any():
+                converged += 1
+            partial += bool(r and read.any() and not read.all())
+        if res.status != "iteration-limit":
+            assert not (rounds[-1]["zetas"] < rounds[-1]["sigma"] - CERT_TOL).any(), case
+    assert converged >= 40 and partial > 0
+
+
+def test_lazy_columns_match_an_eager_decode_under_forced_ties():
+    # Half-unit and unit grids make exact ties common. Columns read in any
+    # order, after later sweeps have overwritten the candidate buffer, equal
+    # the same call's columns read at once, in order.
+    rng = np.random.default_rng(11)
+    ties = 0
+    for seed in range(120):
+        net, raw = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
+        ns, nc = net.num_shared, net.num_commodities
+        for costs in ([np.round(2.0 * c) / 2.0 for c in raw], [np.round(c) for c in raw]):
+            tables = PricingTables.build(net, costs)
+            for pi in (None, np.round(4.0 * rng.random(ns)) / 2.0):
+                eager = [(c.key, c.cost.hex()) for c in price(tables, pi)[0]]
+                lazy, _ = price(tables, pi)
+                price(tables, np.round(2.0 * rng.random(ns)))
+                _bounded_columns(tables, np.zeros(ns), np.zeros(nc), 1.0)
+                for k in rng.permutation(nc).tolist():
+                    assert (lazy[k].key, lazy[k].cost.hex()) == eager[k], (seed, k)
+                ties += any(lazy.ends_tied) + bool(lazy._preds[1])
+    assert ties > 50
+
+
+def test_pricing_tables_use_the_cost_matrix_in_place_only_for_its_rows():
+    dets, _ = synth_generate(WIDE_SCENE, seed=3)
+    window = [d for f in (1, 2, 3) for d in dets[f]]
+    tracks = [fake_track(d.box, 0, d.feature, dim=d.feature.size) for d in dets[1][:3]]
+    cfg = WIDE_CONFIG
+    net = build_network(window, tracks, [cfg.d0] + [1] * len(tracks), cfg.gating_config())
+    rows = [cv.values for cv in assemble_cost_vectors(net, tracks, cfg.cost_config())]
+    matrix = rows[0].base
+    assert PricingTables.build(net, rows).values is matrix
+    flat = matrix.ravel()
+    size = net.cost_size
+    others = [
+        [rows[1], rows[0]] + rows[2:],  # rows of the matrix, out of order
+        [flat[k * size + 1 : (k + 1) * size + 1] for k in range(len(rows) - 1)] + rows[-1:],
+        [row.copy() for row in rows],
+    ]
+    for values in others:
+        tables = PricingTables.build(net, values)
+        assert not np.shares_memory(tables.values, matrix)
+        assert np.array_equal(tables.values, np.stack(values))
 
 
 def test_single_commodity_converges_in_one_iteration():
@@ -773,8 +891,8 @@ def priced_rounds(monkeypatch, net, vectors):
         events.append(("pool", len(pool)))
         return real_master(pool)
 
-    def spy_lp(prob, warm=None, basis=None):
-        sol = real_lp(prob, warm=warm, basis=basis)
+    def spy_lp(prob, warm=None, basis=None, inverse=None):
+        sol = real_lp(prob, warm=warm, basis=basis, inverse=inverse)
         events.append(("lp", sol.sigma))
         return sol
 
@@ -1223,12 +1341,12 @@ def test_group_selection_flows_match_a_per_edge_loop():
     tracked = several = 0
     for net, res in results:
         selection = [entry for group in res.selection for entry in group]
-        grouped, flows = colgen._group_selection(net, selection)
-        assert grouped == res.selection
+        assert colgen._group_selection(net, selection) == res.selection
         want = per_edge_flows(net, selection)
-        for got, ref in zip(flows, want):
+        assert len(res.flows) == len(want)
+        for got, ref in zip(res.flows, want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        tracked += any(flow.any() for flow in flows[1:])
+        tracked += any(flow.any() for flow in res.flows[1:])
         several += any(len(col.edges) == 1 and units > 1 for col, units in selection)
     assert tracked > 0 and several > 0
 

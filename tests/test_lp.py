@@ -299,9 +299,9 @@ def test_infeasible_warm_start_raises_and_column_generation_retries_cold(monkeyp
     ref = column_generation(net, vectors)
     raised = []
 
-    def negated(prob, warm=None, basis=None):
+    def negated(prob, warm=None, basis=None, inverse=None):
         if warm is None:
-            return solve_lp(prob, basis=basis)
+            return solve_lp(prob, basis=basis, inverse=inverse)
         try:
             return solve_lp(prob, warm=replace(warm, inverse=-warm.inverse))
         except LPInternalError as exc:
@@ -385,6 +385,45 @@ def test_a_start_basis_of_the_wrong_length_or_singular_raises():
         solve_lp(TWINS, warm=solve_lp(TWINS), basis=[0, 1])
 
 
+def test_a_start_basis_given_with_its_inverse_is_checked_not_factored(monkeypatch):
+    rng = np.random.default_rng(5)
+    for seed in range(8):
+        prob = master_lp(seed)
+        start = path_start(prob, rng, per_commodity=1)
+        inverse = lp_module._basis_inverse(stacked(prob), start, prob.a_ub.shape[0])
+        given = inverse.copy()
+        ref = solve_lp(prob, basis=start)
+        sol = solve_lp(prob, basis=start, inverse=inverse)
+        assert (sol.objective, sol.basis, sol.iterations) == (ref.objective, ref.basis,
+                                                              ref.iterations), seed
+        assert np.array_equal(inverse, given), seed  # the solve pivots on a copy
+    # the slack and the bypass, given with their inverse: nothing is factored on entry
+    entry = []
+    real = lp_module._basis_inverse
+    monkeypatch.setattr(lp_module, "_basis_inverse", lambda *a: entry.append(a) or real(*a))
+    sol = solve_lp(TWINS, basis=[0, 1], inverse=np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert not entry and sol.objective == pytest.approx(-1.0)
+
+
+def test_a_start_basis_given_with_a_wrong_or_singular_inverse_raises():
+    start = [0, 1]  # the slack and the bypass: B is the identity
+    for bad in (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6]]),  # off by more than INVERSE_TOL
+                np.array([[0.0, 1.0], [1.0, 0.0]]),  # rows swapped
+                np.zeros((2, 2)),  # singular
+                np.ones((2, 2))):  # singular
+        with pytest.raises(ValueError, match="does not invert the start basis"):
+            solve_lp(TWINS, basis=start, inverse=bad)
+    with pytest.raises(ValueError, match="inverse is 2 x 2"):
+        solve_lp(TWINS, basis=start, inverse=np.eye(3))
+    # a singular start has no inverse to give
+    with pytest.raises(ValueError, match="does not invert the start basis"):
+        solve_lp(TWINS, basis=[2, 3], inverse=np.eye(2))
+    with pytest.raises(ValueError, match="with its start basis"):
+        solve_lp(TWINS, inverse=np.eye(2))
+    with pytest.raises(ValueError, match="carries its own basis"):
+        solve_lp(TWINS, warm=solve_lp(TWINS), inverse=np.eye(2))
+
+
 def test_refactorization_onto_a_singular_basis_raises(monkeypatch):
     # Convexity rows only, so the basis is the structural block. Column 2
     # duplicates column 0. A drifted inverse (rows swapped) sends the pivot
@@ -437,9 +476,9 @@ def test_forced_stalls_keep_column_generation_exact(monkeypatch):
     monkeypatch.setattr(lp_module, "DEGENERATE_RUN_LIMIT", 1)
     count = 0
 
-    def spy(prob, warm=None, basis=None):
+    def spy(prob, warm=None, basis=None, inverse=None):
         nonlocal count
-        sol = solve_lp(prob, warm=warm, basis=basis)
+        sol = solve_lp(prob, warm=warm, basis=basis, inverse=inverse)
         count += perturbed(prob, sol)
         return sol
 

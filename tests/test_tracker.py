@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcftrack import colgen
 from mcftrack import tracker as tracker_module
 from mcftrack.graph import GatingConfig
 from mcftrack.io import Scenario, parse_scenario, synth_generate
@@ -299,3 +300,28 @@ def test_long_windows_converge_below_the_iteration_cap(monkeypatch):
     assert not [r for r in results if r.status == "iteration-limit"]
     assert max(d.iterations for d in diags) < config.iter_max
     assert sum(r.pivots for r in results) <= 40_000
+
+
+def test_tracking_builds_no_flow_array(monkeypatch):
+    # The wide bench scene at its smoke size (12 frames): the tracker reads
+    # each window's selection, never CGResult.flows, which are built only
+    # when read.
+    scene = Scenario(targets=24, frames=12, clutter_rate=0.0, feature_dim=24, arena_h=3200.0,
+                     lane_gap=120.0, miss_prob=0.05, feature_noise=0.1, pos_noise=1.0,
+                     target_score_std=0.0)
+    config = TrackerConfig(window=3, d0=8, bypass_cost_tracked=12.0, bypass_cost_dummy=19.5)
+    real, results = tracker_module.column_generation, []
+
+    def solve(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    def unread(result):
+        raise AssertionError("the tracker read a window's flows")
+
+    monkeypatch.setattr(tracker_module, "column_generation", solve)
+    monkeypatch.setattr(colgen.CGResult, "flows", property(unread))
+    dets, _ = synth_generate(scene, seed=3)
+    tracks, _ = run(dets, config, max_frame=scene.frames)
+    assert len(results) == 10 and len(tracks) >= 20
+    assert sum(len(r.selection) > 1 for r in results) == 9
