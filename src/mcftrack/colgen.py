@@ -21,10 +21,10 @@ of the window (detections of one frame form a contiguous range, and every
 transition leaves an earlier one); the loop stops when every priced value
 zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
 an iteration cap, or when pricing can only repeat pooled columns. The sweep
-gives every zeta_k, but a commodity's column (its path, walked back from
-the sweep, with the exact-tie rules, and its cost) is decoded only when
-read: every one in the initial pricing, and in a round only those with
-zeta_k < sigma_k - CERT_TOL, the columns that join the pool. The dummy
+gives every zeta_k, and `price(tables, pi, sigma)` decodes (walks back from
+the sweep, with the exact-tie rules, and costs) only the columns with
+zeta_k < sigma_k - CERT_TOL, which join the pool: none in a round that
+certifies, and at the initial pricing, at no sigma, all of them. The dummy
 commodity carries up to d0 units, so whenever its shortest path prices
 negative, the round also routes all d0 of them under the pi-shifted costs as
 one min-cost assignment (`_dummy_flow`, the routine that solves dummy-only
@@ -347,100 +347,48 @@ def _sweep(tables: PricingTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return reach, dist
 
 
-class _PricedColumns(Sequence[PathColumn]):
-    """One priced column per commodity, decoded and costed when first read.
+def _decode(tables: PricingTables, k: int, i: int, hit: np.ndarray, pred: np.ndarray,
+            tied: dict[int, list[int]], cand: np.ndarray, ends_tied: bool) -> PathColumn:
+    """Commodity k's column: the bypass where i is -1, else its path ending at detection i.
 
-    Entry k is commodity k's shortest path, with its unshifted cost: the
-    bypass where `via[k]` is -1, else the path that terminates from
-    detection via[k]. `hit` holds, per commodity and transition (by head,
-    then edge id), whether the transition reaches its head at the head's
-    distance; it is the pricing call's own, so a later sweep changes no
-    column. Where several detections end at zeta_k (`ends_tied`), and at a
-    head that several transitions reach, paths are compared.
+    Paths are compared where several end at zeta_k (`ends_tied`) or meet at a head in `tied`.
     """
-
-    def __init__(self, tables: PricingTables, via: list[int], hit: np.ndarray,
-                 cand: np.ndarray, ends_tied: list[bool]) -> None:
-        self.tables, self.via, self.hit, self.cand, self.ends_tied = (
-            tables, via, hit, cand, ends_tied)
-        self.columns: list[PathColumn | None] = [None] * len(via)
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __getitem__(self, k: int) -> PathColumn:
-        col = self.columns[k]
-        if col is None:
-            k %= len(self.columns)
-            col = self.columns[k] = self._decode(k)
-        return col
-
-    @cached_property
-    def _preds(self) -> tuple[np.ndarray, dict[int, list[int]]]:
-        """The edge into each u node per commodity (-1: start), and the tied heads.
-
-        A start loses every tie: a path through a transition begins at the
-        start edge of a lower detection. So a head takes its one hitting
-        transition, else the start; the heads that several transitions hit
-        are listed per commodity, in detection order, and their entries are
-        left to `_decode`.
-        """
-        t = self.tables
-        rows, cols = np.nonzero(self.hit)  # by commodity, then head
-        heads = t.trans_heads[cols]
-        pred = np.full((len(self.via), t.network.num_detections), -1)
-        pred[rows, heads] = t.trans_edges[cols]
-        tied: dict[int, list[int]] = {}
-        again = (rows[1:] == rows[:-1]) & (heads[1:] == heads[:-1])
-        for k, h in zip(rows[1:][again].tolist(), heads[1:][again].tolist()):
-            hs = tied.setdefault(k, [])
-            if not hs or hs[-1] != h:  # a head that three transitions hit comes twice
-                hs.append(h)
-        return pred, tied
-
-    def _decode(self, k: int) -> PathColumn:
-        t = self.tables
-        net = t.network
-        n = net.num_detections
-        i = self.via[k]
-        if i < 0:
-            edges: tuple[int, ...] = (net.bypass_edge(k),)
-        else:
-            pred, tied = self._preds
-            pred_k = pred[k].tolist()
-            # in detection order, so that every tail's path is settled first
-            for h in tied.get(k, ()):
-                a, b = t.into[h], t.into[h + 1]
-                pred_k[h] = min(
-                    t.trans_edges[a:b][self.hit[k, a:b]].tolist(),
-                    key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
-                )
-            if self.ends_tied[k]:
-                i = min(np.flatnonzero(self.cand[k] == self.cand[k, i]).tolist(),
-                        key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)])
-            edges = tuple(_path_to_v(net, pred_k, k, i)) + (net.term_edge(k, i),)
-        return PathColumn(k, edges, _path_cost(t.rows[k], net, k, edges))
+    net = tables.network
+    n = net.num_detections
+    if i < 0:
+        edges: tuple[int, ...] = (net.bypass_edge(k),)
+    else:
+        pred_k = pred[k].tolist()
+        # in detection order, so that every tail's path is settled first
+        for h in tied.get(k, ()):
+            a, b = tables.into[h], tables.into[h + 1]
+            pred_k[h] = min(
+                tables.trans_edges[a:b][hit[k, a:b]].tolist(),
+                key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
+            )
+        if ends_tied:
+            i = min(np.flatnonzero(cand[k] == cand[k, i]).tolist(),
+                    key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)])
+        edges = tuple(_path_to_v(net, pred_k, k, i)) + (net.term_edge(k, i),)
+    return PathColumn(k, edges, _path_cost(tables.rows[k], net, k, edges))
 
 
 def price(
-    tables: PricingTables, pi: np.ndarray | None
-) -> tuple[Sequence[PathColumn], np.ndarray]:
+    tables: PricingTables, pi: np.ndarray | None, sigma: np.ndarray | None = None
+) -> tuple[list[PathColumn], np.ndarray]:
     """Price every commodity: shortest pi-shifted path and its value zeta_k.
 
     One sweep over the frame layers relaxes all commodities at once under
-    the pi-shifted shared costs. Exact-value ties resolve to the
+    the pi-shifted shared costs; the bypass makes every sink reachable.
+    Returns, in commodity order, the columns (with their unshifted path
+    costs) of the commodities with zeta_k < sigma_k - CERT_TOL, or of all
+    when `sigma` is None, and every zeta_k. Exact-value ties resolve to the
     lexicographically smallest edge-id sequence; only truly tied
-    (commodity, node) entries compare paths. Returns one column per
-    commodity, carrying its unshifted path cost, and the zetas; the bypass
-    makes every sink reachable. The columns come as a sequence that decodes
-    and costs a commodity's column when it is first read, so the tie rules
-    run only for the commodities read.
+    (commodity, node) entries of the returned commodities compare paths.
     """
     n = tables.network.num_detections
     nc = tables.shared.shape[0]
     reach, dist = _sweep(tables, tables.shared if pi is None else tables.shared + pi)
-    # whether each transition's candidate is its head's distance
-    hit = tables.buf[:, tables.trans_pos] == reach[:, tables.trans_heads]
 
     via = np.full(nc, -1)  # detection each commodity terminates from, -1: bypass
     ends_tied = np.zeros(nc, dtype=bool)  # several detections end at zeta_k
@@ -454,7 +402,27 @@ def price(
         zetas[wins] = ends[wins]
         via[~wins] = -1
         ends_tied = wins & (np.count_nonzero(cand == ends[:, None], axis=1) > 1)
-    return _PricedColumns(tables, via.tolist(), hit, cand, ends_tied.tolist()), zetas
+    wanted = range(nc) if sigma is None else np.flatnonzero(zetas < sigma - CERT_TOL).tolist()
+    if not wanted:
+        return [], zetas
+    # whether each transition (by head, then edge id) reaches its head at the head's distance
+    hit = tables.buf[:, tables.trans_pos] == reach[:, tables.trans_heads]
+    # A start loses every tie: a path through a transition begins at the start
+    # edge of a lower detection. So pred takes a head's one hitting transition,
+    # else -1 (the start); the heads that several transitions hit are listed
+    # per commodity in `tied`, in detection order, for `_decode` to compare.
+    rows, cols = np.nonzero(hit)  # by commodity, then head
+    heads = tables.trans_heads[cols]
+    pred = np.full((nc, n), -1)
+    pred[rows, heads] = tables.trans_edges[cols]
+    tied: dict[int, list[int]] = {}
+    again = (rows[1:] == rows[:-1]) & (heads[1:] == heads[:-1])
+    for k, h in zip(rows[1:][again].tolist(), heads[1:][again].tolist()):
+        hs = tied.setdefault(k, [])
+        if not hs or hs[-1] != h:  # a head that three transitions hit comes twice
+            hs.append(h)
+    return [_decode(tables, k, int(via[k]), hit, pred, tied, cand, bool(ends_tied[k]))
+            for k in wanted], zetas
 
 
 def optimality_check(
@@ -806,32 +774,29 @@ def column_generation(
 
     pool = _Pool(network)
 
-    def add_dummy_paths(zeta: float, pi: np.ndarray, cutoff: float) -> int:
+    def add_dummy_paths(zeta: float, pi: np.ndarray, cutoff: float) -> None:
         """Pool the dummy's flow paths under `pi` that price below `cutoff`.
 
         Only when the dummy's zeta is below the cutoff. The flow's paths are
         detection-disjoint, and each one's pi-shifted cost is its reduced
-        cost. Returns the paths pooled.
+        cost.
         """
-        if zeta >= cutoff:
-            return 0
-        flow = _dummy_flow(network, values[0], pi)
-        return sum(
-            pool.add(col) for col in flow
-            if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoff
-        )
+        if zeta < cutoff:
+            for col in _dummy_flow(network, values[0], pi):
+                if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoff:
+                    pool.add(col)
 
-    def add_priced(col: PathColumn) -> int:
+    def add_priced(col: PathColumn) -> list[PathColumn]:
         """Pool a priced column and, for a tracked commodity, its sub-path family.
 
-        Returns the columns pooled: 0 when `col` is pooled already.
+        Returns the columns pooled, `col` first; none when `col` was pooled.
         """
         if not pool.add(col):
-            return 0
+            return []
         if col.commodity == 0:
-            return 1
+            return [col]
         family = _sub_paths(network, tables.rows[col.commodity], col)
-        return 1 + sum(pool.add(sub) for sub in family)
+        return [col] + [sub for sub in family if pool.add(sub)]
 
     # The first master's start basis over [slacks | columns], by row: slack i
     # at detection i and commodity k's bypass at row n + k, except where a
@@ -845,10 +810,8 @@ def column_generation(
     entries: tuple[list[int], list[int], list[float]] = ([], [], [])
     priced, zetas = price(tables, None)
     for k, col in enumerate(priced):
-        pool.add(col)
-        family = _sub_paths(network, tables.rows[k], col) if k else []
-        for sub in family:
-            pool.add(sub)
+        # the pool holds no column of k yet, so `col` and its family all join
+        family = add_priced(col)[1:]
         edges = (network.bypass_edge(k),)
         bypass = PathColumn(k, edges, _path_cost(tables.rows[k], network, k, edges))
         pool.add(bypass)
@@ -902,27 +865,25 @@ def column_generation(
         pi = np.zeros(ns)
         pi[: network.num_detections] = sol.pi
 
-        priced, zetas = price(tables, pi)
+        priced, zetas = price(tables, pi, sol.sigma)
         best_bound = max(
             best_bound,
             lagrangian_lower_bound(sol.objective, zetas, sol.sigma, demands),
         )
-        if optimality_check(zetas, sol.sigma):
+        if not priced:  # the reduced-cost certificate
             v_lp = sol.objective
             converged = True
             break
-        added = 0
-        # only these commodities' columns are decoded
-        for k in np.flatnonzero(zetas < sol.sigma - CERT_TOL).tolist():
-            pooled = add_priced(priced[k])
-            added += pooled
-            if not pooled and zetas[k] - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
+        size = len(pool)
+        for col in priced:
+            k = col.commodity
+            if not add_priced(col) and zetas[k] - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
                 raise ColgenError(
                     f"pricing repeated a pooled column for commodity {k} "
                     f"with violation {zetas[k] - sol.sigma[k]:.3e}; duals inconsistent"
                 )
-        added += add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
-        if added == 0:
+        add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
+        if len(pool) == size:
             # Only within-noise duplicates: fall back to the bound.
             v_lp = best_bound
             converged = True

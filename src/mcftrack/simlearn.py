@@ -229,18 +229,23 @@ def build_triplets(
 
     associations maps trajectory index -> the feature newly associated to it.
     Trajectory k's set pairs its template (anchor) and new feature (positive)
-    against every other associated feature (negatives), in index order. Fewer
-    than two associations yield empty sets.
+    against every other associated feature (negatives), in index order, less
+    those exactly equal to its positive: such a triplet has no update
+    direction. Fewer than two associations yield empty sets.
     """
     keys = sorted(associations)
     if not keys:
         return {}
     feats = np.array([associations[k] for k in keys], dtype=np.float64)
+    # other[i, j]: feature j is a negative of set i; equal features share a first entry
+    other = ~np.eye(len(keys), dtype=bool)
+    if len(set(feats[:, 0].tolist())) < len(keys):
+        other &= ~(feats[:, None] == feats).all(axis=2)
     return {
         k: TripletSet(
             anchor=trajectories[k].template,  # type: ignore[attr-defined]
             positive=feats[i],
-            negatives=np.concatenate((feats[:i], feats[i + 1 :])),
+            negatives=feats.compress(other[i], axis=0),
         )
         for i, k in enumerate(keys)
     }

@@ -151,6 +151,27 @@ def test_broken_feature_sidecar_exits_2(scene, capsys, explicit):
         assert not out.exists(), kind
 
 
+def test_targets_with_one_identical_appearance_feature_are_tracked(tmp_path, capsys):
+    # Two targets 300 px apart, every detection with the same unit feature:
+    # each frame's learning step pairs one target's feature against the
+    # other's equal one, a triplet with no update direction, which once
+    # failed the whole stream with exit 1 and no output.
+    det, out, config = tmp_path / "dets.txt", tmp_path / "hyp.txt", tmp_path / "t.config"
+    det.write_text("".join(f"{f},-1,{x:.2f},100.00,40.00,80.00,0.9000,-1,-1,-1\n"
+                           for f in range(1, 9) for x in (50.0, 350.0)))
+    feature = np.zeros(48)
+    feature[0] = 1.0
+    np.save(tmp_path / "dets.txt.npy", np.tile(feature, (16, 1)))
+    config.write_text("d0=8\nbypass_cost_tracked=12.0\nbypass_cost_dummy=19.5\nwindow=3\n")
+    code = main(["track", "--det", str(det), "--out", str(out), "--config", str(config)])
+    assert code == 0, capsys.readouterr().err
+    tracks = read_tracks(out)
+    assert len(tracks) == 2
+    assert sorted({box[0] for frames in tracks.values() for box in frames.values()}) == [50.0, 350.0]
+    assert all(len(frames) == 8 and len({box[0] for box in frames.values()}) == 1
+               for frames in tracks.values())
+
+
 def test_non_finite_frame_exits_2(tmp_path, capsys):
     det = tmp_path / "dets.txt"
     det.write_text("1,-1,10,20,5,60,0.8,-1,-1,-1\ninf,-1,10,20,5,60,0.8,-1,-1,-1\n")

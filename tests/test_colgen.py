@@ -682,17 +682,19 @@ def test_the_written_start_inverse_is_the_factored_one(monkeypatch):
 
 def decoded_rounds(monkeypatch, net, vectors):
     """Run column generation; per pricing call, its pi, sigma, zetas, columns and the
-    commodities whose paths were walked (`_path_to_v`) before the next call."""
+    commodities whose paths were walked (`_path_to_v`) in the call."""
     real_price, real_walk, real_lp = colgen.price, colgen._path_to_v, colgen.solve_lp
-    rounds, sigma = [], [None]
+    rounds, sigma, walked = [], [None], set()
 
-    def spy_price(tables, pi):
-        cols, zetas = real_price(tables, pi)
-        rounds.append(dict(pi=pi, sigma=sigma[0], zetas=zetas, cols=cols, walked=set()))
+    def spy_price(tables, pi, sigma_=None):
+        walked.clear()
+        cols, zetas = real_price(tables, pi, sigma_)
+        assert sigma_ is sigma[0]
+        rounds.append(dict(pi=pi, sigma=sigma_, zetas=zetas, cols=cols, walked=set(walked)))
         return cols, zetas
 
     def spy_walk(network, pred, k, i):
-        rounds[-1]["walked"].add(k)
+        walked.add(k)
         return real_walk(network, pred, k, i)
 
     def spy_lp(prob, warm=None, basis=None, inverse=None):
@@ -710,15 +712,16 @@ def decoded_rounds(monkeypatch, net, vectors):
 
 def test_a_round_decodes_only_the_columns_that_price_below_sigma(monkeypatch):
     # The initial pricing decodes every commodity's column; a round decodes
-    # exactly those with zeta_k < sigma_k - CERT_TOL (a bypass column walks
-    # no path), and a converged round none.
+    # and returns exactly those with zeta_k < sigma_k - CERT_TOL (a bypass
+    # column walks no path), and a converged round none.
     converged = partial = 0
     for case, net, vectors in tracked_cases():
         res, rounds = decoded_rounds(monkeypatch, net, vectors)
         for r, rnd in enumerate(rounds):
             read = (np.ones(net.num_commodities, dtype=bool) if r == 0
                     else rnd["zetas"] < rnd["sigma"] - CERT_TOL)
-            want = {k for k in np.flatnonzero(read).tolist() if len(rnd["cols"][k].edges) > 1}
+            assert [c.commodity for c in rnd["cols"]] == np.flatnonzero(read).tolist(), (case, r)
+            want = {c.commodity for c in rnd["cols"] if len(c.edges) > 1}
             assert rnd["walked"] == want, (case, r)
             if r and not read.any():
                 converged += 1
@@ -728,26 +731,44 @@ def test_a_round_decodes_only_the_columns_that_price_below_sigma(monkeypatch):
     assert converged >= 40 and partial > 0
 
 
-def test_lazy_columns_match_an_eager_decode_under_forced_ties():
-    # Half-unit and unit grids make exact ties common. Columns read in any
-    # order, after later sweeps have overwritten the candidate buffer, equal
-    # the same call's columns read at once, in order.
+def test_price_at_sigma_returns_the_columns_below_it_under_forced_ties(monkeypatch):
+    # Half-unit and unit grids make exact ties common. At sigma, price
+    # returns, in commodity order, exactly the commodities with
+    # zeta_k < sigma_k - CERT_TOL, each with the column price at no sigma
+    # gives it; a commodity at zeta_k == sigma_k - CERT_TOL exactly is left out.
     rng = np.random.default_rng(11)
-    ties = 0
+    ties = at_edge = 0
+    tied = {"ends": False, "heads": False}  # in the last call, over its decodes
+    real_decode = colgen._decode
+
+    def spy_decode(tables, k, i, hit, pred, tied_heads, cand, ends_tied):
+        tied["ends"] |= ends_tied
+        tied["heads"] |= bool(tied_heads)
+        return real_decode(tables, k, i, hit, pred, tied_heads, cand, ends_tied)
+
+    monkeypatch.setattr(colgen, "_decode", spy_decode)
     for seed in range(120):
         net, raw = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
         ns, nc = net.num_shared, net.num_commodities
         for costs in ([np.round(2.0 * c) / 2.0 for c in raw], [np.round(c) for c in raw]):
             tables = PricingTables.build(net, costs)
             for pi in (None, np.round(4.0 * rng.random(ns)) / 2.0):
-                eager = [(c.key, c.cost.hex()) for c in price(tables, pi)[0]]
-                lazy, _ = price(tables, pi)
-                price(tables, np.round(2.0 * rng.random(ns)))
-                _bounded_columns(tables, np.zeros(ns), np.zeros(nc), 1.0)
-                for k in rng.permutation(nc).tolist():
-                    assert (lazy[k].key, lazy[k].cost.hex()) == eager[k], (seed, k)
-                ties += any(lazy.ends_tied) + bool(lazy._preds[1])
-    assert ties > 50
+                tied.update(ends=False, heads=False)
+                every, zetas = price(tables, pi)
+                ties += tied["ends"] + tied["heads"]
+                assert [c.commodity for c in every] == list(range(nc))
+                # sigma_k lands below, at and above zeta_k + CERT_TOL
+                sigma = zetas + CERT_TOL + rng.choice([-0.5, 0.0, 0.5], nc)
+                sigma[0] = zetas[0] + CERT_TOL  # a commodity exactly at the edge
+                at_edge += sigma[0] - CERT_TOL == zetas[0]
+                cols, again = price(tables, pi, sigma)
+                assert np.array_equal(again, zetas)
+                want = [k for k in range(nc) if zetas[k] < sigma[k] - CERT_TOL]
+                assert [c.commodity for c in cols] == want, seed
+                for col in cols:
+                    assert (col.key, col.cost.hex()) == (every[col.commodity].key,
+                                                         every[col.commodity].cost.hex()), seed
+    assert ties > 50 and at_edge > 100
 
 
 def test_pricing_tables_use_the_cost_matrix_in_place_only_for_its_rows():
@@ -882,9 +903,10 @@ def priced_rounds(monkeypatch, net, vectors):
     real_lp, real_flow = colgen.solve_lp, colgen._dummy_flow
     real_extract = colgen.extract_integer
 
-    def spy_price(tables, pi):
-        cols, zetas = real_price(tables, pi)
-        events.append(("price", None if pi is None else pi.copy(), cols, zetas))
+    def spy_price(tables, pi, sigma=None):
+        cols, zetas = real_price(tables, pi, sigma)
+        events.append(("price", None if pi is None else pi.copy(),
+                       {col.commodity: col for col in cols}, zetas))
         return cols, zetas
 
     def spy_master(pool):
@@ -985,9 +1007,10 @@ def check_family_rounds(net, vectors, res, rounds):
         pooled = {c.key for c in res.columns[: rnd["start"]]}
         added = [c for c in rnd["added"] if r > 0 or c.key not in bypass]
         for k in range(1, net.num_commodities):
-            col = rnd["first"][k]
+            col = rnd["first"].get(k)
             want = []
             negative = r == 0 or rnd["zetas"][k] < rnd["sigma"][k] - CERT_TOL
+            assert (col is not None) == negative
             if negative and col.key not in pooled:
                 want = [c for c in [col] + sub_path_family(net, vectors, col)
                         if c.key not in pooled and (r > 0 or c.key not in bypass)]
@@ -1017,9 +1040,11 @@ def check_dummy_rounds(net, vectors, res, rounds):
         assert all(np.array_equal(flow_pi, pi) for flow_pi in rnd["flows"])
         # the initial round also pools every commodity's bypass column
         added = [c for c in rnd["added"] if r > 0 or c.key not in bypass]
-        first = rnd["first"][0]
+        first = rnd["first"].get(0)
+        assert (first is not None) == (r == 0 or negative[0])
+        first_key = first and first.key
         dummy = [c for c in added if c.commodity == 0]
-        extra = [c for c in dummy if c.key != first.key]
+        extra = [c for c in dummy if c.key != first_key]
         extras += len(extra)
 
         def shifted(col):
@@ -1028,7 +1053,7 @@ def check_dummy_rounds(net, vectors, res, rounds):
         # the extras are the flow's paths at pi below the cutoff, less those pooled
         want = []
         if rnd["flows"]:
-            pooled = {c.key for c in res.columns[: rnd["start"]]} | {first.key}
+            pooled = {c.key for c in res.columns[: rnd["start"]]} | {first_key}
             flow = _dummy_flow(net, values[0], pi)
             want = [c for c in flow if shifted(c) < cutoffs[0] and c.key not in pooled]
         assert [(c.key, c.cost) for c in extra] == [(c.key, c.cost) for c in want]
@@ -1071,8 +1096,9 @@ def test_dummy_flow_is_pooled_while_a_tracked_commodity_prices_negative(monkeypa
     shared = 0
     for rnd in rounds[1:]:
         tracked = (rnd["zetas"][1:] < rnd["sigma"][1:] - CERT_TOL).any()
-        first = rnd["first"][0]
-        extra = [c for c in rnd["added"] if c.commodity == 0 and c.key != first.key]
+        first = rnd["first"].get(0)
+        first_key = first and first.key
+        extra = [c for c in rnd["added"] if c.commodity == 0 and c.key != first_key]
         shared += bool(tracked and rnd["flows"] and extra)
     assert shared > 0
 

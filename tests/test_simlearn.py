@@ -342,6 +342,23 @@ def test_build_triplets_gives_each_set_one_negatives_array():
         assert np.array_equal(ts.positive, feats[k])
 
 
+def test_build_triplets_leaves_out_negatives_equal_to_the_positive():
+    # A negative equal to its set's positive gives no update direction, and
+    # update_model raises on one that is not already a no-op.
+    third = np.array([0.6, 0.8])
+    trajs = [_Traj(k, E1) for k in range(4)]
+    out = build_triplets(trajs, {0: E1, 1: E2, 2: E1.copy(), 3: third})
+    assert np.array_equal(out[0].negatives, [E2, third])
+    assert np.array_equal(out[1].negatives, [E1, E1, third])
+    assert np.array_equal(out[2].negatives, [E2, third])
+    assert np.array_equal(out[3].negatives, [E1, E2, E1])
+    for ts in out.values():
+        update_model(model(np.eye(2)), ts)
+    # two equal features: each set is left with no negative
+    out = build_triplets(trajs[:2], {0: E1, 1: E1.copy()})
+    assert len(out[0]) == len(out[1]) == 0
+
+
 def test_degenerate_negative_mid_set_keeps_the_steps_before_it():
     rng = np.random.default_rng(19)
     raised = 0
