@@ -12,16 +12,12 @@ detection that no pooled column visits has an all-zero row, whose slack
 stays basic at 1 with dual 0; on the bench scenes 0.6-2.4% of the rows are
 such. Since the rows never change, a round only appends columns, and each
 master solve warm-starts from the previous one's solution as it is
-(`solve_lp(prob, warm=sol)`: its basis, inverse and factor age). A warm
-solve that raises LPInternalError is retried once from a cold start at the
-slack-and-bypass basis (`solve_lp(prob)`), the loop's only fallback.
-Pricing finds every commodity's shortest path under costs shifted by the
-coupling duals pi on shared edges, in one numpy sweep over the frame layers
-of the window (detections of one frame form a contiguous range, and every
-transition leaves an earlier one); the loop stops when every priced value
-zeta_k clears its convexity dual sigma_k (the reduced-cost certificate), at
-an iteration cap, or when pricing can only repeat pooled columns. The sweep
-gives every zeta_k, and `price(tables, pi, sigma)` decodes (walks back from
+(`solve_lp(prob, warm=sol)`: its basis, inverse and factor age). Pricing
+finds every commodity's shortest path under costs shifted by the coupling
+duals pi on shared edges, in one numpy sweep over the frame layers of the
+window (detections of one frame form a contiguous range, and every
+transition leaves an earlier one). The sweep gives every zeta_k, and
+`price(tables, pi, sigma)` decodes (walks back from
 the sweep, with the exact-tie rules, and costs) only the columns with
 zeta_k < sigma_k - CERT_TOL, which join the pool: none in a round that
 certifies, and at the initial pricing, at no sigma, all of them. The dummy
@@ -73,21 +69,29 @@ has 1 at every d_x and 1 - m at k's convexity row, and P_x's row (at its
 position) has 1 at the convexity row and -1 at d_x. Every entry is an
 integer, so the basis times the inverse is the identity exactly.
 
-The certificate gap is epsilon = v_int - v_lp, where v_lp is the converged
-RMLP value v_rmlp or, when stopping early, the Lagrangian bound
-v_rmlp + sum_k d_k * min(0, zeta_k - sigma_k), which is dual-feasible and
-therefore a true lower bound on the integer optimum. v_rmlp is the master
-solve's objective: the RMLP optimum, or, when the solve perturbed its
-right-hand side to leave a degenerate stall, the duals' value at the true
-right-hand side, a lower bound on that optimum (see `lp`), so v_lp stays a
-lower bound. epsilon <= 1e-9 proves the returned integer solution optimal.
-A bound above v_int by at most 1e-9 is rounding and reported as v_int, so
-epsilon >= 0; a larger excess raises.
+The loop ends one of two ways. It is certified when a round's pricing
+returns no column: every zeta_k clears its convexity dual sigma_k (the
+reduced-cost certificate), and v_lp is that master solve's objective
+v_rmlp. It stops short at the iteration cap, when a master solve (the first
+or a warm one) raises LPInternalError, or when a round pools no new column
+whatever its violation. Then v_lp is the best Lagrangian bound seen: the
+initial pricing's L(0) = sum_k d_k zeta_k, or a round's
+v_rmlp + sum_k d_k * min(0, zeta_k - sigma_k), each dual-feasible and so a
+true lower bound on the integer optimum. No LP failure ends the window.
+v_rmlp is the master solve's objective: the RMLP optimum, or, when the
+solve perturbed its right-hand side to leave a degenerate stall, the duals'
+value at the true right-hand side, a lower bound on that optimum (see
+`lp`), so v_lp stays a lower bound. The certificate gap is
+epsilon = v_int - v_lp, and epsilon <= 1e-9 proves the returned integer
+solution optimal. A bound above v_int by at most 1e-9 is rounding and
+reported as v_int, so epsilon >= 0; a larger excess raises.
 
-The integer solution is the last master solution, rounded, when that
-certifies: the rounding moves no value by more than ROUND_TOL, meets the
-true rows exactly and costs at most v_lp + INT_TOL. Otherwise it is the
-exact integer optimum over the generated pool from one MILP solve
+The integer solution is the last master solution, rounded, when the loop
+certified and the rounding moves no value by more than ROUND_TOL, meets the
+true rows exactly and costs at most v_lp + INT_TOL. (After a failed warm
+solve the master holds columns that the last solution never saw, so a loop
+that stopped short rounds nothing.) Otherwise it is the exact integer
+optimum over the generated pool from one MILP solve
 (price-and-branch: no pricing happens after the LP phase, so v_lp stays the
 bound and v_int the cost of a checked selection). When that leaves
 v_int - v_lp > INT_TOL, the last pricing round's duals pi >= 0 and values
@@ -142,10 +146,6 @@ ROUND_TOL = 1e3 * PERTURB
 # certified gap stands.
 ENUM_COLUMN_CAP = 2048
 
-# A pooled column repricing below sigma signals dual/tolerance inconsistency,
-# but only beyond an order of magnitude of the certificate tolerance; smaller
-# violations are float jitter between the LP's reduced costs and our recompute.
-DUPLICATE_GUARD_TOL = 1e-6
 
 class ColgenError(RuntimeError):
     pass
@@ -166,7 +166,8 @@ class PathColumn:
 
 @dataclass
 class CGResult:
-    status: str  # proven-optimal | near-optimal | iteration-limit
+    # proven-optimal | near-optimal | iteration-limit (stopped before the certificate)
+    status: str
     v_lp: float
     v_int: float
     epsilon: float
@@ -175,7 +176,8 @@ class CGResult:
     columns: list[PathColumn]
     selection: list[list[tuple[PathColumn, int]]]  # per commodity: (path, units)
     num_edges: int  # the window network's edges, the length of each flow
-    # the last pricing round's duals and values; None for a dummy-only window
+    # the last pricing round's duals and values; None for a dummy-only window,
+    # and sigma None where no master solved
     pi: np.ndarray | None
     sigma: np.ndarray | None
     zetas: np.ndarray | None
@@ -214,10 +216,8 @@ class _Layer:
 class PricingTables:
     """One window's edge costs split by kind, and its frame layers.
 
-    values holds the cost vectors, one CostVector per row: the window's cost
-    matrix itself when the vectors are its rows in order (as
-    `assemble_cost_vectors` returns them), else a stacked copy. shared (nc x
-    num_shared), term (nc x N) and bypass (nc) are its slices, and rows
+    values holds the cost vectors stacked, one CostVector per row. shared (nc
+    x num_shared), term (nc x N) and bypass (nc) are its slices, and rows
     holds each row as a list, from which path costs are summed. The candidate
     buffer `buf` holds, per head u_j in detection order, a segment of its
     incoming transitions by edge id followed by its start edge. Start
@@ -250,10 +250,7 @@ class PricingTables:
         detection range whose incoming transitions all leave earlier ones.
         """
         nc, n, ns = network.num_commodities, network.num_detections, network.num_shared
-        stack = values[0].base if len(values) else None
-        if not (isinstance(stack, np.ndarray) and stack.shape == (nc, network.cost_size)
-                and _rows_in_order(stack, values)):
-            stack = np.stack(values)
+        stack = np.stack(values)
         if not np.isfinite(stack).all():
             raise ValueError("pricing needs finite costs on every edge")
         shared, term = stack[:, :ns], stack[:, ns + n : ns + 2 * n]
@@ -278,21 +275,6 @@ class PricingTables:
             ))
         return cls(network, stack, stack.tolist(), shared, term, bypass, buf, t_edge, pos, t_head,
                    before.tolist(), layers)
-
-
-def _rows_in_order(stack: np.ndarray, values: Sequence[np.ndarray]) -> bool:
-    """Whether each of `values` is the row of `stack` at its position, as a view of it.
-
-    A contiguous view of a row's length that holds both the first and the
-    last entry of row k of a C-ordered matrix is row k.
-    """
-    return (
-        stack.dtype == np.float64 and stack.flags.c_contiguous
-        and all(v.base is stack and v.flags.c_contiguous and v.shape == stack.shape[1:]
-                for v in values)
-        and all(map(np.may_share_memory, values, stack[:, :1]))
-        and all(map(np.may_share_memory, values, stack[:, -1:]))
-    )
 
 
 def _path_cost(row: list[float], network: FlowNetwork, k: int, edges: Sequence[int]) -> float:
@@ -839,14 +821,13 @@ def column_generation(
     add_dummy_paths(zetas[0], pi, tables.bypass[0])
 
     demands = network.demands
-    best_bound = -float("inf")
+    best_bound = float(demands @ zetas)  # L(0)
     sol = None
-    converged = False
-    iterations = 0
+    certified = False
     pivots = 0
 
-    for _ in range(iter_max):
-        iterations += 1
+    # Certified, or stopped short at the best bound (module docstring).
+    for iterations in range(1, iter_max + 1):
         prob = pool.master()
         try:
             if sol is None:
@@ -854,13 +835,7 @@ def column_generation(
             else:
                 sol = solve_lp(prob, warm=sol)
         except LPInternalError:
-            if sol is None:
-                raise
-            # A long degenerate run from a warm basis can carry rounding
-            # error through the rank-one inverse updates until a
-            # refactorization finds the basis singular or infeasible; a cold
-            # start from the slack-and-bypass basis takes another pivot path.
-            sol = solve_lp(prob)
+            break
         pivots += sol.iterations
         pi = np.zeros(ns)
         pi[: network.num_detections] = sol.pi
@@ -871,34 +846,25 @@ def column_generation(
             lagrangian_lower_bound(sol.objective, zetas, sol.sigma, demands),
         )
         if not priced:  # the reduced-cost certificate
-            v_lp = sol.objective
-            converged = True
+            certified = True
             break
         size = len(pool)
         for col in priced:
-            k = col.commodity
-            if not add_priced(col) and zetas[k] - sol.sigma[k] < -DUPLICATE_GUARD_TOL:
-                raise ColgenError(
-                    f"pricing repeated a pooled column for commodity {k} "
-                    f"with violation {zetas[k] - sol.sigma[k]:.3e}; duals inconsistent"
-                )
+            add_priced(col)
         add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
         if len(pool) == size:
-            # Only within-noise duplicates: fall back to the bound.
-            v_lp = best_bound
-            converged = True
             break
-    else:
-        v_lp = best_bound
+    v_lp = sol.objective if certified else best_bound
 
-    # Round, then check the true rows: after a perturbed solve an integral
-    # vertex shows only to within ROUND_TOL. The columns of the last master
-    # solve are the first len(sol.x) of the pool.
-    units = np.round(sol.x)
     v_int, selection = float("inf"), []
-    if np.abs(sol.x - units).max() <= ROUND_TOL and _meets_rows(prob, units):
-        selection = _decode_selection(pool, units)
-        v_int = float(sum(col.cost * u for col, u in selection))
+    if certified:
+        # Round, then check the true rows: after a perturbed solve an integral
+        # vertex shows only to within ROUND_TOL. The master's columns are the
+        # pool's.
+        units = np.round(sol.x)
+        if np.abs(sol.x - units).max() <= ROUND_TOL and _meets_rows(prob, units):
+            selection = _decode_selection(pool, units)
+            v_int = float(sum(col.cost * u for col, u in selection))
     if v_int - v_lp > INT_TOL:
         v_int, selection = extract_integer(network, pool)
         if v_int - v_lp > INT_TOL:
@@ -923,7 +889,7 @@ def column_generation(
     epsilon = v_int - v_lp
     if epsilon <= INT_TOL:
         status = "proven-optimal"
-    elif converged:
+    elif certified:
         status = "near-optimal"
     else:
         status = "iteration-limit"
@@ -938,6 +904,6 @@ def column_generation(
         selection=_group_selection(network, selection),
         num_edges=network.num_edges,
         pi=pi,
-        sigma=sol.sigma,
+        sigma=None if sol is None else sol.sigma,
         zetas=zetas,
     )

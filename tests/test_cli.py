@@ -1,11 +1,12 @@
 """Command-line interface: pipeline wiring and the exit-code contract."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcftrack import cli, tracker
+from mcftrack import cli, colgen, tracker
 from mcftrack.cli import main
 from mcftrack.colgen import ColgenError, column_generation
 from mcftrack.io import load_instance, read_tracks
@@ -72,6 +73,34 @@ def test_track_is_deterministic(scene):
         assert main(["track", "--det", str(det), "--out", str(out),
                      "--config", str(config)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_failed_master_solve_loses_no_frame(scene, monkeypatch):
+    # Each window of the scene certifies at its first master solve, and none
+    # solves warm. That solve raises in the third window with a tracked
+    # commodity (window_t 4): column generation stops short there at its
+    # bound, and the stream goes on.
+    tmp_path, det, gt, config = scene
+    real, solves = colgen.solve_lp, []
+
+    def failing(prob, warm=None, basis=None, inverse=None):
+        solves.append(warm is not None)
+        if len(solves) == 3:
+            raise LPInternalError("injected")
+        return real(prob, warm=warm, basis=basis, inverse=inverse)
+
+    monkeypatch.setattr(colgen, "solve_lp", failing)
+    out, log = tmp_path / "hyp.txt", tmp_path / "diag.log"
+    code = main(["track", "--det", str(det), "--out", str(out),
+                 "--config", str(config), "--log", str(log)])
+    assert code == 0 and not any(solves)
+    hyp, truth = read_tracks(out), read_tracks(gt)
+    frames = sorted(f for boxes in hyp.values() for f in boxes)
+    assert frames == sorted(f for boxes in truth.values() for f in boxes) == list(range(1, 11))
+    lines = [line.split(",") for line in log.read_text().splitlines()]
+    assert [int(line[0]) for line in lines] == list(range(1, 9))
+    v_lp, v_int = float(lines[3][2]), float(lines[3][3])
+    assert math.isfinite(v_lp) and math.isfinite(v_int) and v_lp <= v_int
 
 
 def test_window_override(scene):

@@ -18,6 +18,7 @@ from helpers import (
 )
 from mcftrack.colgen import (
     CERT_TOL,
+    INT_TOL,
     CGResult,
     ColgenError,
     PathColumn,
@@ -31,7 +32,7 @@ from mcftrack.colgen import (
     optimality_check,
     price,
 )
-from mcftrack.costs import CostVector, assemble_cost_vector, assemble_cost_vectors
+from mcftrack.costs import CostVector, assemble_cost_vector
 from mcftrack.graph import build_network, network_from_parts
 from mcftrack import colgen
 from mcftrack import lp as lp_module
@@ -492,10 +493,16 @@ def test_every_master_solve_warm_starts_over_one_row_per_detection(monkeypatch):
 EXTRACTIONS = {"contested_window19.instance": 2}
 
 
+def certified(res):
+    """Whether column generation ended by the reduced-cost certificate."""
+    return res.sigma is not None and optimality_check(res.zetas, res.sigma)
+
+
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.instance")), ids=lambda p: p.name)
-def test_frozen_fixtures_take_no_cold_retry_and_extract_only_uncertified(monkeypatch, path):
-    # Every master solve after the first is warm and none raises, so the cold
-    # retry is never taken. A dummy-only window (m_window1) solves no master.
+def test_frozen_fixtures_certify_warm_and_extract_only_uncertified(monkeypatch, path):
+    # Every master solve after the first is warm, and a window with a tracked
+    # commodity ends by the reduced-cost certificate, not stopped short. A
+    # dummy-only window (m_window1) solves no master.
     net, vectors = load_instance(path)
     real_solve, real_extract = colgen.solve_lp, colgen.extract_integer
     warm_starts, extractions = [], []
@@ -514,6 +521,7 @@ def test_frozen_fixtures_take_no_cold_retry_and_extract_only_uncertified(monkeyp
     solves = res.iterations if net.num_commodities > 1 else 0
     assert warm_starts == [False] * min(solves, 1) + [True] * (solves - 1)
     assert len(extractions) == EXTRACTIONS.get(path.name, 0)
+    assert certified(res) == (net.num_commodities > 1)
 
 
 def test_carried_inverses_invert_their_bases(monkeypatch):
@@ -540,31 +548,109 @@ def test_carried_inverses_invert_their_bases(monkeypatch):
     assert seen["perturbed"] > 0 and seen["refactored"] > 0
 
 
-def test_failed_warm_master_solve_retries_cold(monkeypatch):
-    net, costs = random_instance(0)  # two tracked commodities: column generation runs
-    vectors = wrap_cost_vectors(net, costs)
-    ref = column_generation(net, vectors)
-    assert ref.iterations >= 2 and ref.status == "proven-optimal"
-    calls = []
+def stop_short_cases():
+    """Tracked instances and their ceilings on a sound bound, as (case, network, vectors,
+    ceiling): tracked_instances(40) under the brute-force optimum, and the tracked
+    fixtures under their certified LP optimum."""
+    cases = [(seed, net, wrap_cost_vectors(net, costs), brute_force_ilp(net, costs)[0])
+             for seed, net, costs in tracked_instances(40)]
+    for path in sorted(FIXTURES.glob("*.instance")):
+        net, vectors = load_instance(path)
+        if net.num_commodities > 1:
+            ref = column_generation(net, vectors)
+            assert certified(ref), path.name
+            cases.append((path.name, net, vectors, ref.v_lp))
+    return cases
 
-    def warm_fails_once(prob, warm=None, basis=None, inverse=None):
-        calls.append(warm is not None)
-        if warm is not None and calls.count(True) == 1:
-            raise LPInternalError("injected")
-        return solve_lp(prob, warm=warm, basis=basis, inverse=inverse)
 
-    monkeypatch.setattr(colgen, "solve_lp", warm_fails_once)
-    res = column_generation(net, vectors)
-    assert calls[:3] == [False, True, False]
-    assert res.v_lp == pytest.approx(ref.v_lp, abs=1e-9)
-    assert res.v_int == pytest.approx(ref.v_int, abs=1e-9)
+def initial_bound(net, vectors):
+    """The initial pricing's values and its Lagrangian bound L(0) = sum_k d_k zeta_k."""
+    _, zetas = price(PricingTables.build(net, [cv.values for cv in vectors]), None)
+    return zetas, float(net.demands @ zetas)
 
-    def cold_fails(prob, warm=None, basis=None, inverse=None):
-        raise LPInternalError("injected")
 
-    monkeypatch.setattr(colgen, "solve_lp", cold_fails)
-    with pytest.raises(LPInternalError):
-        column_generation(net, vectors)
+def assert_stopped_soundly(net, res, floor, ceiling, case):
+    """A stopped-short result: L(0) <= v_lp <= ceiling, epsilon >= 0, a selection that
+    meets the pool's rows and every demand, and no certified status."""
+    assert res.epsilon >= 0.0 and res.epsilon == res.v_int - res.v_lp, case
+    assert floor - 1e-9 <= res.v_lp <= ceiling + 1e-9, case
+    picks = [pick for group in res.selection for pick in group]
+    assert colgen._group_selection(net, picks) == res.selection, case
+    pool = _Pool(net, res.columns)
+    units = np.zeros(len(pool))
+    for col, n in picks:
+        units[pool.index[col.key]] += n
+    assert colgen._meets_rows(pool.master(), units), case
+    assert res.v_int == pytest.approx(sum(col.cost * n for col, n in picks), abs=1e-9), case
+    assert res.status == ("proven-optimal" if res.epsilon <= INT_TOL else "iteration-limit"), case
+
+
+def test_a_failed_master_solve_stops_short_at_a_sound_bound(monkeypatch):
+    # LPInternalError at the first master solve, and in turn at each warm
+    # solve: the loop ends at the failed solve, on its best Lagrangian bound.
+    # With no master solved the bound is L(0), and pi, zetas are the
+    # initial pricing's.
+    stopped = 0
+    for case, net, vectors, ceiling in stop_short_cases():
+        zetas, floor = initial_bound(net, vectors)
+        for fail_at in range(column_generation(net, vectors).iterations):
+            calls = []
+
+            def failing(prob, warm=None, basis=None, inverse=None):
+                calls.append(warm is not None)
+                if len(calls) == fail_at + 1:
+                    raise LPInternalError("injected")
+                return solve_lp(prob, warm=warm, basis=basis, inverse=inverse)
+
+            monkeypatch.setattr(colgen, "solve_lp", failing)
+            res = column_generation(net, vectors)
+            monkeypatch.undo()
+            assert calls == [False] + [True] * fail_at, (case, fail_at)
+            assert res.iterations == fail_at + 1, (case, fail_at)
+            assert_stopped_soundly(net, res, floor, ceiling, (case, fail_at))
+            if fail_at == 0:
+                assert res.sigma is None and res.pivots == 0, case
+                assert not res.pi.any() and np.array_equal(res.zetas, zetas), case
+                assert res.v_lp == min(floor, res.v_int), case
+            stopped += res.status == "iteration-limit"
+    assert stopped >= 20
+
+
+def test_a_round_that_pools_nothing_new_stops_short_at_a_sound_bound(monkeypatch):
+    # At the first round that misses the certificate by more than 1e-6, a
+    # price spy hands back each priced commodity's initial column, which is
+    # pooled, in place of its new one, and from then on the dummy's flow
+    # offers no path. The round pools nothing, and the loop stops there.
+    real_price, real_flow = colgen.price, colgen._dummy_flow
+    forced = 0
+    for case, net, vectors, ceiling in stop_short_cases():
+        _, floor = initial_bound(net, vectors)
+        initial, calls, at = {}, [], []
+
+        def spy_price(tables, pi, sigma=None):
+            cols, zetas = real_price(tables, pi, sigma)
+            calls.append(sigma is not None)
+            if sigma is None:
+                initial.update((col.commodity, col) for col in cols)
+            elif not at and cols and (zetas - sigma).min() < -1e-6:
+                at.append(len(calls) - 1)  # the round's number: its master solves
+                cols = [initial[col.commodity] for col in cols]
+            return cols, zetas
+
+        def spy_flow(network, values, pi=None):
+            return [] if at else real_flow(network, values, pi)
+
+        monkeypatch.setattr(colgen, "price", spy_price)
+        monkeypatch.setattr(colgen, "_dummy_flow", spy_flow)
+        res = column_generation(net, vectors)
+        monkeypatch.undo()
+        if not at:
+            continue
+        forced += 1
+        assert res.iterations == len(calls) - 1 == at[0], case
+        assert not certified(res), case
+        assert_stopped_soundly(net, res, floor, ceiling, case)
+    assert forced >= 20
 
 
 def first_master(monkeypatch, net, vectors):
@@ -726,8 +812,7 @@ def test_a_round_decodes_only_the_columns_that_price_below_sigma(monkeypatch):
             if r and not read.any():
                 converged += 1
             partial += bool(r and read.any() and not read.all())
-        if res.status != "iteration-limit":
-            assert not (rounds[-1]["zetas"] < rounds[-1]["sigma"] - CERT_TOL).any(), case
+        assert certified(res), case  # no tracked case stops short
     assert converged >= 40 and partial > 0
 
 
@@ -769,28 +854,6 @@ def test_price_at_sigma_returns_the_columns_below_it_under_forced_ties(monkeypat
                     assert (col.key, col.cost.hex()) == (every[col.commodity].key,
                                                          every[col.commodity].cost.hex()), seed
     assert ties > 50 and at_edge > 100
-
-
-def test_pricing_tables_use_the_cost_matrix_in_place_only_for_its_rows():
-    dets, _ = synth_generate(WIDE_SCENE, seed=3)
-    window = [d for f in (1, 2, 3) for d in dets[f]]
-    tracks = [fake_track(d.box, 0, d.feature, dim=d.feature.size) for d in dets[1][:3]]
-    cfg = WIDE_CONFIG
-    net = build_network(window, tracks, [cfg.d0] + [1] * len(tracks), cfg.gating_config())
-    rows = [cv.values for cv in assemble_cost_vectors(net, tracks, cfg.cost_config())]
-    matrix = rows[0].base
-    assert PricingTables.build(net, rows).values is matrix
-    flat = matrix.ravel()
-    size = net.cost_size
-    others = [
-        [rows[1], rows[0]] + rows[2:],  # rows of the matrix, out of order
-        [flat[k * size + 1 : (k + 1) * size + 1] for k in range(len(rows) - 1)] + rows[-1:],
-        [row.copy() for row in rows],
-    ]
-    for values in others:
-        tables = PricingTables.build(net, values)
-        assert not np.shares_memory(tables.values, matrix)
-        assert np.array_equal(tables.values, np.stack(values))
 
 
 def test_single_commodity_converges_in_one_iteration():

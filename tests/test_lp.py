@@ -283,38 +283,13 @@ def test_warm_start_over_another_row_count_raises():
         solve_lp(TWINS, warm=other)
 
 
-def test_infeasible_warm_start_raises_and_column_generation_retries_cold(monkeypatch):
+def test_infeasible_warm_start_raises():
     # Slack and twin basic is nonsingular but infeasible: the twin takes 2
     # units of row 0.
     infeasible = replace(solve_lp(TWINS), basis=(0, 2),
                          inverse=lp_module._basis_inverse(stacked(TWINS), [0, 2], 1))
     with pytest.raises(LPInternalError, match="warm basis is infeasible"):
         solve_lp(TWINS, warm=infeasible)
-
-    # Column generation hands every warm solve a negated inverse, which puts
-    # each demand's basic value below 0: every warm solve raises and is
-    # retried cold, to the same result.
-    net, costs = random_instance(0)  # two tracked commodities: column generation runs
-    vectors = wrap_cost_vectors(net, costs)
-    ref = column_generation(net, vectors)
-    raised = []
-
-    def negated(prob, warm=None, basis=None, inverse=None):
-        if warm is None:
-            return solve_lp(prob, basis=basis, inverse=inverse)
-        try:
-            return solve_lp(prob, warm=replace(warm, inverse=-warm.inverse))
-        except LPInternalError as exc:
-            raised.append(str(exc))
-            raise
-
-    monkeypatch.setattr(colgen, "solve_lp", negated)
-    res = column_generation(net, vectors)
-    assert res.iterations == ref.iterations >= 2
-    assert raised == ["warm basis is infeasible for the right-hand side"] * (res.iterations - 1)
-    assert res.v_lp == pytest.approx(ref.v_lp, abs=1e-9)
-    assert res.v_int == pytest.approx(ref.v_int, abs=1e-9)
-    assert res.status == ref.status == "proven-optimal"
 
 
 def test_feasible_warm_basis_is_used():
