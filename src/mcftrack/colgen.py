@@ -121,10 +121,10 @@ proven-optimal with epsilon 0, one iteration, no pivots and no duals.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 from scipy.optimize import LinearConstraint, linear_sum_assignment, milp
@@ -173,7 +173,7 @@ class CGResult:
     epsilon: float
     iterations: int
     pivots: int  # master LP pivots, summed over the window's solves
-    columns: list[PathColumn]
+    pool: Sequence[PathColumn]  # every pooled column, in pool order
     selection: list[list[tuple[PathColumn, int]]]  # per commodity: (path, units)
     num_edges: int  # the window network's edges, the length of each flow
     # the last pricing round's duals and values; None for a dummy-only window,
@@ -183,6 +183,11 @@ class CGResult:
     zetas: np.ndarray | None
 
     @cached_property
+    def columns(self) -> list[PathColumn]:
+        """The pooled columns as PathColumns, made when first read."""
+        return list(self.pool)
+
+    @cached_property
     def flows(self) -> list[np.ndarray]:
         """Per commodity integer edge flows of the selection, built when first read."""
         flows = [np.zeros(self.num_edges, dtype=np.int64) for _ in self.selection]
@@ -190,6 +195,87 @@ class CGResult:
             for col, units in group:
                 flow[list(col.edges)] += units  # a path repeats no edge
         return flows
+
+
+class _Columns(Sequence):
+    """Columns held as arrays, read as PathColumns.
+
+    Row j is commodity[j]'s path over edges[j] in path order, padded with
+    -1 after its last edge, at cost[j]. Indexing and iteration make the
+    PathColumns.
+    """
+
+    def __init__(self, commodity: np.ndarray, edges: np.ndarray, cost: np.ndarray) -> None:
+        self.commodity = commodity
+        self.edges = edges
+        self.cost = cost
+
+    @classmethod
+    def of(cls, columns: Sequence[PathColumn], width: int) -> _Columns:
+        """`columns` as arrays of `width` edge positions (at least its longest path's)."""
+        if isinstance(columns, _Columns):
+            pad = width - columns.edges.shape[1]
+            if pad == 0:
+                return columns
+            edges = np.concatenate([columns.edges, np.full((len(columns), pad), -1)], axis=1)
+            return cls(columns.commodity, edges, columns.cost)
+        return cls(np.array([col.commodity for col in columns], dtype=np.intp),
+                   _padded([col.edges for col in columns], width),
+                   np.array([col.cost for col in columns], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.cost)
+
+    def __getitem__(self, j: int) -> PathColumn:
+        edges = self.edges[j].tolist()
+        return PathColumn(int(self.commodity[j]), tuple(edges[: len(edges) - edges.count(-1)]),
+                          float(self.cost[j]))
+
+    def __iter__(self):
+        for k, edges, cost in zip(self.commodity.tolist(), self.edges.tolist(), self.cost.tolist()):
+            yield PathColumn(k, tuple(edges[: len(edges) - edges.count(-1)]), cost)
+
+    def take(self, rows: np.ndarray) -> _Columns:
+        return _Columns(self.commodity[rows], self.edges[rows], self.cost[rows])
+
+    def keys(self) -> list[bytes]:
+        """Each column's commodity and padded edges as bytes: equal for equal paths."""
+        rows = np.concatenate([self.commodity[:, None], self.edges], axis=1)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _padded(paths: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """Edge-id paths as rows of `width` positions, padded with -1."""
+    rows = [list(p) + [-1] * (width - len(p)) for p in paths]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
+def _path_width(network: FlowNetwork) -> int:
+    """Edge positions of the network's longest possible path.
+
+    Transitions advance in frame, so a path visits at most one detection
+    per frame: F frames give at most 2F + 1 edges.
+    """
+    frames = network.frames
+    return 2 * (int((frames[1:] != frames[:-1]).sum()) + 1 if frames.size else 0) + 1
+
+
+def _path_sums(parts: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each row's sum over parts[r, 0..last[r]], in path order from 0.0.
+
+    The running sum along each row adds one edge position at a time; the
+    final + 0.0 is the sum's start, which changes only an all -0.0 sum.
+    Every column is costed here, so a path pooled twice carries the same
+    cost both times.
+    """
+    return parts.cumsum(axis=1)[np.arange(len(last)), last] + 0.0
+
+
+def _linked(links: np.ndarray, n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Whether transition tails -> heads exists, elementwise."""
+    keys = tails * n + heads
+    at = np.searchsorted(links, keys)
+    return links[np.minimum(at, len(links) - 1)] == keys if len(links) else at < 0
 
 
 @dataclass
@@ -216,21 +302,22 @@ class _Layer:
 class PricingTables:
     """One window's edge costs split by kind, and its frame layers.
 
-    values holds the cost vectors stacked, one CostVector per row. shared (nc
-    x num_shared), term (nc x N) and bypass (nc) are its slices, and rows
-    holds each row as a list, from which path costs are summed. The candidate
-    buffer `buf` holds, per head u_j in detection order, a segment of its
-    incoming transitions by edge id followed by its start edge. Start
-    columns hold 0.0 + start cost, as does bypass: the first step of a sum
-    from the source.
+    values holds the cost vectors stacked, one CostVector per row, from
+    which path costs are summed. shared (nc x num_shared), term (nc x N)
+    and bypass (nc) are its slices. The candidate buffer `buf` holds, per head u_j in detection
+    order, a segment of its incoming transitions by edge id followed by its
+    start edge. Start columns hold 0.0 + start cost, as does bypass: the
+    first step of a sum from the source.
     trans_edges lists the transition edge ids by head, then edge id;
-    trans_pos are their columns in `buf` and trans_heads their heads. The
-    transitions into u_j are entries into[j] to into[j + 1] of these.
+    trans_pos are their columns in `buf`, trans_heads their heads and
+    trans_tails their tails. The transitions into u_j are entries into[j]
+    to into[j + 1] of these.
+    links holds each transition's tail * N + head by edge id, and width
+    the edge positions of the longest possible path (`_path_width`).
     """
 
     network: FlowNetwork
     values: np.ndarray
-    rows: list[list[float]]
     shared: np.ndarray
     term: np.ndarray
     bypass: np.ndarray
@@ -238,8 +325,11 @@ class PricingTables:
     trans_edges: np.ndarray
     trans_pos: np.ndarray
     trans_heads: np.ndarray
+    trans_tails: np.ndarray
     into: list[int]
     layers: list[_Layer]
+    links: np.ndarray
+    width: int
 
     @classmethod
     def build(cls, network: FlowNetwork, values: Sequence[np.ndarray]) -> PricingTables:
@@ -273,21 +363,41 @@ class PricingTables:
                 lo=int(lo), hi=int(hi), buf=buf[:, c0:c1], seg=seg[lo:hi] - c0,
                 pos=pos[a:b] - c0, tails=t_tail[a:b], ta=int(a), tb=int(b),
             ))
-        return cls(network, stack, stack.tolist(), shared, term, bypass, buf, t_edge, pos, t_head,
-                   before.tolist(), layers)
+        links = network.det_a[n:ns] * n + network.det_b[n:ns]
+        return cls(network, stack, shared, term, bypass, buf, t_edge, pos, t_head, t_tail,
+                   before.tolist(), layers, links, _path_width(network))
 
+    def paths(self, commodity: np.ndarray, dets: np.ndarray) -> _Columns:
+        """Each commodity's path over its detections, with its edges and cost.
 
-def _path_cost(row: list[float], network: FlowNetwork, k: int, edges: Sequence[int]) -> float:
-    """Commodity k's cost of a path, summed in path order from its cost vector as a list.
-
-    Edge e sits at FlowNetwork.cost_index(k, e). Every column's cost is
-    summed here, so a path pooled twice carries the same cost both times.
-    """
-    ns, shift = network.num_shared, k * (2 * network.num_detections + 1)
-    total = 0.0
-    for e in edges:
-        total += row[e] if e < ns else row[e - shift]
-    return total
+        Row r is commodity[r]'s path over dets[r], its detections in path
+        order followed by -1 pads; a row of pads is the bypass. Consecutive
+        detections must be joined by a transition.
+        """
+        n, ns = self.network.num_detections, self.network.num_shared
+        c, f = dets.shape
+        size = (dets >= 0).sum(axis=1)
+        # the edges' positions in their commodity's cost vector: k's edge is
+        # ns + i for the start edge into u_i, ns + n + i for the termination
+        # out of v_i and ns + 2n for the bypass
+        at = np.full((c, 2 * f + 1), -1, dtype=np.intp)
+        at[:, 0] = ns + 2 * n
+        at[:, 1::2] = dets
+        if f > 1:
+            tails, heads = dets[:, :-1], dets[:, 1:]
+            at[:, 2:-1:2] = np.where(heads >= 0, n + self.links.searchsorted(tails * n + heads), -1)
+        rows = size.nonzero()[0]
+        if rows.size:
+            ends = 2 * size[rows]
+            at[rows, 0] = ns + dets[rows, 0]
+            at[rows, ends] = ns + n + dets[rows, size[rows] - 1]
+        cost = _path_sums(self.values[commodity[:, None], at], 2 * size)
+        # k's own edges (the first, and the termination) sit k blocks on
+        shift = commodity * (2 * n + 1)
+        at[:, 0] += shift
+        if rows.size:
+            at[rows, ends] += shift[rows]
+        return _Columns(commodity, at, cost)
 
 
 def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[int]:
@@ -329,35 +439,52 @@ def _sweep(tables: PricingTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return reach, dist
 
 
+def _walk_back(tables: PricingTables, prev: np.ndarray, ks: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+    """The detections of each commodity ks[r]'s chosen path to v_{ends[r]}, all walked at once.
+
+    prev[k, j] is the tail of the transition into u_j on k's chosen path,
+    or -1 for the start edge; its last column, which -1 reads, is all -1.
+    Row r holds the path's detections in path order, then -1 pads.
+    """
+    f = tables.width // 2
+    back = np.empty((len(ks), f + 1), dtype=np.intp)  # from the last detection, then -1
+    back[:, f] = at = ends
+    for step in range(f):
+        back[:, step] = at
+        at = prev[ks, at]
+    back[:, f] = -1
+    # position x of a path over m detections is back[m - 1 - x], for x < m
+    src = (back >= 0).sum(axis=1)[:, None] - 1 - np.arange(f)
+    src[src < 0] = f
+    return back[np.arange(len(ks))[:, None], src]
+
+
 def _decode(tables: PricingTables, k: int, i: int, hit: np.ndarray, pred: np.ndarray,
-            tied: dict[int, list[int]], cand: np.ndarray, ends_tied: bool) -> PathColumn:
-    """Commodity k's column: the bypass where i is -1, else its path ending at detection i.
+            tied: dict[int, list[int]], cand: np.ndarray, ends_tied: bool) -> tuple[int, ...]:
+    """Edge ids of commodity k's path ending at detection i, by the exact-tie rules.
 
     Paths are compared where several end at zeta_k (`ends_tied`) or meet at a head in `tied`.
     """
     net = tables.network
     n = net.num_detections
-    if i < 0:
-        edges: tuple[int, ...] = (net.bypass_edge(k),)
-    else:
-        pred_k = pred[k].tolist()
-        # in detection order, so that every tail's path is settled first
-        for h in tied.get(k, ()):
-            a, b = tables.into[h], tables.into[h + 1]
-            pred_k[h] = min(
-                tables.trans_edges[a:b][hit[k, a:b]].tolist(),
-                key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
-            )
-        if ends_tied:
-            i = min(np.flatnonzero(cand[k] == cand[k, i]).tolist(),
-                    key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)])
-        edges = tuple(_path_to_v(net, pred_k, k, i)) + (net.term_edge(k, i),)
-    return PathColumn(k, edges, _path_cost(tables.rows[k], net, k, edges))
+    pred_k = pred[k].tolist()
+    # in detection order, so that every tail's path is settled first
+    for h in tied.get(k, ()):
+        a, b = tables.into[h], tables.into[h + 1]
+        pred_k[h] = min(
+            tables.trans_edges[a:b][hit[k, a:b]].tolist(),
+            key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
+        )
+    if ends_tied:
+        i = min(np.flatnonzero(cand[k] == cand[k, i]).tolist(),
+                key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)])
+    return tuple(_path_to_v(net, pred_k, k, i)) + (net.term_edge(k, i),)
 
 
 def price(
     tables: PricingTables, pi: np.ndarray | None, sigma: np.ndarray | None = None
-) -> tuple[list[PathColumn], np.ndarray]:
+) -> tuple[_Columns, np.ndarray]:
     """Price every commodity: shortest pi-shifted path and its value zeta_k.
 
     One sweep over the frame layers relaxes all commodities at once under
@@ -365,8 +492,10 @@ def price(
     Returns, in commodity order, the columns (with their unshifted path
     costs) of the commodities with zeta_k < sigma_k - CERT_TOL, or of all
     when `sigma` is None, and every zeta_k. Exact-value ties resolve to the
-    lexicographically smallest edge-id sequence; only truly tied
-    (commodity, node) entries of the returned commodities compare paths.
+    lexicographically smallest edge-id sequence. The returned commodities'
+    paths are walked back from the sweep all at once (`_walk_back`), except
+    where a (commodity, node) entry is truly tied: those commodities compare
+    paths in `_decode`.
     """
     n = tables.network.num_detections
     nc = tables.shared.shape[0]
@@ -383,28 +512,43 @@ def price(
         wins = ends <= zetas
         zetas[wins] = ends[wins]
         via[~wins] = -1
-        ends_tied = wins & (np.count_nonzero(cand == ends[:, None], axis=1) > 1)
-    wanted = range(nc) if sigma is None else np.flatnonzero(zetas < sigma - CERT_TOL).tolist()
-    if not wanted:
-        return [], zetas
+        ends_tied = wins & ((cand == ends[:, None]).sum(axis=1) > 1)
+    wanted = np.arange(nc) if sigma is None else np.flatnonzero(zetas < sigma - CERT_TOL)
+    dets = np.full((wanted.size, tables.width // 2), -1, dtype=np.intp)
+    if not wanted.size:
+        return tables.paths(wanted, dets), zetas
     # whether each transition (by head, then edge id) reaches its head at the head's distance
     hit = tables.buf[:, tables.trans_pos] == reach[:, tables.trans_heads]
     # A start loses every tie: a path through a transition begins at the start
-    # edge of a lower detection. So pred takes a head's one hitting transition,
-    # else -1 (the start); the heads that several transitions hit are listed
-    # per commodity in `tied`, in detection order, for `_decode` to compare.
-    rows, cols = np.nonzero(hit)  # by commodity, then head
+    # edge of a lower detection. So a head takes its one hitting transition,
+    # else the start; the heads that several transitions hit are listed per
+    # commodity in `tied`, in detection order, and those commodities compare
+    # paths in `_decode`.
+    rows, cols = hit.nonzero()  # by commodity, then head
     heads = tables.trans_heads[cols]
-    pred = np.full((nc, n), -1)
-    pred[rows, heads] = tables.trans_edges[cols]
     tied: dict[int, list[int]] = {}
     again = (rows[1:] == rows[:-1]) & (heads[1:] == heads[:-1])
     for k, h in zip(rows[1:][again].tolist(), heads[1:][again].tolist()):
         hs = tied.setdefault(k, [])
         if not hs or hs[-1] != h:  # a head that three transitions hit comes twice
             hs.append(h)
-    return [_decode(tables, k, int(via[k]), hit, pred, tied, cand, bool(ends_tied[k]))
-            for k in wanted], zetas
+    compared = ends_tied.copy()
+    compared[list(tied)] = True
+    ends, compared = via[wanted], compared[wanted]
+    walked = (ends >= 0) & ~compared
+    if walked.any():
+        prev = np.full((nc, n + 1), -1)
+        prev[rows, heads] = tables.trans_tails[cols]
+        dets[walked] = _walk_back(tables, prev, wanted[walked], ends[walked])
+    decoded = ((ends >= 0) & compared).nonzero()[0].tolist()
+    if decoded:
+        pred = np.full((nc, n), -1)
+        pred[rows, heads] = tables.trans_edges[cols]
+    for r in decoded:
+        k = int(wanted[r])
+        path = _decode(tables, k, int(ends[r]), hit, pred, tied, cand, bool(ends_tied[k]))
+        dets[r, : len(path) // 2] = path[1:-1:2]
+    return tables.paths(wanted, dets), zetas
 
 
 def optimality_check(
@@ -425,50 +569,47 @@ def lagrangian_lower_bound(
     return float(v_rmlp + np.asarray(demands) @ gaps)
 
 
-class _Pool:
-    """Pooled columns, each once, and what the master LP reads of each.
+class _Pool(_Columns):
+    """Pooled columns as arrays, each path once, in the order they joined.
 
-    Per column it records the cost, the commodity, and the detections the
-    column visits (as parallel hit lists), so building the master walks no
-    column's edges again. Indexing and iteration give the columns, and
-    `index` maps each column's key to its position.
+    The arrays are `_Columns`' at the network's path width, so building the
+    master reads no column as a PathColumn; `position` maps each pooled
+    column's key (`_Columns.keys`) to its row.
     """
 
     def __init__(self, network: FlowNetwork, columns: Sequence[PathColumn] = ()) -> None:
         self.network = network
-        self.num_detections = network.num_detections
-        self.columns: list[PathColumn] = []
-        self.index: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.costs: list[float] = []
-        self.owners: list[int] = []
-        self.hit_dets: list[int] = []
-        self.hit_cols: list[int] = []
-        for col in columns:
-            self.add(col)
+        self.width = _path_width(network)
+        super().__init__(np.empty(0, dtype=np.intp), np.empty((0, self.width), dtype=np.intp),
+                         np.empty(0))
+        self.position: dict[bytes, int] = {}
+        if len(columns):
+            self.extend(columns)
 
-    def add(self, col: PathColumn) -> bool:
-        """Pool `col` unless the same path of its commodity is pooled; True if added."""
-        key = col.key
-        if key in self.index:
-            return False
-        j = self.index[key] = len(self.columns)
-        self.columns.append(col)
-        self.costs.append(col.cost)
-        self.owners.append(col.commodity)
-        n = self.num_detections
-        hits = [e for e in col.edges if e < n]  # e < n: the observation edge of detection e
-        self.hit_dets += hits
-        self.hit_cols += [j] * len(hits)
-        return True
+    def extend(self, columns: Sequence[PathColumn], heads: np.ndarray | None = None) -> int:
+        """Pool, in order, each column whose path its commodity has not pooled; returns how many.
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __getitem__(self, j: int) -> PathColumn:
-        return self.columns[j]
-
-    def __iter__(self):
-        return iter(self.columns)
+        A column repeated in `columns` joins once. With `heads` (per column,
+        the row of `columns` whose column it comes with), a column joins
+        only if its head was not pooled before.
+        """
+        cols = _Columns.of(columns, self.width)
+        keys = cols.keys()
+        position = self.position
+        new = [key not in position for key in keys]
+        if heads is not None:
+            new = [new[r] and new[head] for r, head in enumerate(heads.tolist())]
+        size, rows = len(self), []
+        for r, key in enumerate(keys):
+            if new[r] and key not in position:  # a path repeated in `columns` joins once
+                position[key] = size + len(rows)
+                rows.append(r)
+        if len(rows) < len(cols):
+            cols = cols.take(rows)
+        self.commodity = np.concatenate([self.commodity, cols.commodity])
+        self.edges = np.concatenate([self.edges, cols.edges])
+        self.cost = np.concatenate([self.cost, cols.cost])
+        return len(rows)
 
     def master(self) -> LPProblem:
         """Restricted master over the pooled columns.
@@ -480,16 +621,16 @@ class _Pool:
         docstring), so their dual is 0.
         """
         net = self.network
-        n = len(self.columns)
+        n, nd = len(self), net.num_detections
         a_eq = np.zeros((net.num_commodities, n))
-        a_eq[np.asarray(self.owners, dtype=np.intp), np.arange(n)] = 1.0
-        obj = np.asarray(self.costs, dtype=np.float64)
-        hits = np.asarray(self.hit_dets, dtype=np.intp), np.asarray(self.hit_cols, dtype=np.intp)
-        a_ub = np.zeros((self.num_detections, n))
-        a_ub[hits] = 1.0
+        a_eq[self.commodity, np.arange(n)] = 1.0
+        # e < N: the observation edge of detection e (a pad, -1, is the
+        # largest unsigned value)
+        cols, at = (self.edges.view(np.uintp) < nd).nonzero()
+        a_ub = np.zeros((nd, n))
+        a_ub[self.edges[cols, at], cols] = 1.0
         d = net.demands.astype(np.float64)
-        b_ub = np.ones(self.num_detections)
-        return LPProblem(obj=obj, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=d)
+        return LPProblem(obj=self.cost.copy(), a_ub=a_ub, b_ub=np.ones(nd), a_eq=a_eq, b_eq=d)
 
 
 def extract_integer(
@@ -539,12 +680,11 @@ def _meets_rows(prob: LPProblem, units: np.ndarray) -> bool:
     )
 
 
-def _decode_selection(
-    pool: Sequence[PathColumn], lam: np.ndarray
-) -> list[tuple[PathColumn, int]]:
+def _decode_selection(pool: _Pool, lam: np.ndarray) -> list[tuple[PathColumn, int]]:
     """The pooled columns with a positive rounded value, and their units."""
     units = np.round(lam)
-    return [(pool[j], int(units[j])) for j in np.flatnonzero(units > 0).tolist()]
+    picked = (units > 0).nonzero()[0]
+    return list(zip(pool.take(picked), units[picked].astype(int).tolist()))
 
 
 def _group_selection(
@@ -585,14 +725,15 @@ def _bounded_columns(
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (tail, edge) by head
     for p, (i, j) in enumerate(net.transitions):
         into[j].append((i, n + p))
-    cols: list[PathColumn] = []
+    owners: list[int] = []
+    found: list[tuple[int, ...]] = []
     for k in range(net.num_commodities):
         limit = float(zetas[k]) + gap
         w_k, dist_k = w[k].tolist(), dist[k].tolist()
         start = tables.values[k, net.num_shared : net.num_shared + n].tolist()
         term = tables.term[k].tolist()
         paths: list[tuple[int, ...]] = []
-        budget = ENUM_COLUMN_CAP - len(cols)
+        budget = ENUM_COLUMN_CAP - len(found)
 
         def grow(j: int, suffix: tuple[int, ...], s: float) -> None:
             # suffix runs from u_j to the sink at shifted cost s
@@ -612,36 +753,57 @@ def _bounded_columns(
             paths.append((net.bypass_edge(k),))
         if len(paths) > budget:
             return None
-        row = tables.rows[k]
-        cols.extend(PathColumn(k, p, _path_cost(row, net, k, p)) for p in sorted(paths))
-    return cols
+        owners += [k] * len(paths)
+        found += sorted(paths)
+    commodity = np.array(owners, dtype=np.intp)
+    edges = _padded(found, tables.width)
+    at = np.where(edges < net.num_shared, edges, edges - (commodity * (2 * n + 1))[:, None])
+    last = np.array([len(p) - 1 for p in found], dtype=np.intp)
+    cost = _path_sums(tables.values[commodity[:, None], at], last)
+    return list(_Columns(commodity, edges, cost))
 
 
-def _sub_paths(network: FlowNetwork, row: list[float], col: PathColumn) -> list[PathColumn]:
-    """The sub-path family of a tracked commodity's path over detections d_1..d_m.
+def _families(tables: PricingTables, priced: _Columns,
+              bypass: bool) -> tuple[_Columns, np.ndarray, np.ndarray]:
+    """The priced columns with the columns that join with them, in pool order.
 
-    It holds the path without d_x for each x in order (an interior d_x only
-    where the transition d_{x-1} -> d_{x+1} exists), then, for m > 2, the
-    single-detection paths [d_1] and [d_m]: each a source-sink path of the
-    commodity, costed from its cost list `row` as `price` costs it. A path
-    of fewer than two detections has none.
+    Per priced column of commodity k over detections d_1..d_m: the column;
+    for a tracked k, its sub-path family (module docstring): the path
+    without d_x for each x in order (an interior d_x only where the
+    transition d_{x-1} -> d_{x+1} exists), then for m > 2 the paths [d_1]
+    and [d_m]; and with `bypass`, k's bypass unless the column is that
+    bypass. Returns the batch, the batch row of each one's priced column,
+    and `at`: per priced column, the batch row of each slot (the column,
+    the paths without d_1..d_F, [d_1], [d_m], the bypass), -1 where empty.
     """
-    k, edges = col.commodity, col.edges
-    m = (len(edges) - 1) // 2  # d_x is edge 2x - 1, and d_x -> d_x+1 is edge 2x
-    if m < 2:
-        return []
-    trans = network.transitions
-    paths = [(network.start_edge(k, edges[3]),) + edges[3:]]
-    for x in range(2, m):
-        pair = (edges[2 * x - 3], edges[2 * x + 1])
-        p = bisect_left(trans, pair)
-        if p < len(trans) and trans[p] == pair:  # transition p is edge n + p
-            paths.append(edges[: 2 * x - 2] + (network.num_detections + p,) + edges[2 * x + 1 :])
-    paths.append(edges[: 2 * m - 2] + (network.term_edge(k, edges[2 * m - 3]),))
-    if m > 2:
-        paths.append(edges[:2] + (network.term_edge(k, edges[1]),))
-        paths.append((network.start_edge(k, edges[-2]),) + edges[-2:])
-    return [PathColumn(k, p, _path_cost(row, network, k, p)) for p in paths]
+    n = tables.network.num_detections
+    ks = priced.commodity
+    c, f = len(ks), tables.width // 2
+    # each slot's detections, then a -1 that the pads read
+    slots = np.full((c, f + 4, f + 1), -1, dtype=np.intp)
+    dets = slots[:, 0]
+    dets[:, :f] = priced.edges[:, 1::2]  # d_x is edge 2x - 1
+    size = (dets >= 0).sum(axis=1)
+    x = np.arange(f)
+    # without d_x: the detections before x, then those after it
+    slots[:, 1 : f + 1, :f] = dets[:, x + (x >= x[:, None])]
+    slots[:, f + 1, 0] = dets[:, 0]
+    slots[:, f + 2, 0] = dets[np.arange(c), size - 1]
+    family = (ks > 0) & (size >= 2)
+    valid = np.zeros((c, f + 4), dtype=bool)
+    valid[:, 0] = True
+    drop = valid[:, 1 : f + 1]
+    drop[:] = family[:, None] & (x < size[:, None])
+    if f > 2:  # an interior d_x, where its skip transition exists
+        drop[:, 1:-1] &= (x[1:-1] == size[:, None] - 1) | _linked(
+            tables.links, n, dets[:, : f - 2], dets[:, 2:f])
+    valid[:, f + 1 : f + 3] = (family & (size > 2))[:, None]
+    valid[:, f + 3] = bypass & (size > 0)
+    at = valid.cumsum().reshape(valid.shape) - 1
+    at[~valid] = -1
+    count = valid.sum(axis=1)
+    batch = tables.paths(ks.repeat(count), slots[valid][:, :f])
+    return batch, at[:, 0].repeat(count), at
 
 
 def _dummy_flow(
@@ -678,17 +840,22 @@ def _dummy_flow(
     _, pick = linear_sum_assignment(cost)
     # the transition v_t -> u_pick[t], where there is one: keys sort as the ids
     via = (n + np.searchsorted(tails * n + heads, np.arange(n) * n + pick[:n])).tolist()
-    pick, row = pick.tolist(), values.tolist()
+    pick = pick.tolist()
 
-    columns = []
+    paths = []
     for j in sorted(j for j in pick[n:] if j < n):
         edges = [ns + j, j]  # the start edge into u_j, then j's observation edge
         while pick[j] < n:
             edges += (via[j], pick[j])
             j = pick[j]
         edges.append(ns + n + j)
-        columns.append(PathColumn(0, tuple(edges), _path_cost(row, network, 0, edges)))
-    return columns
+        paths.append(edges)
+    # The dummy's block comes first: its edge ids are their cost positions.
+    # Its few paths are summed in path order from 0.0, as `_path_sums` sums
+    # pooled columns, here one edge at a time: array calls would cost a
+    # dummy-only window more than the sums.
+    row = values.tolist()
+    return [PathColumn(0, tuple(p), reduce(add, map(row.__getitem__, p), 0.0)) for p in paths]
 
 
 def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:
@@ -718,13 +885,56 @@ def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:
         epsilon=0.0,
         iterations=1,
         pivots=0,
-        columns=columns,
+        pool=columns,
         selection=_group_selection(network, selection),
         num_edges=network.num_edges,
         pi=None,
         sigma=None,
         zetas=None,
     )
+
+
+def _start_basis(network: FlowNetwork, priced: _Columns,
+                 at: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The first master's start basis over [slacks | columns] and its written inverse.
+
+    `priced` holds the initial pricing's column of every commodity, and
+    `at` their slots' rows in the pool (`_families`; they are the first
+    columns pooled). By row: slack i at detection i and commodity k's bypass
+    at row n + k, except where a priced path P over d_1..d_m and its
+    drop-one members P_1..P_m take rows d_1..d_m and n + k. The inverse is
+    the identity but for those blocks' rows, whose entries are written down
+    as (row, column, value) (module docstring).
+    """
+    n, nc = network.num_detections, network.num_commodities
+    dets = priced.edges[:, 1::2]  # d_x is edge 2x - 1
+    size = (dets >= 0).sum(axis=1)
+    drops = (at[:, 1 : dets.shape[1] + 1] >= 0).sum(axis=1)
+    bypass = np.where(at[:, -1] >= 0, at[:, -1], at[:, 0])  # a priced bypass is the bypass
+    start = list(range(n)) + (n + bypass).tolist()
+    # tracked paths with every drop-one member pooled; for m = 1 the member is the bypass
+    whole = (np.arange(nc) > 0) & (size > 0) & ((size == 1) | (drops == size))
+    dets, size, at, bypass = dets.tolist(), size.tolist(), at.tolist(), bypass.tolist()
+    started: set[int] = set()  # the detections of the start paths
+    entries: tuple[list[int], list[int], list[float]] = ([], [], [])
+    for k in whole.nonzero()[0].tolist():
+        m, ds = size[k], dets[k][: size[k]]
+        if not started.isdisjoint(ds):
+            continue
+        started.update(ds)
+        rows = ds + [n + k]
+        members = at[k][1 : m + 1] if m > 1 else [bypass[k]]
+        for row, j in zip(rows, [at[k][0]] + members):
+            start[row] = n + j
+        # P's row: 1 at each d_x, 1 - m at n + k; P_x's row (at rows[x]):
+        # 1 at n + k, -1 at d_x, and 0 on the diagonal unless it is n + k
+        rest = rows[1:]
+        entries[0].extend([ds[0]] * (m + 1) + rest * 2 + rest[:-1])
+        entries[1].extend(rows + [n + k] * m + ds + rest[:-1])
+        entries[2].extend([1.0] * m + [1.0 - m] + [1.0] * m + [-1.0] * m + [0.0] * (m - 1))
+    inverse = np.eye(n + nc)
+    inverse[entries[0], entries[1]] = entries[2]
+    return start, inverse
 
 
 def column_generation(
@@ -761,62 +971,20 @@ def column_generation(
 
         Only when the dummy's zeta is below the cutoff. The flow's paths are
         detection-disjoint, and each one's pi-shifted cost is its reduced
-        cost.
+        cost: its cost plus the pi it loads, summed in path order.
         """
         if zeta < cutoff:
-            for col in _dummy_flow(network, values[0], pi):
-                if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoff:
-                    pool.add(col)
+            flow = _Columns.of(_dummy_flow(network, values[0], pi), pool.width)
+            shift = np.zeros(network.cost_size)
+            shift[:ns] = pi
+            load = _path_sums(shift[flow.edges], (flow.edges >= 0).sum(axis=1) - 1)
+            pool.extend(flow.take(flow.cost + load < cutoff))
 
-    def add_priced(col: PathColumn) -> list[PathColumn]:
-        """Pool a priced column and, for a tracked commodity, its sub-path family.
-
-        Returns the columns pooled, `col` first; none when `col` was pooled.
-        """
-        if not pool.add(col):
-            return []
-        if col.commodity == 0:
-            return [col]
-        family = _sub_paths(network, tables.rows[col.commodity], col)
-        return [col] + [sub for sub in family if pool.add(sub)]
-
-    # The first master's start basis over [slacks | columns], by row: slack i
-    # at detection i and commodity k's bypass at row n + k, except where a
-    # priced path P over d_1..d_m and its drop-one members P_1..P_m take rows
-    # d_1..d_m and n + k. Its inverse is the identity but for those blocks'
-    # rows, whose entries are written down as (row, column, value) (module
-    # docstring).
-    n = network.num_detections
-    start = list(range(n + nc))
-    started: set[int] = set()  # the detections of the start paths
-    entries: tuple[list[int], list[int], list[float]] = ([], [], [])
     priced, zetas = price(tables, None)
-    for k, col in enumerate(priced):
-        # the pool holds no column of k yet, so `col` and its family all join
-        family = add_priced(col)[1:]
-        edges = (network.bypass_edge(k),)
-        bypass = PathColumn(k, edges, _path_cost(tables.rows[k], network, k, edges))
-        pool.add(bypass)
-        start[n + k] = n + pool.index[bypass.key]
-        dets = col.edges[1:-1:2]
-        m = len(dets)
-        # the family's drop-one members precede its two single-detection
-        # paths; an interior one is missing where its skip transition is, and
-        # for m = 1 the member is the bypass
-        drop_one = [bypass] if m == 1 else family[: len(family) - 2 * (m > 2)]
-        if k and m and len(drop_one) == m and started.isdisjoint(dets):
-            started.update(dets)
-            rows = dets + (n + k,)
-            for row, member in zip(rows, [col] + drop_one):
-                start[row] = n + pool.index[member.key]
-            # P's row: 1 at each d_x, 1 - m at n + k; P_x's row (at rows[x]):
-            # 1 at n + k, -1 at d_x, and 0 on the diagonal unless it is n + k
-            members = rows[1:]
-            entries[0].extend((dets[0],) * (m + 1) + members * 2 + members[:-1])
-            entries[1].extend(rows + (n + k,) * m + dets + members[:-1])
-            entries[2].extend([1.0] * m + [1.0 - m] + [1.0] * m + [-1.0] * m + [0.0] * (m - 1))
-    inverse = np.eye(n + nc)
-    inverse[entries[0], entries[1]] = entries[2]
+    priced = _Columns.of(priced, tables.width)
+    batch, _, at = _families(tables, priced, bypass=True)
+    pool.extend(batch)  # the pool is empty, and the batch repeats no path: all of it joins
+    start, inverse = _start_basis(network, priced, at)
     pi = np.zeros(ns)
     add_dummy_paths(zetas[0], pi, tables.bypass[0])
 
@@ -849,8 +1017,8 @@ def column_generation(
             certified = True
             break
         size = len(pool)
-        for col in priced:
-            add_priced(col)
+        batch, heads, _ = _families(tables, _Columns.of(priced, tables.width), bypass=False)
+        pool.extend(batch, heads)
         add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
         if len(pool) == size:
             break
@@ -872,7 +1040,7 @@ def column_generation(
             # zeta_k + v_int - L(pi) (module docstring): pool them all.
             lower = float(demands @ zetas - pi.sum())
             extra = _bounded_columns(tables, pi, zetas, v_int - lower)
-            if extra is not None and sum(pool.add(col) for col in extra):
+            if extra is not None and pool.extend(extra):
                 # a cheaper selection uses enumerated columns alone; the
                 # incumbent's columns keep the rerun feasible
                 rich_val, rich_sel = extract_integer(
@@ -900,7 +1068,7 @@ def column_generation(
         epsilon=epsilon,
         iterations=iterations,
         pivots=pivots,
-        columns=pool.columns,
+        pool=pool,
         selection=_group_selection(network, selection),
         num_edges=network.num_edges,
         pi=pi,

@@ -156,7 +156,8 @@ class Trajectory:
         self.feature_history.append(np.asarray(feature, dtype=np.float64))
         if len(self.feature_history) > TEMPLATE_HISTORY:
             self.feature_history = self.feature_history[-TEMPLATE_HISTORY:]
-        mean = np.mean(self.feature_history, axis=0)
+        # np.mean's own sum and division, without its wrapper
+        mean = np.add.reduce(self.feature_history, axis=0) / len(self.feature_history)
         norm = float(np.linalg.norm(mean))
         self.template = mean / norm if norm > 1e-12 else self.feature_history[-1]
         self.misses = 0

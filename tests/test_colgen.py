@@ -411,7 +411,7 @@ def test_pool_keeps_each_column_once():
     path, rest = PathColumn(0, (1, 0, 2), -2.0), PathColumn(0, (3,), 5.0)
     pool = _Pool(net, [path, rest, path])
     assert list(pool) == [path, rest]
-    assert not pool.add(PathColumn(0, (1, 0, 2), -2.0)) and len(pool) == 2
+    assert pool.extend([PathColumn(0, (1, 0, 2), -2.0)]) == 0 and len(pool) == 2
     prob = pool.master()
     assert prob.obj.tolist() == [-2.0, 5.0] and prob.a_ub.shape == (1, 2)
     assert extract_integer(net, [path, rest, path]) == (-2.0, [(path, 1)])
@@ -577,9 +577,10 @@ def assert_stopped_soundly(net, res, floor, ceiling, case):
     picks = [pick for group in res.selection for pick in group]
     assert colgen._group_selection(net, picks) == res.selection, case
     pool = _Pool(net, res.columns)
+    position = {col.key: j for j, col in enumerate(pool)}
     units = np.zeros(len(pool))
     for col, n in picks:
-        units[pool.index[col.key]] += n
+        units[position[col.key]] += n
     assert colgen._meets_rows(pool.master(), units), case
     assert res.v_int == pytest.approx(sum(col.cost * n for col, n in picks), abs=1e-9), case
     assert res.status == ("proven-optimal" if res.epsilon <= INT_TOL else "iteration-limit"), case
@@ -768,8 +769,9 @@ def test_the_written_start_inverse_is_the_factored_one(monkeypatch):
 
 def decoded_rounds(monkeypatch, net, vectors):
     """Run column generation; per pricing call, its pi, sigma, zetas, columns and the
-    commodities whose paths were walked (`_path_to_v`) in the call."""
+    commodities whose paths were walked (`_walk_back` or `_path_to_v`) in the call."""
     real_price, real_walk, real_lp = colgen.price, colgen._path_to_v, colgen.solve_lp
+    real_walk_back = colgen._walk_back
     rounds, sigma, walked = [], [None], set()
 
     def spy_price(tables, pi, sigma_=None):
@@ -783,6 +785,10 @@ def decoded_rounds(monkeypatch, net, vectors):
         walked.add(k)
         return real_walk(network, pred, k, i)
 
+    def spy_walk_back(tables, prev, ks, ends):
+        walked.update(ks.tolist())
+        return real_walk_back(tables, prev, ks, ends)
+
     def spy_lp(prob, warm=None, basis=None, inverse=None):
         sol = real_lp(prob, warm=warm, basis=basis, inverse=inverse)
         sigma[0] = sol.sigma
@@ -790,6 +796,7 @@ def decoded_rounds(monkeypatch, net, vectors):
 
     monkeypatch.setattr(colgen, "price", spy_price)
     monkeypatch.setattr(colgen, "_path_to_v", spy_walk)
+    monkeypatch.setattr(colgen, "_walk_back", spy_walk_back)
     monkeypatch.setattr(colgen, "solve_lp", spy_lp)
     res = column_generation(net, vectors)
     monkeypatch.undo()
