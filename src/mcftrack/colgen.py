@@ -17,10 +17,11 @@ finds every commodity's shortest path under costs shifted by the coupling
 duals pi on shared edges, in one numpy sweep over the frame layers of the
 window (detections of one frame form a contiguous range, and every
 transition leaves an earlier one). The sweep gives every zeta_k, and
-`price(tables, pi, sigma)` decodes (walks back from
-the sweep, with the exact-tie rules, and costs) only the columns with
+`price(tables, pi, sigma)` decodes only the columns with
 zeta_k < sigma_k - CERT_TOL, which join the pool: none in a round that
-certifies, and at the initial pricing, at no sigma, all of them. The dummy
+certifies, and at the initial pricing, at no sigma, all of them. Their
+paths are walked back from the sweep all at once; a commodity with an
+exact-value tie compares paths under the tie rules instead. The dummy
 commodity carries up to d0 units, so whenever its shortest path prices
 negative, the round also routes all d0 of them under the pi-shifted costs as
 one min-cost assignment (`_dummy_flow`, the routine that solves dummy-only
@@ -30,7 +31,7 @@ paths. The bound and the certificate read only the pricing sweep.
 
 Each time a tracked commodity's priced column joins the pool (in the initial
 pricing and in every round), its sub-path family joins with it
-(`_sub_paths`): for a path over detections d_1..d_m, the path without d_x
+(`_families`): for a path over detections d_1..d_m, the path without d_x
 for each x (an interior d_x only where the transition d_{x-1} -> d_{x+1}
 exists), and for m > 2 the single-detection paths [d_1] and [d_m]. The
 master's duals are degenerate: a round's vertex tends to put a track path's
@@ -43,6 +44,16 @@ source-sink path of its commodity at its true cost: the master stays a
 restriction of the full path master, so v_lp, the certificate, L(pi) and
 the enumeration below keep their meaning. The dummy's columns, the
 enumerated columns and the members themselves bring no family.
+
+The pool holds its columns as arrays: per column its commodity, its edge
+ids in path order padded with -1 to the window's longest possible path,
+and its cost. The priced columns of a call, their families and (at the
+initial pricing) every commodity's bypass are built in one array pass
+from their detections, and join the pool in that order, each path once.
+Every pooled column is costed by one rule, a sum in path order from 0.0 of
+its commodity's edge costs (`_path_sums`), so a path pooled twice carries
+the same cost both times. A column is made a PathColumn only when read:
+`pool[j]`, the selection, and `CGResult.columns`.
 
 The first master starts from a basis built of those columns
 (`solve_lp(prob, basis=start)`; Lübbecke and Desrosiers, "Selected Topics
@@ -224,7 +235,7 @@ class _Columns(Sequence):
                    np.array([col.cost for col in columns], dtype=np.float64))
 
     def __len__(self) -> int:
-        return len(self.cost)
+        return len(self.commodity)
 
     def __getitem__(self, j: int) -> PathColumn:
         edges = self.edges[j].tolist()
@@ -242,6 +253,26 @@ class _Columns(Sequence):
         """Each column's commodity and padded edges as bytes: equal for equal paths."""
         rows = np.concatenate([self.commodity[:, None], self.edges], axis=1)
         return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+class _Priced(_Columns):
+    """Priced paths held as their detections, as `PricingTables.paths` takes
+    them; their edges and costs are built when first read."""
+
+    def __init__(self, tables: PricingTables, commodity: np.ndarray, dets: np.ndarray) -> None:
+        self.tables, self.commodity, self.dets = tables, commodity, dets
+
+    @cached_property
+    def built(self) -> _Columns:
+        return self.tables.paths(self.commodity, self.dets)
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.built.edges
+
+    @property
+    def cost(self) -> np.ndarray:
+        return self.built.cost
 
 
 def _padded(paths: Sequence[Sequence[int]], width: int) -> np.ndarray:
@@ -516,7 +547,7 @@ def price(
     wanted = np.arange(nc) if sigma is None else np.flatnonzero(zetas < sigma - CERT_TOL)
     dets = np.full((wanted.size, tables.width // 2), -1, dtype=np.intp)
     if not wanted.size:
-        return tables.paths(wanted, dets), zetas
+        return _Priced(tables, wanted, dets), zetas
     # whether each transition (by head, then edge id) reaches its head at the head's distance
     hit = tables.buf[:, tables.trans_pos] == reach[:, tables.trans_heads]
     # A start loses every tie: a path through a transition begins at the start
@@ -548,7 +579,7 @@ def price(
         k = int(wanted[r])
         path = _decode(tables, k, int(ends[r]), hit, pred, tied, cand, bool(ends_tied[k]))
         dets[r, : len(path) // 2] = path[1:-1:2]
-    return tables.paths(wanted, dets), zetas
+    return _Priced(tables, wanted, dets), zetas
 
 
 def optimality_check(
@@ -763,7 +794,7 @@ def _bounded_columns(
     return list(_Columns(commodity, edges, cost))
 
 
-def _families(tables: PricingTables, priced: _Columns,
+def _families(tables: PricingTables, priced: Sequence[PathColumn],
               bypass: bool) -> tuple[_Columns, np.ndarray, np.ndarray]:
     """The priced columns with the columns that join with them, in pool order.
 
@@ -776,13 +807,15 @@ def _families(tables: PricingTables, priced: _Columns,
     and `at`: per priced column, the batch row of each slot (the column,
     the paths without d_1..d_F, [d_1], [d_m], the bypass), -1 where empty.
     """
-    n = tables.network.num_detections
+    n, f = tables.network.num_detections, tables.width // 2
+    if not isinstance(priced, _Priced):
+        priced = _Columns.of(priced, tables.width)
     ks = priced.commodity
-    c, f = len(ks), tables.width // 2
+    c = len(ks)
     # each slot's detections, then a -1 that the pads read
     slots = np.full((c, f + 4, f + 1), -1, dtype=np.intp)
     dets = slots[:, 0]
-    dets[:, :f] = priced.edges[:, 1::2]  # d_x is edge 2x - 1
+    dets[:, :f] = priced.dets if isinstance(priced, _Priced) else priced.edges[:, 1::2]
     size = (dets >= 0).sum(axis=1)
     x = np.arange(f)
     # without d_x: the detections before x, then those after it
@@ -894,20 +927,20 @@ def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:
     )
 
 
-def _start_basis(network: FlowNetwork, priced: _Columns,
+def _start_basis(network: FlowNetwork, pooled: _Columns,
                  at: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The first master's start basis over [slacks | columns] and its written inverse.
 
-    `priced` holds the initial pricing's column of every commodity, and
-    `at` their slots' rows in the pool (`_families`; they are the first
-    columns pooled). By row: slack i at detection i and commodity k's bypass
-    at row n + k, except where a priced path P over d_1..d_m and its
-    drop-one members P_1..P_m take rows d_1..d_m and n + k. The inverse is
-    the identity but for those blocks' rows, whose entries are written down
-    as (row, column, value) (module docstring).
+    `pooled` are the first columns pooled, the initial pricing's of every
+    commodity with those that join with them, and `at` the pool row of each
+    priced column's slots (`_families`). By row: slack i at detection i and
+    commodity k's bypass at row n + k, except where a priced path P over
+    d_1..d_m and its drop-one members P_1..P_m take rows d_1..d_m and n + k.
+    The inverse is the identity but for those blocks' rows, whose entries
+    are written down as (row, column, value) (module docstring).
     """
     n, nc = network.num_detections, network.num_commodities
-    dets = priced.edges[:, 1::2]  # d_x is edge 2x - 1
+    dets = pooled.edges[at[:, 0], 1::2]  # d_x is edge 2x - 1
     size = (dets >= 0).sum(axis=1)
     drops = (at[:, 1 : dets.shape[1] + 1] >= 0).sum(axis=1)
     bypass = np.where(at[:, -1] >= 0, at[:, -1], at[:, 0])  # a priced bypass is the bypass
@@ -981,10 +1014,9 @@ def column_generation(
             pool.extend(flow.take(flow.cost + load < cutoff))
 
     priced, zetas = price(tables, None)
-    priced = _Columns.of(priced, tables.width)
     batch, _, at = _families(tables, priced, bypass=True)
     pool.extend(batch)  # the pool is empty, and the batch repeats no path: all of it joins
-    start, inverse = _start_basis(network, priced, at)
+    start, inverse = _start_basis(network, batch, at)
     pi = np.zeros(ns)
     add_dummy_paths(zetas[0], pi, tables.bypass[0])
 
@@ -1017,7 +1049,7 @@ def column_generation(
             certified = True
             break
         size = len(pool)
-        batch, heads, _ = _families(tables, _Columns.of(priced, tables.width), bypass=False)
+        batch, heads, _ = _families(tables, priced, bypass=False)
         pool.extend(batch, heads)
         add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
         if len(pool) == size:

@@ -1055,6 +1055,82 @@ def sub_path_family(net, vectors, col):
     return [PathColumn(k, p, float(sum(values[net.cost_index(k, e)] for e in p))) for p in paths]
 
 
+def path_order_cost(net, values, k, edges):
+    """Commodity k's cost of a path, one edge at a time in path order from 0.0."""
+    total = 0.0
+    for e in edges:
+        total += values[net.cost_index(k, e)]
+    return total
+
+
+def reference_initial_pool(net, vectors):
+    """The pool before the first master, built path by path, as (key, cost) pairs.
+
+    Per commodity in order: its initially priced path, for a tracked
+    commodity the path without each of its detections (an interior one only
+    where a transition bridges it) and, for more than two detections, the
+    paths over its first and its last detection alone, then its bypass
+    unless it priced the bypass. Then the dummy's flow paths that price
+    below its bypass, less those pooled. Every cost is a path-order sum.
+    """
+    values = [cv.values for cv in vectors]
+    priced, zetas = price(PricingTables.build(net, values), None)
+    pool = []
+
+    def join(k, edges):
+        key = (k, tuple(edges))
+        if key not in {key for key, _ in pool}:
+            pool.append((key, path_order_cost(net, values[k], k, edges)))
+
+    for col in priced:
+        k, dets = col.commodity, net.path_detections(col.edges)
+        join(k, col.edges)
+        subs = [dets[:x] + dets[x + 1 :] for x in range(len(dets))] if k and len(dets) > 1 else []
+        if k and len(dets) > 2:
+            subs += [dets[:1], dets[-1:]]
+        for sub in subs:
+            edges = detection_path(net, k, sub)
+            if edges is not None:
+                join(k, edges)
+        join(k, (net.bypass_edge(k),))
+    bypass = values[0][net.cost_index(0, net.bypass_edge(0))]
+    if zetas[0] < bypass:
+        for col in _dummy_flow(net, values[0], np.zeros(net.num_shared)):
+            if path_order_cost(net, values[0], 0, col.edges) < bypass:
+                join(0, col.edges)
+    return pool
+
+
+def test_the_initial_pool_matches_a_path_by_path_build(monkeypatch):
+    # The pool is built from arrays in one pass; before the first master it
+    # must hold, in order and bit for bit, the columns a path-by-path build
+    # gives. Half-unit and unit grids force exact ties in the pricing.
+    cases = [(case, net, vectors) for case, net, vectors in tracked_cases()]
+    for seed in range(60):
+        net, raw = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
+        if net.num_commodities > 1:
+            for grid in (2.0, 1.0):
+                costs = [np.round(grid * c) / grid for c in raw]
+                cases.append(((seed, grid), net, wrap_cost_vectors(net, costs)))
+    real, firsts = colgen._Pool.master, []
+
+    def spy(pool):
+        if not firsts:
+            firsts.append([(col.key, col.cost.hex()) for col in pool])
+        return real(pool)
+
+    families = 0
+    for case, net, vectors in cases:
+        firsts.clear()
+        monkeypatch.setattr(colgen._Pool, "master", spy)
+        column_generation(net, vectors)
+        monkeypatch.undo()
+        ref = reference_initial_pool(net, vectors)
+        assert firsts[0] == [(key, cost.hex()) for key, cost in ref], case
+        families += len(ref) > 2 * net.num_commodities
+    assert len(cases) >= 100 and families >= 40
+
+
 def is_path(net, k, edges):
     """Whether `edges` lead from commodity k's source to its sink, edge after edge."""
     nodes = [net.tail[edges[0]]] + [net.head[e] for e in edges]
