@@ -51,8 +51,9 @@ and its cost. The priced columns of a call, their families and (at the
 initial pricing) every commodity's bypass are built in one array pass
 from their detections, and join the pool in that order, each path once.
 Every pooled column is costed by one rule, a sum in path order from 0.0 of
-its commodity's edge costs (`_path_sums`), so a path pooled twice carries
-the same cost both times. A column is made a PathColumn only when read:
+its commodity's edge costs (`_path_sums`; `_dummy_flow` sums its few paths
+alike, one edge at a time), so a path pooled twice carries the same cost
+both times. A column is made a PathColumn only when read:
 `pool[j]`, the selection, and `CGResult.columns`.
 
 The first master starts from a basis built of those columns
@@ -223,13 +224,9 @@ class _Columns(Sequence):
 
     @classmethod
     def of(cls, columns: Sequence[PathColumn], width: int) -> _Columns:
-        """`columns` as arrays of `width` edge positions (at least its longest path's)."""
+        """PathColumns as arrays of `width` edge positions; arrays as they are."""
         if isinstance(columns, _Columns):
-            pad = width - columns.edges.shape[1]
-            if pad == 0:
-                return columns
-            edges = np.concatenate([columns.edges, np.full((len(columns), pad), -1)], axis=1)
-            return cls(columns.commodity, edges, columns.cost)
+            return columns
         return cls(np.array([col.commodity for col in columns], dtype=np.intp),
                    _padded([col.edges for col in columns], width),
                    np.array([col.cost for col in columns], dtype=np.float64))
@@ -296,8 +293,9 @@ def _path_sums(parts: np.ndarray, last: np.ndarray) -> np.ndarray:
 
     The running sum along each row adds one edge position at a time; the
     final + 0.0 is the sum's start, which changes only an all -0.0 sum.
-    Every column is costed here, so a path pooled twice carries the same
-    cost both times.
+    Every pooled column is costed by this sum (the dummy's flow paths by
+    the same sum, one edge at a time), so a path pooled twice carries the
+    same cost both times.
     """
     return parts.cumsum(axis=1)[np.arange(len(last)), last] + 0.0
 
@@ -480,7 +478,7 @@ def _walk_back(tables: PricingTables, prev: np.ndarray, ks: np.ndarray,
     """
     f = tables.width // 2
     back = np.empty((len(ks), f + 1), dtype=np.intp)  # from the last detection, then -1
-    back[:, f] = at = ends
+    at = ends
     for step in range(f):
         back[:, step] = at
         at = prev[ks, at]
@@ -521,8 +519,9 @@ def price(
     One sweep over the frame layers relaxes all commodities at once under
     the pi-shifted shared costs; the bypass makes every sink reachable.
     Returns, in commodity order, the columns (with their unshifted path
-    costs) of the commodities with zeta_k < sigma_k - CERT_TOL, or of all
-    when `sigma` is None, and every zeta_k. Exact-value ties resolve to the
+    costs, built when first read) of the commodities with
+    zeta_k < sigma_k - CERT_TOL, or of all when `sigma` is None, and every
+    zeta_k. Exact-value ties resolve to the
     lexicographically smallest edge-id sequence. The returned commodities'
     paths are walked back from the sweep all at once (`_walk_back`), except
     where a (commodity, node) entry is truly tied: those commodities compare
@@ -626,13 +625,11 @@ class _Pool(_Columns):
         """
         cols = _Columns.of(columns, self.width)
         keys = cols.keys()
-        position = self.position
-        new = [key not in position for key in keys]
+        position, size, rows = self.position, len(self), []
         if heads is not None:
-            new = [new[r] and new[head] for r, head in enumerate(heads.tolist())]
-        size, rows = len(self), []
+            fresh, heads = [key not in position for key in keys], heads.tolist()
         for r, key in enumerate(keys):
-            if new[r] and key not in position:  # a path repeated in `columns` joins once
+            if key not in position and (heads is None or fresh[heads[r]]):
                 position[key] = size + len(rows)
                 rows.append(r)
         if len(rows) < len(cols):
@@ -808,14 +805,15 @@ def _families(tables: PricingTables, priced: Sequence[PathColumn],
     the paths without d_1..d_F, [d_1], [d_m], the bypass), -1 where empty.
     """
     n, f = tables.network.num_detections, tables.width // 2
-    if not isinstance(priced, _Priced):
-        priced = _Columns.of(priced, tables.width)
+    if not isinstance(priced, _Priced):  # PathColumns, whose d_x is edge 2x - 1
+        cols = _Columns.of(priced, tables.width)
+        priced = _Priced(tables, cols.commodity, cols.edges[:, 1::2])
     ks = priced.commodity
     c = len(ks)
     # each slot's detections, then a -1 that the pads read
     slots = np.full((c, f + 4, f + 1), -1, dtype=np.intp)
     dets = slots[:, 0]
-    dets[:, :f] = priced.dets if isinstance(priced, _Priced) else priced.edges[:, 1::2]
+    dets[:, :f] = priced.dets
     size = (dets >= 0).sum(axis=1)
     x = np.arange(f)
     # without d_x: the detections before x, then those after it
@@ -1004,14 +1002,11 @@ def column_generation(
 
         Only when the dummy's zeta is below the cutoff. The flow's paths are
         detection-disjoint, and each one's pi-shifted cost is its reduced
-        cost: its cost plus the pi it loads, summed in path order.
+        cost.
         """
         if zeta < cutoff:
-            flow = _Columns.of(_dummy_flow(network, values[0], pi), pool.width)
-            shift = np.zeros(network.cost_size)
-            shift[:ns] = pi
-            load = _path_sums(shift[flow.edges], (flow.edges >= 0).sum(axis=1) - 1)
-            pool.extend(flow.take(flow.cost + load < cutoff))
+            pool.extend([col for col in _dummy_flow(network, values[0], pi)
+                         if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoff])
 
     priced, zetas = price(tables, None)
     batch, _, at = _families(tables, priced, bypass=True)
