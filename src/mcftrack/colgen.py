@@ -947,7 +947,7 @@ def _start_basis(network: FlowNetwork, pooled: _Columns,
     whole = (np.arange(nc) > 0) & (size > 0) & ((size == 1) | (drops == size))
     dets, size, at, bypass = dets.tolist(), size.tolist(), at.tolist(), bypass.tolist()
     started: set[int] = set()  # the detections of the start paths
-    entries: tuple[list[int], list[int], list[float]] = ([], [], [])
+    blocks: dict[int, list[list[int]]] = {}  # the blocks' rows, by m
     for k in whole.nonzero()[0].tolist():
         m, ds = size[k], dets[k][: size[k]]
         if not started.isdisjoint(ds):
@@ -957,14 +957,19 @@ def _start_basis(network: FlowNetwork, pooled: _Columns,
         members = at[k][1 : m + 1] if m > 1 else [bypass[k]]
         for row, j in zip(rows, [at[k][0]] + members):
             start[row] = n + j
-        # P's row: 1 at each d_x, 1 - m at n + k; P_x's row (at rows[x]):
-        # 1 at n + k, -1 at d_x, and 0 on the diagonal unless it is n + k
-        rest = rows[1:]
-        entries[0].extend([ds[0]] * (m + 1) + rest * 2 + rest[:-1])
-        entries[1].extend(rows + [n + k] * m + ds + rest[:-1])
-        entries[2].extend([1.0] * m + [1.0 - m] + [1.0] * m + [-1.0] * m + [0.0] * (m - 1))
+        blocks.setdefault(m, []).append(rows)
     inverse = np.eye(n + nc)
-    inverse[entries[0], entries[1]] = entries[2]
+    for m, rows in blocks.items():
+        # over a block's rows d_1..d_m, n + k: P's row (at d_1) has 1 at
+        # each d_x and 1 - m at n + k; P_x's row (at rows[x]) 1 at n + k,
+        # -1 at d_x, and 0 on the diagonal unless it is n + k
+        block = np.zeros((m + 1, m + 1))
+        block[0] = 1.0
+        block[0, m] = 1.0 - m
+        block[1:, m] = 1.0
+        block[np.arange(1, m + 1), np.arange(m)] = -1.0
+        rows = np.array(rows)
+        inverse[rows[:, :, None], rows[:, None, :]] = block
     return start, inverse
 
 
