@@ -333,10 +333,10 @@ class PricingTables:
 
     values holds the cost vectors stacked, one CostVector per row, from
     which path costs are summed. shared (nc x num_shared), term (nc x N)
-    and bypass (nc) are its slices. The candidate buffer `buf` holds, per head u_j in detection
-    order, a segment of its incoming transitions by edge id followed by its
-    start edge. Start columns hold 0.0 + start cost, as does bypass: the
-    first step of a sum from the source.
+    and bypass (nc) are its slices. The candidate buffer `buf` holds, per
+    head u_j in detection order, a segment of its incoming transitions by
+    edge id followed by its start edge. Start columns hold 0.0 + start
+    cost, as does bypass: the first step of a sum from the source.
     trans_edges lists the transition edge ids by head, then edge id;
     trans_pos are their columns in `buf`, trans_heads their heads and
     trans_tails their tails. The transitions into u_j are entries into[j]

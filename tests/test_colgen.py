@@ -1105,7 +1105,7 @@ def test_the_initial_pool_matches_a_path_by_path_build(monkeypatch):
     # The pool is built from arrays in one pass; before the first master it
     # must hold, in order and bit for bit, the columns a path-by-path build
     # gives. Half-unit and unit grids force exact ties in the pricing.
-    cases = [(case, net, vectors) for case, net, vectors in tracked_cases()]
+    cases = tracked_cases()
     for seed in range(60):
         net, raw = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
         if net.num_commodities > 1:
