@@ -135,8 +135,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import LinearConstraint, linear_sum_assignment, milp
@@ -871,22 +870,23 @@ def _dummy_flow(
     _, pick = linear_sum_assignment(cost)
     # the transition v_t -> u_pick[t], where there is one: keys sort as the ids
     via = (n + np.searchsorted(tails * n + heads, np.arange(n) * n + pick[:n])).tolist()
-    pick = pick.tolist()
+    pick, row = pick.tolist(), values.tolist()
 
-    paths = []
+    columns = []
     for j in sorted(j for j in pick[n:] if j < n):
         edges = [ns + j, j]  # the start edge into u_j, then j's observation edge
         while pick[j] < n:
             edges += (via[j], pick[j])
             j = pick[j]
         edges.append(ns + n + j)
-        paths.append(edges)
-    # The dummy's block comes first: its edge ids are their cost positions.
-    # Its few paths are summed in path order from 0.0, as `_path_sums` sums
-    # pooled columns, here one edge at a time: array calls would cost a
-    # dummy-only window more than the sums.
-    row = values.tolist()
-    return [PathColumn(0, tuple(p), reduce(add, map(row.__getitem__, p), 0.0)) for p in paths]
+        # The dummy's block comes first, so its edge ids are their cost
+        # positions. Summed in path order from 0.0, as `_path_sums` sums; a
+        # loop, since array calls would cost a dummy-only window more.
+        cost = 0.0
+        for e in edges:
+            cost += row[e]
+        columns.append(PathColumn(0, tuple(edges), cost))
+    return columns
 
 
 def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:

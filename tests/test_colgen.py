@@ -1084,7 +1084,7 @@ def reference_initial_pool(net, vectors):
 
     for col in priced:
         k, dets = col.commodity, net.path_detections(col.edges)
-        join(k, col.edges)
+        join(k, detection_path(net, k, dets) if dets else (net.bypass_edge(k),))
         subs = [dets[:x] + dets[x + 1 :] for x in range(len(dets))] if k and len(dets) > 1 else []
         if k and len(dets) > 2:
             subs += [dets[:1], dets[-1:]]
