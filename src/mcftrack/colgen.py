@@ -19,19 +19,24 @@ window (detections of one frame form a contiguous range, and every
 transition leaves an earlier one). The sweep gives every zeta_k, and
 `price(tables, pi, sigma)` decodes only the columns with
 zeta_k < sigma_k - CERT_TOL, which join the pool: none in a round that
-certifies, and at the initial pricing, at no sigma, all of them. Their
-paths are walked back from the sweep all at once; a commodity with an
-exact-value tie compares paths under the tie rules instead. The dummy
-commodity carries up to d0 units, so whenever its shortest path prices
-negative, the round also routes all d0 of them under the pi-shifted costs as
-one min-cost assignment (`_dummy_flow`, the routine that solves dummy-only
-windows below). Every path of that flow whose shifted cost prices negative
-joins the pool, so one round can add up to d0 detection-disjoint dummy
-paths. The bound and the certificate read only the pricing sweep.
+certifies, and at the initial pricing, at no sigma, all of them. A priced
+column is held as a detection row (its detections in path order, padded
+with -1) until it is pooled. An exact-value tie is settled on such rows:
+the tied paths are walked back and the lexicographically first row wins,
+its pads read as detection N, which is the smallest edge-id sequence.
+Then the returned paths are walked back from the sweep all at once. The
+dummy commodity carries up to d0 units, so whenever its shortest path
+prices negative, the round also routes all d0 of them under the
+pi-shifted costs as one min-cost assignment (`_dummy_flow`, the routine
+that solves dummy-only windows below). Every path of that flow whose
+shifted cost prices negative joins the pool, so one round can add up to
+d0 detection-disjoint dummy paths. The bound and the certificate read
+only the pricing sweep.
 
-Each time a tracked commodity's priced column joins the pool (in the initial
-pricing and in every round), its sub-path family joins with it
-(`_families`): for a path over detections d_1..d_m, the path without d_x
+Each time a tracked commodity's column is priced (in the initial pricing
+and in every round), its sub-path family joins the pool with it, each
+member not pooled before (`_families`), even where the priced column was
+pooled earlier: for a path over detections d_1..d_m, the path without d_x
 for each x (an interior d_x only where the transition d_{x-1} -> d_{x+1}
 exists), and for m > 2 the single-detection paths [d_1] and [d_m]. The
 master's duals are degenerate: a round's vertex tends to put a track path's
@@ -53,8 +58,8 @@ from their detections, and join the pool in that order, each path once.
 Every pooled column is costed by one rule, a sum in path order from 0.0 of
 its commodity's edge costs (`_path_sums`; `_dummy_flow` sums its few paths
 alike, one edge at a time), so a path pooled twice carries the same cost
-both times. A column is made a PathColumn only when read:
-`pool[j]`, the selection, and `CGResult.columns`.
+both times. `CGResult.columns` is the pool itself, and a column is made a
+PathColumn only when read: `pool[j]`, iteration, and the selection.
 
 The first master starts from a basis built of those columns
 (`solve_lp(prob, basis=start)`; Lübbecke and Desrosiers, "Selected Topics
@@ -115,10 +120,11 @@ where rc_p >= 0 is p's pi-shifted cost less zeta_k(p): the shifted costs
 add pi_e times each shared edge's load, which is at most 1, and each
 commodity's x_p sum to d_k. So every column of a selection cheaper than
 v_int has rc_p < v_int - L(pi). `_bounded_columns` enumerates exactly those
-paths, and when one of them is new to the pool extraction reruns over the
-enumerated paths and the incumbent selection's columns: a cheaper selection
-uses no other column, and the incumbent keeps the rerun feasible. v_int is
-then the integer optimum over all paths, and an epsilon left is a true
+paths as detection rows, built like the priced ones, and when one of them
+is new to the pool extraction reruns over one pool of the enumerated paths
+and then the incumbent selection's columns: a cheaper selection uses no
+other column, and the incumbent keeps the rerun feasible. v_int is then
+the integer optimum over all paths, and an epsilon left is a true
 integrality gap against the LP bound. Past ENUM_COLUMN_CAP columns the
 enumeration gives up and the certified gap stands.
 
@@ -184,7 +190,9 @@ class CGResult:
     epsilon: float
     iterations: int
     pivots: int  # master LP pivots, summed over the window's solves
-    pool: Sequence[PathColumn]  # every pooled column, in pool order
+    # the pool: every pooled column, in pool order, each made a PathColumn
+    # only when read
+    columns: Sequence[PathColumn]
     selection: list[list[tuple[PathColumn, int]]]  # per commodity: (path, units)
     num_edges: int  # the window network's edges, the length of each flow
     # the last pricing round's duals and values; None for a dummy-only window,
@@ -192,11 +200,6 @@ class CGResult:
     pi: np.ndarray | None
     sigma: np.ndarray | None
     zetas: np.ndarray | None
-
-    @cached_property
-    def columns(self) -> list[PathColumn]:
-        """The pooled columns as PathColumns, made when first read."""
-        return list(self.pool)
 
     @cached_property
     def flows(self) -> list[np.ndarray]:
@@ -272,7 +275,7 @@ class _Priced(_Columns):
 
 
 def _padded(paths: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    """Edge-id paths as rows of `width` positions, padded with -1."""
+    """Paths (edge ids or detections) as rows of `width` positions, padded with -1."""
     rows = [list(p) + [-1] * (width - len(p)) for p in paths]
     return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
@@ -338,8 +341,7 @@ class PricingTables:
     cost, as does bypass: the first step of a sum from the source.
     trans_edges lists the transition edge ids by head, then edge id;
     trans_pos are their columns in `buf`, trans_heads their heads and
-    trans_tails their tails. The transitions into u_j are entries into[j]
-    to into[j + 1] of these.
+    trans_tails their tails.
     links holds each transition's tail * N + head by edge id, and width
     the edge positions of the longest possible path (`_path_width`).
     """
@@ -354,7 +356,6 @@ class PricingTables:
     trans_pos: np.ndarray
     trans_heads: np.ndarray
     trans_tails: np.ndarray
-    into: list[int]
     layers: list[_Layer]
     links: np.ndarray
     width: int
@@ -393,7 +394,7 @@ class PricingTables:
             ))
         links = network.det_a[n:ns] * n + network.det_b[n:ns]
         return cls(network, stack, shared, term, bypass, buf, t_edge, pos, t_head, t_tail,
-                   before.tolist(), layers, links, _path_width(network))
+                   layers, links, _path_width(network))
 
     def paths(self, commodity: np.ndarray, dets: np.ndarray) -> _Columns:
         """Each commodity's path over its detections, with its edges and cost.
@@ -426,22 +427,6 @@ class PricingTables:
         if rows.size:
             at[rows, ends] += shift[rows]
         return _Columns(commodity, at, cost)
-
-
-def _path_to_v(network: FlowNetwork, pred: list[int], k: int, i: int) -> list[int]:
-    """Edge ids of commodity k's chosen path from its source to v_i.
-
-    pred[j] is the transition edge into u_j, or -1 for the start edge.
-    """
-    edges = [i]
-    e = pred[i]
-    while e >= 0:
-        i = network.transitions[e - network.num_detections][0]
-        edges += (e, i)
-        e = pred[i]
-    edges.append(network.start_edge(k, i))
-    edges.reverse()
-    return edges
 
 
 def _sweep(tables: PricingTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,26 +473,15 @@ def _walk_back(tables: PricingTables, prev: np.ndarray, ks: np.ndarray,
     return back[np.arange(len(ks))[:, None], src]
 
 
-def _decode(tables: PricingTables, k: int, i: int, hit: np.ndarray, pred: np.ndarray,
-            tied: dict[int, list[int]], cand: np.ndarray, ends_tied: bool) -> tuple[int, ...]:
-    """Edge ids of commodity k's path ending at detection i, by the exact-tie rules.
+def _first_path(tables: PricingTables, prev: np.ndarray, k: int, ends: np.ndarray) -> int:
+    """The end among `ends` whose path of commodity k comes first.
 
-    Paths are compared where several end at zeta_k (`ends_tied`) or meet at a head in `tied`.
+    The paths are walked back (`_walk_back`) and compared as detection
+    rows, with their -1 pads read as detection N (`price`).
     """
-    net = tables.network
-    n = net.num_detections
-    pred_k = pred[k].tolist()
-    # in detection order, so that every tail's path is settled first
-    for h in tied.get(k, ()):
-        a, b = tables.into[h], tables.into[h + 1]
-        pred_k[h] = min(
-            tables.trans_edges[a:b][hit[k, a:b]].tolist(),
-            key=lambda e: _path_to_v(net, pred_k, k, net.transitions[e - n][0]) + [e],
-        )
-    if ends_tied:
-        i = min(np.flatnonzero(cand[k] == cand[k, i]).tolist(),
-                key=lambda i: _path_to_v(net, pred_k, k, i) + [net.term_edge(k, i)])
-    return tuple(_path_to_v(net, pred_k, k, i)) + (net.term_edge(k, i),)
+    rows = _walk_back(tables, prev, np.full(len(ends), k), ends)
+    rows[rows < 0] = tables.network.num_detections
+    return int(ends[np.lexsort(rows.T[::-1])[0]])
 
 
 def price(
@@ -520,18 +494,21 @@ def price(
     Returns, in commodity order, the columns (with their unshifted path
     costs, built when first read) of the commodities with
     zeta_k < sigma_k - CERT_TOL, or of all when `sigma` is None, and every
-    zeta_k. Exact-value ties resolve to the
-    lexicographically smallest edge-id sequence. The returned commodities'
-    paths are walked back from the sweep all at once (`_walk_back`), except
-    where a (commodity, node) entry is truly tied: those commodities compare
-    paths in `_decode`.
+    zeta_k. Exact-value ties resolve to the lexicographically smallest
+    edge-id sequence, which is the lexicographically first detection row
+    with its -1 pads read as detection N: k's start edges ascend with the
+    detection, transitions are sorted by (tail, head), every termination id
+    exceeds every transition id, and a path's detections ascend. So each
+    tied head of a returned commodity, in detection order, takes the tail
+    whose path comes first, and so does a tied end (`_first_path`); then
+    the returned commodities' paths are walked back all at once
+    (`_walk_back`).
     """
     n = tables.network.num_detections
     nc = tables.shared.shape[0]
     reach, dist = _sweep(tables, tables.shared if pi is None else tables.shared + pi)
 
     via = np.full(nc, -1)  # detection each commodity terminates from, -1: bypass
-    ends_tied = np.zeros(nc, dtype=bool)  # several detections end at zeta_k
     zetas = tables.bypass.copy()
     cand = dist + tables.term
     if n:
@@ -541,42 +518,30 @@ def price(
         wins = ends <= zetas
         zetas[wins] = ends[wins]
         via[~wins] = -1
-        ends_tied = wins & ((cand == ends[:, None]).sum(axis=1) > 1)
     wanted = np.arange(nc) if sigma is None else np.flatnonzero(zetas < sigma - CERT_TOL)
     dets = np.full((wanted.size, tables.width // 2), -1, dtype=np.intp)
-    if not wanted.size:
+    walked = via[wanted] >= 0  # a bypass column walks no path
+    if not walked.any():
         return _Priced(tables, wanted, dets), zetas
+    ks, ends = wanted[walked], via[wanted[walked]]
     # whether each transition (by head, then edge id) reaches its head at the head's distance
     hit = tables.buf[:, tables.trans_pos] == reach[:, tables.trans_heads]
     # A start loses every tie: a path through a transition begins at the start
-    # edge of a lower detection. So a head takes its one hitting transition,
-    # else the start; the heads that several transitions hit are listed per
-    # commodity in `tied`, in detection order, and those commodities compare
-    # paths in `_decode`.
+    # edge of a lower detection. So a head takes a hitting transition's tail,
+    # else -1, the start.
     rows, cols = hit.nonzero()  # by commodity, then head
-    heads = tables.trans_heads[cols]
-    tied: dict[int, list[int]] = {}
-    again = (rows[1:] == rows[:-1]) & (heads[1:] == heads[:-1])
-    for k, h in zip(rows[1:][again].tolist(), heads[1:][again].tolist()):
-        hs = tied.setdefault(k, [])
-        if not hs or hs[-1] != h:  # a head that three transitions hit comes twice
-            hs.append(h)
-    compared = ends_tied.copy()
-    compared[list(tied)] = True
-    ends, compared = via[wanted], compared[wanted]
-    walked = (ends >= 0) & ~compared
-    if walked.any():
-        prev = np.full((nc, n + 1), -1)
-        prev[rows, heads] = tables.trans_tails[cols]
-        dets[walked] = _walk_back(tables, prev, wanted[walked], ends[walked])
-    decoded = ((ends >= 0) & compared).nonzero()[0].tolist()
-    if decoded:
-        pred = np.full((nc, n), -1)
-        pred[rows, heads] = tables.trans_edges[cols]
-    for r in decoded:
-        k = int(wanted[r])
-        path = _decode(tables, k, int(ends[r]), hit, pred, tied, cand, bool(ends_tied[k]))
-        dets[r, : len(path) // 2] = path[1:-1:2]
+    heads, tails = tables.trans_heads[cols], tables.trans_tails[cols]
+    prev = np.full((nc, n + 1), -1)
+    prev[rows, heads] = tails
+    _, first, hits = np.unique(rows * n + heads, return_index=True, return_counts=True)
+    tied = (hits > 1) & np.isin(rows[first], ks)
+    # in detection order, so that every tail's path is settled first
+    for a, m in zip(first[tied].tolist(), hits[tied].tolist()):
+        prev[rows[a], heads[a]] = _first_path(tables, prev, rows[a], tails[a : a + m])
+    at_zeta = cand[ks] == zetas[ks, None]
+    for r in (at_zeta.sum(axis=1) > 1).nonzero()[0].tolist():
+        ends[r] = _first_path(tables, prev, ks[r], at_zeta[r].nonzero()[0])
+    dets[walked] = _walk_back(tables, prev, ks, ends)
     return _Priced(tables, wanted, dets), zetas
 
 
@@ -615,20 +580,15 @@ class _Pool(_Columns):
         if len(columns):
             self.extend(columns)
 
-    def extend(self, columns: Sequence[PathColumn], heads: np.ndarray | None = None) -> int:
+    def extend(self, columns: Sequence[PathColumn]) -> int:
         """Pool, in order, each column whose path its commodity has not pooled; returns how many.
 
-        A column repeated in `columns` joins once. With `heads` (per column,
-        the row of `columns` whose column it comes with), a column joins
-        only if its head was not pooled before.
+        A column repeated in `columns` joins once.
         """
         cols = _Columns.of(columns, self.width)
-        keys = cols.keys()
         position, size, rows = self.position, len(self), []
-        if heads is not None:
-            fresh, heads = [key not in position for key in keys], heads.tolist()
-        for r, key in enumerate(keys):
-            if key not in position and (heads is None or fresh[heads[r]]):
+        for r, key in enumerate(cols.keys()):
+            if key not in position:
                 position[key] = size + len(rows)
                 rows.append(r)
         if len(rows) < len(cols):
@@ -734,16 +694,19 @@ def _group_selection(
 
 def _bounded_columns(
     tables: PricingTables, pi: np.ndarray, zetas: np.ndarray, gap: float
-) -> list[PathColumn] | None:
+) -> _Columns | None:
     """Every path whose pi-shifted cost is below zeta_k + gap, or None past the cap.
 
-    Paths grow back from each commodity's sink by a DFS. A partial path
-    from v_t to the sink is kept only while the shortest shifted distance
-    from the source to v_t (the pricing sweep's) plus its own shifted cost
-    stays below the limit, so every kept partial path completes to at least
-    one listed path and the search visits little beyond its output. Columns
-    carry their unshifted cost and come per commodity in edge-id order,
-    bypass last. Returns None as soon as more than ENUM_COLUMN_CAP are found.
+    Paths grow back from each commodity's sink by a DFS, as detection
+    suffixes. A suffix from v_t to the sink is kept only while the shortest
+    shifted distance from the source to v_t (the pricing sweep's) plus its
+    own shifted cost stays below the limit, so every kept suffix completes
+    to at least one listed path and the search visits little beyond its
+    output. The paths come per commodity in edge-id order, which is the
+    order of their detections with a pad read as detection N (`price`), so
+    the bypass comes last; `PricingTables.paths` builds them at their
+    unshifted cost. Returns None as soon as more than ENUM_COLUMN_CAP are
+    found.
     """
     net = tables.network
     n = net.num_detections
@@ -763,35 +726,30 @@ def _bounded_columns(
         budget = ENUM_COLUMN_CAP - len(found)
 
         def grow(j: int, suffix: tuple[int, ...], s: float) -> None:
-            # suffix runs from u_j to the sink at shifted cost s
+            # suffix holds the detections from u_j on, at shifted cost s to the sink
             if len(paths) > budget:
                 return
             if start[j] + s < limit:
-                paths.append((net.start_edge(k, j),) + suffix)
+                paths.append(suffix)
             for t, e in into[j]:
                 s_t = w_k[e] + s
                 if dist_k[t] + s_t < limit:
-                    grow(t, (t, e) + suffix, w_k[t] + s_t)
+                    grow(t, (t,) + suffix, w_k[t] + s_t)
 
         for i in range(n):
             if dist_k[i] + term[i] < limit:
-                grow(i, (i, net.term_edge(k, i)), w_k[i] + term[i])
+                grow(i, (i,), w_k[i] + term[i])
         if tables.bypass[k] < limit:
-            paths.append((net.bypass_edge(k),))
+            paths.append(())
         if len(paths) > budget:
             return None
         owners += [k] * len(paths)
-        found += sorted(paths)
-    commodity = np.array(owners, dtype=np.intp)
-    edges = _padded(found, tables.width)
-    at = np.where(edges < net.num_shared, edges, edges - (commodity * (2 * n + 1))[:, None])
-    last = np.array([len(p) - 1 for p in found], dtype=np.intp)
-    cost = _path_sums(tables.values[commodity[:, None], at], last)
-    return list(_Columns(commodity, edges, cost))
+        found += sorted(paths, key=lambda p: p + (n,))
+    return tables.paths(np.array(owners, dtype=np.intp), _padded(found, tables.width // 2))
 
 
-def _families(tables: PricingTables, priced: Sequence[PathColumn],
-              bypass: bool) -> tuple[_Columns, np.ndarray, np.ndarray]:
+def _families(tables: PricingTables, priced: _Priced,
+              bypass: bool) -> tuple[_Columns, np.ndarray]:
     """The priced columns with the columns that join with them, in pool order.
 
     Per priced column of commodity k over detections d_1..d_m: the column;
@@ -799,14 +757,12 @@ def _families(tables: PricingTables, priced: Sequence[PathColumn],
     without d_x for each x in order (an interior d_x only where the
     transition d_{x-1} -> d_{x+1} exists), then for m > 2 the paths [d_1]
     and [d_m]; and with `bypass`, k's bypass unless the column is that
-    bypass. Returns the batch, the batch row of each one's priced column,
-    and `at`: per priced column, the batch row of each slot (the column,
-    the paths without d_1..d_F, [d_1], [d_m], the bypass), -1 where empty.
+    bypass. Every member is a path of k at its true cost, whether or not
+    the priced column was pooled before. Returns the batch and `at`: per
+    priced column, the batch row of each slot (the column, the paths
+    without d_1..d_F, [d_1], [d_m], the bypass), -1 where empty.
     """
     n, f = tables.network.num_detections, tables.width // 2
-    if not isinstance(priced, _Priced):  # PathColumns, whose d_x is edge 2x - 1
-        cols = _Columns.of(priced, tables.width)
-        priced = _Priced(tables, cols.commodity, cols.edges[:, 1::2])
     ks = priced.commodity
     c = len(ks)
     # each slot's detections, then a -1 that the pads read
@@ -832,8 +788,7 @@ def _families(tables: PricingTables, priced: Sequence[PathColumn],
     at = valid.cumsum().reshape(valid.shape) - 1
     at[~valid] = -1
     count = valid.sum(axis=1)
-    batch = tables.paths(ks.repeat(count), slots[valid][:, :f])
-    return batch, at[:, 0].repeat(count), at
+    return tables.paths(ks.repeat(count), slots[valid][:, :f]), at
 
 
 def _dummy_flow(
@@ -916,7 +871,7 @@ def _flow_solve(network: FlowNetwork, values: np.ndarray) -> CGResult:
         epsilon=0.0,
         iterations=1,
         pivots=0,
-        pool=columns,
+        columns=columns,
         selection=_group_selection(network, selection),
         num_edges=network.num_edges,
         pi=None,
@@ -1014,7 +969,7 @@ def column_generation(
                          if col.cost + sum(pi[e] for e in col.edges if e < ns) < cutoff])
 
     priced, zetas = price(tables, None)
-    batch, _, at = _families(tables, priced, bypass=True)
+    batch, at = _families(tables, priced, bypass=True)
     pool.extend(batch)  # the pool is empty, and the batch repeats no path: all of it joins
     start, inverse = _start_basis(network, batch, at)
     pi = np.zeros(ns)
@@ -1049,8 +1004,7 @@ def column_generation(
             certified = True
             break
         size = len(pool)
-        batch, heads, _ = _families(tables, priced, bypass=False)
-        pool.extend(batch, heads)
+        pool.extend(_families(tables, priced, bypass=False)[0])
         add_dummy_paths(zetas[0], pi, sol.sigma[0] - CERT_TOL)
         if len(pool) == size:
             break
@@ -1075,9 +1029,9 @@ def column_generation(
             if extra is not None and pool.extend(extra):
                 # a cheaper selection uses enumerated columns alone; the
                 # incumbent's columns keep the rerun feasible
-                rich_val, rich_sel = extract_integer(
-                    network, extra + [col for col, _ in selection]
-                )
+                rerun = _Pool(network, extra)
+                rerun.extend([col for col, _ in selection])
+                rich_val, rich_sel = extract_integer(network, rerun)
                 if rich_val < v_int:
                     v_int, selection = rich_val, rich_sel
 
@@ -1100,7 +1054,7 @@ def column_generation(
         epsilon=epsilon,
         iterations=iterations,
         pivots=pivots,
-        pool=pool,
+        columns=pool,
         selection=_group_selection(network, selection),
         num_edges=network.num_edges,
         pi=pi,

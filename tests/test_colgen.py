@@ -247,8 +247,9 @@ def test_bounded_columns_are_the_paths_under_the_reduced_cost_limit(monkeypatch)
         pi = rng.uniform(0.0, 1.5, size=ns) * (rng.random(ns) < 0.5)
         _, zetas = price(tables, pi)
         gap = float(rng.uniform(0.0, 3.0))
-        cols = _bounded_columns(tables, pi, zetas, gap)
+        cols = list(_bounded_columns(tables, pi, zetas, gap))
         found = {(c.commodity, c.edges) for c in cols}
+        listed = []  # the found paths, in the oracle's order, commodities in order
         for k in range(net.num_commodities):
             weights = costs[k].copy()
             weights[:ns] += pi
@@ -259,13 +260,16 @@ def test_bounded_columns_are_the_paths_under_the_reduced_cost_limit(monkeypatch)
                     assert (k, p) in found, (seed, k, p)
                 elif shifted >= limit + 1e-9:
                     assert (k, p) not in found, (seed, k, p)
+                if (k, p) in found:
+                    listed.append((k, p))
         assert len(found) == len(cols), seed  # each path once
+        assert [(c.commodity, c.edges) for c in cols] == listed, seed  # in edge-id order
         for c in cols:
             k = c.commodity
             assert c.cost == float(sum(costs[k][net.cost_index(k, e)] for e in c.edges)), seed
         if len(cols) > 1:
             monkeypatch.setattr(colgen, "ENUM_COLUMN_CAP", len(cols))
-            assert _bounded_columns(tables, pi, zetas, gap) == cols
+            assert list(_bounded_columns(tables, pi, zetas, gap)) == cols
             monkeypatch.setattr(colgen, "ENUM_COLUMN_CAP", len(cols) - 1)
             assert _bounded_columns(tables, pi, zetas, gap) is None, seed
             monkeypatch.undo()
@@ -620,22 +624,23 @@ def test_a_failed_master_solve_stops_short_at_a_sound_bound(monkeypatch):
 def test_a_round_that_pools_nothing_new_stops_short_at_a_sound_bound(monkeypatch):
     # At the first round that misses the certificate by more than 1e-6, a
     # price spy hands back each priced commodity's initial column, which is
-    # pooled, in place of its new one, and from then on the dummy's flow
-    # offers no path. The round pools nothing, and the loop stops there.
+    # pooled with its family, in place of its new one, and from then on the
+    # dummy's flow offers no path. The round pools nothing, and the loop
+    # stops there.
     real_price, real_flow = colgen.price, colgen._dummy_flow
     forced = 0
     for case, net, vectors, ceiling in stop_short_cases():
         _, floor = initial_bound(net, vectors)
-        initial, calls, at = {}, [], []
+        initial, calls, at = [], [], []
 
         def spy_price(tables, pi, sigma=None):
             cols, zetas = real_price(tables, pi, sigma)
             calls.append(sigma is not None)
             if sigma is None:
-                initial.update((col.commodity, col) for col in cols)
+                initial.append(cols.dets)  # a row per commodity, in order
             elif not at and cols and (zetas - sigma).min() < -1e-6:
                 at.append(len(calls) - 1)  # the round's number: its master solves
-                cols = [initial[col.commodity] for col in cols]
+                cols = colgen._Priced(tables, cols.commodity, initial[0][cols.commodity])
             return cols, zetas
 
         def spy_flow(network, values, pi=None):
@@ -652,6 +657,56 @@ def test_a_round_that_pools_nothing_new_stops_short_at_a_sound_bound(monkeypatch
         assert not certified(res), case
         assert_stopped_soundly(net, res, floor, ceiling, case)
     assert forced >= 20
+
+
+def test_a_priced_column_pooled_as_a_family_member_brings_its_own_family(monkeypatch):
+    # At the first round that misses the certificate by more than 1e-6, a
+    # price spy hands back, for each priced tracked commodity whose initial
+    # path P runs over m >= 3 detections, P without d_1: a column pooled in
+    # the initial pricing as a member of P's family. From then on the
+    # dummy's flow offers no path. The column's own family holds paths not
+    # pooled yet, so the round pools new columns and the loop goes on.
+    real_price, real_flow, real_master = colgen.price, colgen._dummy_flow, colgen._Pool.master
+    forced = 0
+    for case, net, vectors, ceiling in stop_short_cases():
+        _, floor = initial_bound(net, vectors)
+        initial, calls, at, sizes = [], [], [], []
+
+        def spy_price(tables, pi, sigma=None):
+            cols, zetas = real_price(tables, pi, sigma)
+            calls.append(sigma is not None)
+            if sigma is None:
+                initial.append(cols.dets)  # a row per commodity, in order
+            elif not at and cols and (zetas - sigma).min() < -1e-6:
+                dets = initial[0][cols.commodity]
+                ks = cols.commodity[(cols.commodity > 0) & ((dets >= 0).sum(axis=1) >= 3)]
+                if ks.size:
+                    at.append(len(calls) - 1)  # the round's number: its master solves
+                    rest = np.full_like(initial[0][ks], -1)
+                    rest[:, :-1] = initial[0][ks, 1:]  # without d_1
+                    cols = colgen._Priced(tables, ks, rest)
+            return cols, zetas
+
+        def spy_flow(network, values, pi=None):
+            return [] if at else real_flow(network, values, pi)
+
+        def spy_master(pool):
+            sizes.append(len(pool))
+            return real_master(pool)
+
+        monkeypatch.setattr(colgen, "price", spy_price)
+        monkeypatch.setattr(colgen, "_dummy_flow", spy_flow)
+        monkeypatch.setattr(colgen._Pool, "master", spy_master)
+        res = column_generation(net, vectors)
+        monkeypatch.undo()
+        if not at:
+            continue
+        forced += 1
+        # the master after the forced round holds more columns than the one before it
+        assert len(sizes) > at[0] and sizes[at[0]] > sizes[at[0] - 1], case
+        if not certified(res):
+            assert_stopped_soundly(net, res, floor, ceiling, case)
+    assert forced >= 8
 
 
 def first_master(monkeypatch, net, vectors):
@@ -769,9 +824,8 @@ def test_the_written_start_inverse_is_the_factored_one(monkeypatch):
 
 def decoded_rounds(monkeypatch, net, vectors):
     """Run column generation; per pricing call, its pi, sigma, zetas, columns and the
-    commodities whose paths were walked (`_walk_back` or `_path_to_v`) in the call."""
-    real_price, real_walk, real_lp = colgen.price, colgen._path_to_v, colgen.solve_lp
-    real_walk_back = colgen._walk_back
+    commodities whose paths were walked (`_walk_back`) in the call."""
+    real_price, real_walk_back, real_lp = colgen.price, colgen._walk_back, colgen.solve_lp
     rounds, sigma, walked = [], [None], set()
 
     def spy_price(tables, pi, sigma_=None):
@@ -780,10 +834,6 @@ def decoded_rounds(monkeypatch, net, vectors):
         assert sigma_ is sigma[0]
         rounds.append(dict(pi=pi, sigma=sigma_, zetas=zetas, cols=cols, walked=set(walked)))
         return cols, zetas
-
-    def spy_walk(network, pred, k, i):
-        walked.add(k)
-        return real_walk(network, pred, k, i)
 
     def spy_walk_back(tables, prev, ks, ends):
         walked.update(ks.tolist())
@@ -795,7 +845,6 @@ def decoded_rounds(monkeypatch, net, vectors):
         return sol
 
     monkeypatch.setattr(colgen, "price", spy_price)
-    monkeypatch.setattr(colgen, "_path_to_v", spy_walk)
     monkeypatch.setattr(colgen, "_walk_back", spy_walk_back)
     monkeypatch.setattr(colgen, "solve_lp", spy_lp)
     res = column_generation(net, vectors)
@@ -830,24 +879,23 @@ def test_price_at_sigma_returns_the_columns_below_it_under_forced_ties(monkeypat
     # gives it; a commodity at zeta_k == sigma_k - CERT_TOL exactly is left out.
     rng = np.random.default_rng(11)
     ties = at_edge = 0
-    tied = {"ends": False, "heads": False}  # in the last call, over its decodes
-    real_decode = colgen._decode
+    settled = []  # the commodities of the ties settled in the last call
+    real_first = colgen._first_path
 
-    def spy_decode(tables, k, i, hit, pred, tied_heads, cand, ends_tied):
-        tied["ends"] |= ends_tied
-        tied["heads"] |= bool(tied_heads)
-        return real_decode(tables, k, i, hit, pred, tied_heads, cand, ends_tied)
+    def spy_first(tables, prev, k, ends):
+        settled.append(k)
+        return real_first(tables, prev, k, ends)
 
-    monkeypatch.setattr(colgen, "_decode", spy_decode)
+    monkeypatch.setattr(colgen, "_first_path", spy_first)
     for seed in range(120):
         net, raw = random_instance(seed, max_dets=14, max_frames=5, oracle_budget=None)
         ns, nc = net.num_shared, net.num_commodities
         for costs in ([np.round(2.0 * c) / 2.0 for c in raw], [np.round(c) for c in raw]):
             tables = PricingTables.build(net, costs)
             for pi in (None, np.round(4.0 * rng.random(ns)) / 2.0):
-                tied.update(ends=False, heads=False)
+                settled.clear()
                 every, zetas = price(tables, pi)
-                ties += tied["ends"] + tied["heads"]
+                ties += bool(settled)
                 assert [c.commodity for c in every] == list(range(nc))
                 # sigma_k lands below, at and above zeta_k + CERT_TOL
                 sigma = zetas + CERT_TOL + rng.choice([-0.5, 0.0, 0.5], nc)
@@ -1023,7 +1071,7 @@ def priced_rounds(monkeypatch, net, vectors):
             rounds[-1]["flows"].append(event[1])
     for rnd in rounds:
         end = len(res.columns) if rnd["end"] is None else rnd["end"]
-        rnd["added"] = res.columns[rnd["start"] : end]
+        rnd["added"] = list(res.columns)[rnd["start"] : end]
     return res, rounds
 
 
@@ -1141,31 +1189,32 @@ def is_path(net, k, edges):
 def check_family_rounds(net, vectors, res, rounds):
     """Assert each round's tracked columns: the priced one and its family's new members.
 
-    A round pools a tracked commodity's priced column when it is new and
-    prices negatively (in the initial round, whenever it is new), and with
-    it, in order, every member of its sub-path family not pooled before:
-    each a path of the commodity at its recomputed cost. Returns the
-    priced columns pooled and the family members pooled with them.
+    A round prices a tracked commodity's column when it prices negatively
+    (in the initial round, always), and pools, in order, that column and
+    every member of its sub-path family, each if not pooled before: each a
+    path of the commodity at its recomputed cost. Returns the priced
+    columns pooled and the family members pooled.
     """
     bypass = {(k, (net.bypass_edge(k),)) for k in range(net.num_commodities)}
     heads, members = [], 0
     for r, rnd in enumerate(rounds):
-        pooled = {c.key for c in res.columns[: rnd["start"]]}
+        pooled = {c.key for c in list(res.columns)[: rnd["start"]]}
         added = [c for c in rnd["added"] if r > 0 or c.key not in bypass]
         for k in range(1, net.num_commodities):
             col = rnd["first"].get(k)
             want = []
             negative = r == 0 or rnd["zetas"][k] < rnd["sigma"][k] - CERT_TOL
             assert (col is not None) == negative
-            if negative and col.key not in pooled:
+            if negative:
                 want = [c for c in [col] + sub_path_family(net, vectors, col)
                         if c.key not in pooled and (r > 0 or c.key not in bypass)]
             got = [c for c in added if c.commodity == k]
             assert [(c.key, c.cost) for c in got] == [(c.key, c.cost) for c in want]
-            for sub in got[1:]:
+            for sub in got:
                 assert is_path(net, k, sub.edges)
-            heads += got[:1]
-            members += len(got[1:])
+            priced = [c for c in got if c.key == col.key]
+            heads += priced
+            members += len(got) - len(priced)
     return heads, members
 
 
@@ -1199,7 +1248,7 @@ def check_dummy_rounds(net, vectors, res, rounds):
         # the extras are the flow's paths at pi below the cutoff, less those pooled
         want = []
         if rnd["flows"]:
-            pooled = {c.key for c in res.columns[: rnd["start"]]} | {first_key}
+            pooled = {c.key for c in list(res.columns)[: rnd["start"]]} | {first_key}
             flow = _dummy_flow(net, values[0], pi)
             want = [c for c in flow if shifted(c) < cutoffs[0] and c.key not in pooled]
         assert [(c.key, c.cost) for c in extra] == [(c.key, c.cost) for c in want]
