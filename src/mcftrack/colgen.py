@@ -375,24 +375,24 @@ class PricingTables:
         shared, term = stack[:, :ns], stack[:, ns + n : ns + 2 * n]
         start, bypass = stack[:, ns : ns + n] + 0.0, stack[:, -1] + 0.0
 
-        order = np.argsort(network.det_b[n:ns], kind="stable")  # by head, then edge id
-        t_tail, t_head, t_edge = network.det_a[n + order], network.det_b[n + order], n + order
-        into = np.bincount(t_head, minlength=n)
-        before = np.r_[0, np.cumsum(into)]  # transitions into earlier heads
+        order = np.argsort(network.trans_head, kind="stable")  # by head, then edge id
+        t_tail, t_head, t_edge = network.trans_tail[order], network.trans_head[order], n + order
+        before = np.zeros(n + 1, dtype=np.intp)  # transitions into earlier heads
+        np.cumsum(np.bincount(t_head, minlength=n), out=before[1:])
         seg = np.arange(n + 1) + before
         pos = np.arange(t_head.size) + t_head
         buf = np.empty((nc, seg[-1]))
         buf[:, seg[1:] - 1] = start
 
-        cuts = np.flatnonzero(np.diff(network.frames)) + 1
+        bounds = [0, *(np.flatnonzero(np.diff(network.frames)) + 1).tolist(), n] if n else [0]
         layers = []
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]) if n else ():
-            c0, c1, a, b = seg[lo], seg[hi], before[lo], before[hi]
+        for lo, hi in zip(bounds, bounds[1:]):
+            c0, c1, a, b = int(seg[lo]), int(seg[hi]), int(before[lo]), int(before[hi])
             layers.append(_Layer(
-                lo=int(lo), hi=int(hi), buf=buf[:, c0:c1], seg=seg[lo:hi] - c0,
-                pos=pos[a:b] - c0, tails=t_tail[a:b], ta=int(a), tb=int(b),
+                lo=lo, hi=hi, buf=buf[:, c0:c1], seg=seg[lo:hi] - c0,
+                pos=pos[a:b] - c0, tails=t_tail[a:b], ta=a, tb=b,
             ))
-        links = network.det_a[n:ns] * n + network.det_b[n:ns]
+        links = network.trans_tail * n + network.trans_head
         return cls(network, stack, shared, term, bypass, buf, t_edge, pos, t_head, t_tail,
                    layers, links, _path_width(network))
 
@@ -533,11 +533,13 @@ def price(
     heads, tails = tables.trans_heads[cols], tables.trans_tails[cols]
     prev = np.full((nc, n + 1), -1)
     prev[rows, heads] = tails
-    _, first, hits = np.unique(rows * n + heads, return_index=True, return_counts=True)
-    tied = (hits > 1) & np.isin(rows[first], ks)
-    # in detection order, so that every tail's path is settled first
-    for a, m in zip(first[tied].tolist(), hits[tied].tolist()):
-        prev[rows[a], heads[a]] = _first_path(tables, prev, rows[a], tails[a : a + m])
+    keys = rows * n + heads  # ascending, so a tie is a run of equal keys
+    if (keys[1:] == keys[:-1]).any():
+        _, first, hits = np.unique(keys, return_index=True, return_counts=True)
+        tied = (hits > 1) & np.isin(rows[first], ks)
+        # in detection order, so that every tail's path is settled first
+        for a, m in zip(first[tied].tolist(), hits[tied].tolist()):
+            prev[rows[a], heads[a]] = _first_path(tables, prev, rows[a], tails[a : a + m])
     at_zeta = cand[ks] == zetas[ks, None]
     for r in (at_zeta.sum(axis=1) > 1).nonzero()[0].tolist():
         ends[r] = _first_path(tables, prev, ks[r], at_zeta[r].nonzero()[0])
@@ -713,7 +715,7 @@ def _bounded_columns(
     w = tables.shared + pi
     _, dist = _sweep(tables, w)
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (tail, edge) by head
-    for p, (i, j) in enumerate(net.transitions):
+    for p, (i, j) in enumerate(zip(net.trans_tail.tolist(), net.trans_head.tolist())):
         into[j].append((i, n + p))
     owners: list[int] = []
     found: list[tuple[int, ...]] = []
@@ -815,7 +817,7 @@ def _dummy_flow(
     n, ns = network.num_detections, network.num_shared
     d0 = int(network.demands[0])
     w = values[:ns] if pi is None else values[:ns] + pi
-    tails, heads = network.det_a[n:ns], network.det_b[n:ns]
+    tails, heads = network.trans_tail, network.trans_head
     cost = np.full((n + d0, n + d0), np.inf)
     cost[tails, heads] = w[n:] + w[heads]
     cost[n:, :n] = values[ns : ns + n] + w[:n]

@@ -181,7 +181,7 @@ def _cost_rows(
 
     if n:
         feats = network.features
-        pairs = network.det_a[n:ns] * n + network.det_b[n:ns]  # into a flattened Gram matrix
+        pairs = network.trans_tail * n + network.trans_head  # into a flattened Gram matrix
         if dummy:
             values[0, :n] = -np.array([d.score for d in network.detections], dtype=np.float64)
             np.negative((feats @ feats.T).take(pairs), out=values[0, n:ns])

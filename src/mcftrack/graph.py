@@ -17,6 +17,12 @@ Commodity k's costs cover the shared edges and its own block (cost_index).
 
 Node ids: u_i = 2i, v_i = 2i+1 for detection index i, then s_k = 2N+2k,
 n_k = 2N+2k+1, giving 2N + 2(K+1) nodes total.
+
+A FlowNetwork stores only the detections (with their frames, boxes and
+features as arrays), the demands and the transitions as arrays of tails and
+heads; every id above is arithmetic on their sizes. The per-edge arrays
+(tail, head, kind, owner, det_a, det_b) and the list of transition pairs are
+built on first read, for tests, checks and tools: a window's solve reads none.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -105,58 +112,62 @@ def permissible_transitions(
     """Gated transition pairs (i, j) over detection indices, sorted by (i, j).
 
     A pair is admitted when 1 <= frame_j - frame_i <= max_gap and the center
-    distance is at most gamma * gap * mean box diagonal of the pair. Pairs
-    are gated one source frame at a time, against the detections of the
-    next max_gap frames only.
+    distance is at most gamma * gap * mean box diagonal of the pair. Every
+    detection is paired with those of the next max_gap frames in one array
+    pass (`_gate`).
     """
-    frames, boxes = _detection_arrays(detections)
-    if not len(frames):
-        return []
+    tails, heads = _gate(*_detection_arrays(detections), gating)
+    return list(zip(tails.tolist(), heads.tolist()))
+
+
+def _gate(frames: np.ndarray, boxes: np.ndarray,
+          gating: GatingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the gated pairs of frame-sorted detections, sorted by (i, j)."""
+    n = len(frames)
+    # detection i against [later, top): the detections of its next max_gap
+    # frames, row-major, so the pairs come out sorted
+    later = np.searchsorted(frames, frames, side="right")
+    top = np.searchsorted(frames, frames + gating.max_gap, side="right")
+    count = top - later
+    i = np.repeat(np.arange(n, dtype=np.int64), count)
+    j = np.arange(len(i), dtype=np.int64) + np.repeat(later - (np.cumsum(count) - count), count)
     cx = boxes[:, 0] + boxes[:, 2] / 2.0
     cy = boxes[:, 1] + boxes[:, 3] / 2.0
-    diag = np.array([d.diagonal for d in detections])
-    firsts = np.flatnonzero(np.r_[True, np.diff(frames) != 0])
-    ends = np.r_[firsts[1:], len(frames)]
-    tops = np.searchsorted(frames, frames[firsts] + gating.max_gap, side="right")
-    tails, heads = [], []
-    for lo, hi, top in zip(firsts, ends, tops):
-        # frame [lo, hi) against [hi, top), row-major: pairs come out sorted
-        i = np.repeat(np.arange(lo, hi), top - hi)
-        j = np.tile(np.arange(hi, top), hi - lo)
-        dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-        reach = gating.gamma * (frames[j] - frames[i]) * 0.5 * (diag[i] + diag[j])
-        dist = np.hypot(dx, dy)
-        keep = dist <= reach
-        # np.hypot may round apart from math.hypot: settle near-ties by the latter.
-        for p in np.flatnonzero(np.abs(dist - reach) <= HYPOT_TIE_RTOL * reach):
-            keep[p] = math.hypot(dx[p], dy[p]) <= reach[p]
-        tails.append(i[keep])
-        heads.append(j[keep])
-    return list(zip(np.concatenate(tails).tolist(), np.concatenate(heads).tolist()))
+    diag = np.array([math.hypot(w, h) for w, h in boxes[:, 2:].tolist()])  # Detection.diagonal
+    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+    reach = gating.gamma * (frames[j] - frames[i]) * 0.5 * (diag[i] + diag[j])
+    dist = np.hypot(dx, dy)
+    keep = dist <= reach
+    # np.hypot may round apart from math.hypot: settle near-ties by the latter.
+    # An infinite reach admits every distance, so only a finite one is near.
+    near = np.isfinite(reach) & (np.abs(dist - reach) <= HYPOT_TIE_RTOL * reach)
+    for p in np.flatnonzero(near):
+        keep[p] = math.hypot(dx[p], dy[p]) <= reach[p]
+    return i[keep], j[keep]
 
 
 @dataclass
 class FlowNetwork:
     """Window DAG with stable edge ids and per-commodity demands.
 
-    tail/head/kind/owner/det_a/det_b are parallel edge arrays. owner is -1
-    for shared edges and the commodity index otherwise. det_a holds the
-    detection index of observation/start/termination edges and the
-    transition tail; det_b holds the transition head (-1 elsewhere).
-    frames (N), boxes (N x 4) and features (N x d) are the detections'
-    fields as arrays, in detection order.
+    A network stores its detections, the demands and the gated transitions
+    as trans_tail and trans_head: read-only int64 detection indices, sorted
+    by (tail, head), so that transition p is edge n + p. frames (N), boxes
+    (N x 4) and features (N x d) are the detections' fields as arrays, in
+    detection order. Edge ids, node ids and sizes are arithmetic on these.
+
+    Built on first read and kept: `transitions`, the pairs as a list of
+    (i, j), and the parallel per-edge arrays tail/head/kind/owner/det_a/det_b
+    (read-only int64). owner is -1 for shared edges and the commodity index
+    otherwise. det_a holds the detection index of observation/start/
+    termination edges and the transition tail; det_b holds the transition
+    head (-1 elsewhere). A window's solve reads none of them.
     """
 
     detections: list[Detection]
-    transitions: list[tuple[int, int]]
     demands: np.ndarray
-    tail: np.ndarray
-    head: np.ndarray
-    kind: np.ndarray
-    owner: np.ndarray
-    det_a: np.ndarray
-    det_b: np.ndarray
-    num_shared: int
+    trans_tail: np.ndarray
+    trans_head: np.ndarray
     frames: np.ndarray
     boxes: np.ndarray
     features: np.ndarray
@@ -181,13 +192,72 @@ class FlowNetwork:
         return 2 * self.num_detections + 2 * self.num_commodities
 
     @property
+    def num_shared(self) -> int:
+        """Shared edges: one observation per detection, then the transitions."""
+        return self.num_detections + len(self.trans_tail)
+
+    @property
     def num_edges(self) -> int:
-        return len(self.tail)
+        return self.num_shared + self.num_commodities * (2 * self.num_detections + 1)
 
     @property
     def cost_size(self) -> int:
         """Length of each commodity's cost vector: the shared edges and one block."""
         return self.num_shared + 2 * self.num_detections + 1
+
+    # -- built on first read -------------------------------------------------
+
+    @cached_property
+    def transitions(self) -> list[tuple[int, int]]:
+        return list(zip(self.trans_tail.tolist(), self.trans_head.tolist()))
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        i, src = np.arange(self.num_detections), self.source(self._block_owners())
+        return self._edge_array(2 * i, 2 * self.trans_tail + 1, src, 2 * i + 1, src)
+
+    @cached_property
+    def head(self) -> np.ndarray:
+        i, snk = np.arange(self.num_detections), self.sink(self._block_owners())
+        return self._edge_array(2 * i + 1, 2 * self.trans_head, 2 * i, snk, snk)
+
+    @cached_property
+    def kind(self) -> np.ndarray:
+        return self._edge_array(EdgeKind.OBSERVATION, EdgeKind.TRANSITION,
+                                EdgeKind.START, EdgeKind.TERMINATION, EdgeKind.BYPASS)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        k = self._block_owners()
+        return self._edge_array(-1, -1, k, k, k)
+
+    @cached_property
+    def det_a(self) -> np.ndarray:
+        i = np.arange(self.num_detections)
+        return self._edge_array(i, self.trans_tail, i, i, -1)
+
+    @cached_property
+    def det_b(self) -> np.ndarray:
+        return self._edge_array(-1, self.trans_head, -1, -1, -1)
+
+    def _block_owners(self) -> np.ndarray:
+        """The commodity of each private block, as a column."""
+        return np.arange(self.num_commodities)[:, None]
+
+    def _edge_array(self, obs, trans, starts, terms, bypass) -> np.ndarray:
+        """A read-only per-edge array from its values on each kind of edge.
+
+        Each value is a scalar or broadcasts over its edges: obs over the
+        detections, trans over the transitions, and starts, terms and bypass
+        over the blocks (a row per commodity) and their columns.
+        """
+        n, ns = self.num_detections, self.num_shared
+        arr = np.empty(self.num_edges, dtype=np.int64)
+        arr[:n], arr[n:ns] = obs, trans
+        blocks = arr[ns:].reshape(-1, 2 * n + 1)
+        blocks[:, :n], blocks[:, n:-1], blocks[:, -1:] = starts, terms, bypass
+        arr.flags.writeable = False
+        return arr
 
     # -- id arithmetic -------------------------------------------------------
 
@@ -231,7 +301,7 @@ class FlowNetwork:
                 yield i
             else:  # v_i: shared transitions, then this commodity's termination
                 # transitions are sorted by tail, so i's form one id range
-                lo, hi = np.searchsorted(self.det_a[n : self.num_shared], (i, i + 1))
+                lo, hi = np.searchsorted(self.trans_tail, (i, i + 1))
                 yield from range(n + lo, n + hi)
                 yield self.term_edge(k, i)
         elif node == self.source(k):
@@ -242,7 +312,7 @@ class FlowNetwork:
     def path_detections(self, edges: Sequence[int]) -> list[int]:
         """Detection indices claimed along a path, in path order."""
         e = np.asarray(edges, dtype=np.intp)
-        return self.det_a[e[self.kind[e] == EdgeKind.OBSERVATION]].tolist()
+        return e[e < self.num_detections].tolist()  # observation edge i claims detection i
 
     def is_shared(self, edge: int) -> bool:
         return edge < self.num_shared
@@ -257,6 +327,15 @@ def _detection_arrays(detections: Sequence[Detection]) -> tuple[np.ndarray, np.n
     return frames, boxes
 
 
+def _check_ids(detections: Sequence[Detection]) -> None:
+    """Raise ValueError on the first det_id seen twice."""
+    seen_ids = set()
+    for det in detections:
+        if det.det_id in seen_ids:
+            raise ValueError(f"duplicate det_id {det.det_id}")
+        seen_ids.add(det.det_id)
+
+
 def network_from_parts(
     detections: Sequence[Detection],
     transitions: Sequence[tuple[int, int]],
@@ -264,28 +343,38 @@ def network_from_parts(
 ) -> FlowNetwork:
     """Assemble a FlowNetwork from explicit transitions (already gated).
 
-    demands has one entry per commodity, dummy first; tracked demands must
-    be exactly 1 and the dummy demand nonnegative.
+    The pairs may come in any order but not twice; each must lie in range
+    and advance in frame. demands has one entry per commodity, dummy first;
+    tracked demands must be exactly 1 and the dummy demand nonnegative.
     """
     detections = list(detections)
     frames, boxes = _detection_arrays(detections)
-    seen_ids = set()
-    for det in detections:
-        if det.det_id in seen_ids:
-            raise ValueError(f"duplicate det_id {det.det_id}")
-        seen_ids.add(det.det_id)
+    _check_ids(detections)
 
     n = len(detections)
-    raw = [(int(i), int(j)) for i, j in transitions]
-    trans = sorted(set(raw))
-    if len(trans) != len(raw):
+    try:
+        pairs = np.array(transitions, dtype=np.int64).reshape(len(transitions), 2)
+    except OverflowError:  # an index past int64 is out of range in any window
+        past = [(int(i), int(j)) for i, j in transitions if max(abs(int(i)), abs(int(j))) >= 2**63]
+        raise ValueError("transition (%d,%d) out of range" % min(past)) from None
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ti, tj = pairs[order, 0], pairs[order, 1]
+    if np.any((ti[1:] == ti[:-1]) & (tj[1:] == tj[:-1])):
         raise ValueError("duplicate transition pairs")
-    for i, j in trans:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"transition ({i},{j}) out of range")
-        if detections[j].frame <= detections[i].frame:
-            raise ValueError(f"transition ({i},{j}) does not advance in frame")
+    inside = (ti >= 0) & (ti < n) & (tj >= 0) & (tj < n)
+    bad = ~inside
+    bad[inside] = frames[tj[inside]] <= frames[ti[inside]]
+    if bad.any():  # the first offending pair in sorted order
+        p = int(bad.argmax())
+        fault = "does not advance in frame" if inside[p] else "out of range"
+        raise ValueError(f"transition ({ti[p]},{tj[p]}) {fault}")
+    return _network(detections, frames, boxes, ti, tj, demands)
 
+
+def _network(detections: list[Detection], frames: np.ndarray, boxes: np.ndarray,
+             trans_tail: np.ndarray, trans_head: np.ndarray,
+             demands: Sequence[int]) -> FlowNetwork:
+    """The network over checked detections and sorted, checked transitions."""
     dem = np.asarray(demands, dtype=np.int64)
     if dem.ndim != 1 or len(dem) < 1:
         raise ValueError("demands must be a nonempty 1-D sequence")
@@ -294,46 +383,15 @@ def network_from_parts(
     if any(int(d) != 1 for d in dem[1:]):
         raise ValueError("tracked commodity demands must all be 1")
 
-    num_comm, block = len(dem), 2 * n + 1
-    idx = np.arange(n, dtype=np.int64)
-    ti, tj = np.array(trans, dtype=np.int64).reshape(-1, 2).T
-    # Private blocks, one row per commodity: starts s_k -> u_i, terminations
-    # v_i -> n_k, then the bypass s_k -> n_k.
-    src = 2 * n + 2 * np.arange(num_comm, dtype=np.int64)[:, None]
-    block_tail = np.empty((num_comm, block), dtype=np.int64)
-    block_head = np.empty_like(block_tail)
-    block_tail[:, :n], block_head[:, :n] = src, 2 * idx
-    block_tail[:, n:-1], block_head[:, n:-1] = 2 * idx + 1, src + 1
-    block_tail[:, -1:], block_head[:, -1:] = src, src + 1
-    shared_kinds = np.array([EdgeKind.OBSERVATION, EdgeKind.TRANSITION], dtype=np.int64)
-    block_kinds = np.array([EdgeKind.START, EdgeKind.TERMINATION, EdgeKind.BYPASS], dtype=np.int64)
-
-    tail = np.concatenate([2 * idx, 2 * ti + 1, block_tail.ravel()])
-    head = np.concatenate([2 * idx + 1, 2 * tj, block_head.ravel()])
-    kind = np.concatenate([np.repeat(shared_kinds, (n, len(ti))),
-                           np.tile(np.repeat(block_kinds, (n, n, 1)), num_comm)])
-    owner = np.concatenate([np.full(n + len(ti), -1, dtype=np.int64),
-                            np.repeat(np.arange(num_comm, dtype=np.int64), block)])
-    det_a = np.concatenate([idx, ti, np.tile(np.r_[idx, idx, -1], num_comm)])
-    det_b = np.concatenate([np.full(n, -1, dtype=np.int64), tj,
-                            np.full(num_comm * block, -1, dtype=np.int64)])
-    features = (np.array([d.feature for d in detections], dtype=np.float64) if n
+    features = (np.array([d.feature for d in detections], dtype=np.float64) if detections
                 else np.empty((0, 0), dtype=np.float64))
-
-    for arr in (tail, head, kind, owner, det_a, det_b, frames, boxes, features):
+    for arr in (trans_tail, trans_head, frames, boxes, features):
         arr.flags.writeable = False
-
     return FlowNetwork(
         detections=detections,
-        transitions=trans,
         demands=dem,
-        tail=tail,
-        head=head,
-        kind=kind,
-        owner=owner,
-        det_a=det_a,
-        det_b=det_b,
-        num_shared=n + len(trans),
+        trans_tail=trans_tail,
+        trans_head=trans_head,
         frames=frames,
         boxes=boxes,
         features=features,
@@ -348,12 +406,16 @@ def build_network(
 ) -> FlowNetwork:
     """Build the window network for K = len(trajectories) tracked commodities.
 
-    demands holds the dummy's demand d0, then one per trajectory.
+    demands holds the dummy's demand d0, then one per trajectory. The
+    detections are read once, into the arrays that both gate the pairs and
+    make the network.
     """
     k = len(trajectories)
     if len(demands) != k + 1:
         raise ValueError(
             f"demands length {len(demands)} != commodity count {k + 1}"
         )
-    trans = permissible_transitions(list(detections), gating)
-    return network_from_parts(detections, trans, demands)
+    detections = list(detections)
+    frames, boxes = _detection_arrays(detections)
+    _check_ids(detections)
+    return _network(detections, frames, boxes, *_gate(frames, boxes, gating), demands)

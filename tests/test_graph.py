@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_det, random_instance, reference_transitions, unit_feature
+from mcftrack import graph
 from mcftrack.graph import (
     Detection,
     EdgeKind,
@@ -15,6 +18,7 @@ from mcftrack.graph import (
     network_from_parts,
     permissible_transitions,
 )
+from mcftrack.io import Scenario, load_instance, synth_generate
 
 
 def test_detection_rejects_bad_box():
@@ -43,6 +47,44 @@ def test_gating_rejects_nan_gamma_and_keeps_inf_ungated():
     a, b = make_det(0, 1, (0, 0, 2, 2)), make_det(1, 2, (1e6, 0, 2, 2))
     assert permissible_transitions([a, b], GatingConfig(gamma=2.0)) == []
     assert permissible_transitions([a, b], GatingConfig(gamma=float("inf"))) == [(0, 1)]
+
+
+class CountingMath:
+    """The math module, counting its hypot calls."""
+
+    def __init__(self) -> None:
+        self.hypot_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def hypot(self, *args):
+        self.hypot_calls += 1
+        return math.hypot(*args)
+
+
+def test_infinite_gamma_settles_no_pair_by_the_scalar_rule(monkeypatch):
+    # An infinite reach admits every distance however it rounds, so no pair
+    # may take the scalar math.hypot rule. The first window (frames 1-10) of
+    # the M scene at clutter_rate 2.0 holds about 1,500 ungated pairs. A
+    # finite reach too far for any pair to be near it re-gates none either:
+    # the math.hypot calls it makes (the box diagonals) are the baseline.
+    scene = Scenario(targets=5, frames=10, miss_prob=0.05, clutter_rate=2.0,
+                     feature_noise=0.1, feature_dim=12, pos_noise=1.0, lane_gap=80.0,
+                     target_score_std=0.0)
+    by_frame, _ = synth_generate(scene, seed=3)
+    dets = [d for f in range(1, 11) for d in by_frame.get(f, [])]
+    ungated = GatingConfig(gamma=math.inf)
+    want = reference_transitions(dets, ungated)
+    counting = CountingMath()
+    monkeypatch.setattr(graph, "math", counting)
+    calls = {}
+    for gamma in (1e9, math.inf):
+        counting.hypot_calls = 0
+        assert permissible_transitions(dets, GatingConfig(gamma=gamma)) == want
+        calls[gamma] = counting.hypot_calls
+    assert len(dets) > 60 and len(want) > 1000
+    assert calls[math.inf] == calls[1e9]
 
 
 def test_detection_rejects_non_unit_feature():
@@ -330,12 +372,25 @@ def test_network_from_parts_validates():
     dets = [make_det(0, 1, (0, 0, 10, 10)), make_det(1, 2, (0, 0, 10, 10))]
     net = network_from_parts(dets, [(0, 1)], [1, 1])
     assert net.num_commodities == 2
-    with pytest.raises(ValueError):
-        network_from_parts(dets, [(1, 0)], [1])  # backward transition
-    with pytest.raises(ValueError):
-        network_from_parts(dets, [(0, 1), (0, 1)], [1])  # duplicate
-    with pytest.raises(ValueError):
-        network_from_parts(dets, [(0, 5)], [1])  # out of range
+
+    def rejects(message, detections, transitions, demands):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network_from_parts(detections, transitions, demands)
+
+    rejects("transition (1,0) does not advance in frame", dets, [(1, 0)], [1])
+    rejects("transition (0,0) does not advance in frame", dets, [(0, 1), (0, 0)], [1])
+    rejects("duplicate transition pairs", dets, [(0, 1), (0, 1)], [1])
+    rejects("transition (0,5) out of range", dets, [(0, 5)], [1])
+    rejects("transition (-1,1) out of range", dets, [(0, 1), (-1, 1)], [1])
+    rejects(f"transition (0,{2**63}) out of range", dets, [(0, 1), (0, 2**63)], [1])
+    # the first offending pair in sorted order is named, whatever its fault
+    rejects("transition (0,5) out of range", dets, [(1, 0), (0, 5)], [1])
+    rejects("transition (0,0) does not advance in frame", dets, [(1, 9), (0, 0)], [1])
+    rejects("duplicate det_id 0", [dets[0], make_det(0, 2, (0, 0, 10, 10))], [], [1])
+    rejects("detections must be sorted by frame", dets[::-1], [], [1])
+    rejects("demands must be a nonempty 1-D sequence", dets, [(0, 1)], [])
+    rejects("dummy demand must be nonnegative", dets, [(0, 1)], [-1])
+    rejects("tracked commodity demands must all be 1", dets, [(0, 1)], [1, 2])
 
 
 def test_out_edges_ascending():
@@ -388,6 +443,37 @@ def test_edge_arrays_agree_with_id_arithmetic():
                 visible = [e for e in range(net.num_edges)
                            if net.tail[e] == node and net.owner[e] in (-1, k)]
                 assert list(net.out_edges(node, k)) == visible, (seed, k, node)
+
+
+NETWORK_ARRAYS = ("demands", "trans_tail", "trans_head", "frames", "boxes", "features",
+                  "tail", "head", "kind", "owner", "det_a", "det_b")
+
+
+def assert_same_network(a, b):
+    """Networks equal field for field: detections, arrays, read-only flags, pairs."""
+    assert len(a.detections) == len(b.detections)
+    assert all(x is y for x, y in zip(a.detections, b.detections))
+    for name in NETWORK_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+        assert x.flags.writeable == y.flags.writeable, name
+    assert a.transitions == b.transitions
+    assert (a.num_shared, a.num_edges) == (b.num_shared, b.num_edges)
+
+
+def test_network_from_parts_agrees_with_build_network():
+    for seed in range(30):
+        dets, net = random_network(seed)
+        pairs = net.transitions[::-1]  # any order
+        rebuilt = network_from_parts(dets, pairs, net.demands)
+        assert_same_network(net, rebuilt)
+        assert rebuilt.trans_tail.dtype == np.int64 and not rebuilt.trans_tail.flags.writeable
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.instance")):
+        loaded, _ = load_instance(path)
+        built = build_network(loaded.detections, [object()] * loaded.num_tracked,
+                              loaded.demands, GatingConfig())
+        assert_same_network(built, loaded)
 
 
 def test_cost_index_maps_each_commoditys_edges_onto_its_cost_vector():

@@ -309,14 +309,18 @@ def test_long_windows_converge_below_the_iteration_cap(monkeypatch):
     assert sum(r.pivots for r in results) <= 40_000
 
 
+# The wide bench scene at its smoke size (12 frames), for the tests of what
+# a tracked window builds.
+WIDE_SMOKE = Scenario(targets=24, frames=12, clutter_rate=0.0, feature_dim=24, arena_h=3200.0,
+                      lane_gap=120.0, miss_prob=0.05, feature_noise=0.1, pos_noise=1.0,
+                      target_score_std=0.0)
+WIDE_CONFIG = TrackerConfig(window=3, d0=8, bypass_cost_tracked=12.0, bypass_cost_dummy=19.5)
+
+
 def test_tracking_builds_no_flow_array(monkeypatch):
-    # The wide bench scene at its smoke size (12 frames): the tracker reads
-    # each window's selection, never CGResult.flows, which are built only
-    # when read.
-    scene = Scenario(targets=24, frames=12, clutter_rate=0.0, feature_dim=24, arena_h=3200.0,
-                     lane_gap=120.0, miss_prob=0.05, feature_noise=0.1, pos_noise=1.0,
-                     target_score_std=0.0)
-    config = TrackerConfig(window=3, d0=8, bypass_cost_tracked=12.0, bypass_cost_dummy=19.5)
+    # The tracker reads each window's selection, never CGResult.flows, which
+    # are built only when read.
+    scene, config = WIDE_SMOKE, WIDE_CONFIG
     real, results = tracker_module.column_generation, []
 
     def solve(*args, **kwargs):
@@ -332,3 +336,22 @@ def test_tracking_builds_no_flow_array(monkeypatch):
     tracks, _ = run(dets, config, max_frame=scene.frames)
     assert len(results) == 10 and len(tracks) >= 20
     assert sum(len(r.selection) > 1 for r in results) == 9
+
+
+def test_tracking_builds_no_edge_array(monkeypatch):
+    # The tracker, cost assembly and column generation read a network's
+    # transitions as arrays, so no window builds the per-edge arrays or the
+    # list of pairs, which are built only when read.
+    real, networks = tracker_module.build_network, []
+
+    def build(*args, **kwargs):
+        networks.append(real(*args, **kwargs))
+        return networks[-1]
+
+    monkeypatch.setattr(tracker_module, "build_network", build)
+    dets, _ = synth_generate(WIDE_SMOKE, seed=3)
+    tracks, _ = run(dets, WIDE_CONFIG, max_frame=WIDE_SMOKE.frames)
+    assert len(networks) == 10 and len(tracks) >= 20
+    assert all(net.num_shared > net.num_detections for net in networks)  # each has transitions
+    built = {"tail", "head", "kind", "owner", "det_a", "det_b", "transitions"}
+    assert [built & vars(net).keys() for net in networks] == [set()] * len(networks)
